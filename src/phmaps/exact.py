@@ -73,10 +73,6 @@ def format_scalar(x: Scalar) -> str:
     return repr(float(x))
 
 
-def to_float(x: Scalar) -> float:
-    return float(x)
-
-
 def exact_sqrt(q: Fraction) -> Optional[Fraction]:
     """Square root of a nonnegative rational, or None if it is irrational."""
     if q < 0:

@@ -272,17 +272,35 @@ def _minimum(values: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> Extre
 
 
 _NEIGHBOR_REACH = 2  # Chebyshev radius that counts as grid-adjacent
+_PAIR_BLOCK = 1 << 15  # candidate pairs examined per vectorised block
 
 
 def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
     """Count non-adjacent grid pairs whose images nearly coincide.
 
-    The per-pair tolerance scales with the smaller of the two points' local
-    image spacing, measured over the full Chebyshev-2 index neighborhood: on a
-    strongly sheared image grid the shortest local lattice vector can be a
-    (1, 2) "knight's move", not an axis step. The same neighborhood is excluded
-    from collision candidates. An absolute floor of 1e-9 of the image diameter
-    keeps exact overlaps countable even where the local spacing degenerates.
+    Pair (i, j) collides when |w_i - w_j| < max(min(tol_i, tol_j), floor), where
+    tol is ``factor`` times a point's local image spacing and the floor, 1e-9
+    of the image diameter, keeps exact overlaps countable where the local
+    spacing degenerates. Pairs within Chebyshev index distance 2 (rays wrap)
+    are adjacent and never collide.
+
+    The local spacing of point (i, j) is the least of these distances (ray
+    offsets wrap, ring offsets stop at the grid edge):
+
+    - along its ring, to the +1 and +2 ray neighbours (i, j+1), (i, j+2);
+    - for dr in 1..2, ds in -2..2, to the inner-ring point (i-dr, j+ds);
+    - for dr in 1..2, ds in -2..2, between (i+dr, j) and (i, j+ds), which is
+      not a distance from (i, j) itself unless ds = 0.
+
+    The inner-ring terms catch a sheared image grid whose shortest local
+    lattice vector is a (1, 2) "knight's move" rather than an axis step.
+
+    The search is multilevel spatial hashing (Teschner et al., VMV 2003) keyed
+    by each point's own threshold t = max(tol, floor): since the pair rule's
+    threshold is min(t_i, t_j), each pair is looked up once, from the endpoint
+    with the smaller (t, index), in a grid of cells sized to that endpoint's
+    threshold octave. Its cost therefore does not depend on how much the image
+    spacing varies over the grid.
     """
     R, S = w.shape
     reach = _NEIGHBOR_REACH
@@ -301,34 +319,69 @@ def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
                 spacing[:-dr] = np.minimum(spacing[:-dr], d)
 
     wf = w.ravel()
-    tol = factor * spacing.ravel()
     diam = max(np.ptp(wf.real), np.ptp(wf.imag), 1e-300)
-    floor = 1e-9 * diam
-    cell = max(float(np.max(tol)), floor)
-
-    ix = np.floor(wf.real / cell).astype(np.int64)
-    iy = np.floor(wf.imag / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(wf.size):
-        buckets.setdefault((int(ix[i]), int(iy[i])), []).append(i)
-
-    def adjacent(i: int, j: int) -> bool:
-        ri, si = divmod(i, S)
-        rj, sj = divmod(j, S)
-        dray = abs(si - sj)
-        return abs(ri - rj) <= reach and min(dray, S - dray) <= reach
+    t = np.maximum(factor * spacing.ravel(), 1e-9 * diam)
+    octave = np.frexp(t)[1]  # t < 2**octave
+    x0, y0 = wf.real.min(), wf.imag.min()
 
     collisions = 0
-    for i in range(wf.size):
-        ci, cj = int(ix[i]), int(iy[i])
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for j in buckets.get((ci + dx, cj + dy), ()):
-                    if j <= i or adjacent(i, j):
-                        continue
-                    if abs(wf[i] - wf[j]) < max(min(tol[i], tol[j]), floor):
-                        collisions += 1
+    lowest = int(octave.min())
+    # bincount, not np.unique: numpy 2.4's hash-based unique keeps about 1 MB
+    # allocated for the life of the process, which shows in peak RSS.
+    for level in lowest + np.flatnonzero(np.bincount(octave - lowest)):
+        cands = np.flatnonzero(octave >= level)
+        # Cells of at least twice the octave's top threshold: partners within
+        # t lie in the 3x3 neighbour cells even after rounding. Cell indices
+        # count from the bounding-box corner and stay below diam / floor = 1e9,
+        # so the combined key fits int64.
+        cell = np.ldexp(1.0, int(level) + 1)
+        kx = np.floor((wf.real[cands] - x0) / cell).astype(np.int64)
+        ky = np.floor((wf.imag[cands] - y0) / cell).astype(np.int64) + 1
+        stride = int(ky.max()) + 2
+        keys = kx * stride + ky
+        order = np.argsort(keys)
+        keys, cands = keys[order], cands[order]
+        mine = octave[cands] == level
+        queries, query_keys = cands[mine], keys[mine]
+        # One key range per neighbour column covers its dy = -1..1 cells;
+        # queries in key order keep the searchsorted needles sorted.
+        for column in (-stride, 0, stride):
+            lo = np.searchsorted(keys, query_keys + (column - 1), side="left")
+            hi = np.searchsorted(keys, query_keys + (column + 1), side="right")
+            collisions += _close_pairs(wf, t, S, queries, cands, lo, hi)
     return collisions
+
+
+def _close_pairs(wf, t, rays, queries, partners, lo, hi) -> int:
+    """Collisions of each queries[q] with partners[lo[q]:hi[q]].
+
+    A pair counts only from its endpoint that is lower in (t, index) order,
+    whose t is then the pair's threshold max(min(tol_i, tol_j), floor).
+    Candidate pairs are expanded _PAIR_BLOCK at a time (more only when a single
+    query's range is longer), so memory stays bounded however the image folds.
+    """
+    reach = _NEIGHBOR_REACH
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    count = 0
+    start = 0
+    while start < sizes.size:
+        base = ends[start] - sizes[start]
+        stop = max(int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")), start + 1)
+        n = sizes[start:stop]
+        first = np.cumsum(n) - n
+        i = np.repeat(queries[start:stop], n)
+        j = partners[np.arange(int(ends[stop - 1] - base)) + np.repeat(lo[start:stop] - first, n)]
+        later = (t[j] > t[i]) | ((t[j] == t[i]) & (j > i))
+        i, j = i[later], j[later]
+        ring_i, ray_i = np.divmod(i, rays)
+        ring_j, ray_j = np.divmod(j, rays)
+        dray = np.abs(ray_i - ray_j)
+        far = (np.abs(ring_i - ring_j) > reach) | (np.minimum(dray, rays - dray) > reach)
+        i, j = i[far], j[far]
+        count += int(np.count_nonzero(np.abs(wf[i] - wf[j]) < t[i]))
+        start = stop
+    return count
 
 
 ALL_CHECKS = ("jacobian", "starlike", "convex", "injective")
@@ -352,22 +405,23 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
 
     min_jac = min_arg = min_conv = None
     collisions = None
-
     if "jacobian" in checks:
         min_jac = _minimum(np.asarray(jacobian(F, z)), radii, angles)
-    if "starlike" in checks:
+    w = d1 = None  # F and F_theta, each computed once for the checks sharing it
+    if "starlike" in checks or "injective" in checks:
         w = evaluate(F, z)
+    if "starlike" in checks or "convex" in checks:
         d1 = theta_derivative(F, radii[:, None], angles[None, :], 1)
+    if "starlike" in checks:
         vals = np.where(np.abs(w) < EPS_ZERO, -np.inf, np.imag(d1 / np.where(np.abs(w) < EPS_ZERO, 1.0, w)))
         min_arg = _minimum(vals, radii, angles)
     if "convex" in checks:
-        d1 = theta_derivative(F, radii[:, None], angles[None, :], 1)
         d2 = theta_derivative(F, radii[:, None], angles[None, :], 2)
         bad = np.abs(d1) < EPS_ZERO
         vals = np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1)))
         min_conv = _minimum(vals, radii, angles)
     if "injective" in checks:
-        collisions = _collision_count(evaluate(F, z))
+        collisions = _collision_count(w)
 
     return GeometryReport(
         grid=grid,

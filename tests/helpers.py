@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the closed-form code paths they check: derivatives
-come from central finite differences on plain evaluation, and the polyline
-properties come from brute-force segment / ray-crossing geometry.
+come from central finite differences on plain evaluation, the polyline
+properties come from brute-force segment / ray-crossing geometry, and the
+injectivity collision count comes from comparing every pair of grid points.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from phmaps import evaluate, theta_derivative
+from phmaps.geometry import COLLISION_FACTOR
 
 
 def fd_theta_derivative(F, r, theta, order, step=1e-5):
@@ -84,3 +86,57 @@ def polyline_is_convex(pts: np.ndarray, tol: float = -1e-9) -> bool:
     cr = e.real * e2.imag - e.imag * e2.real
     orientation = 1.0 if float(np.sum(cr)) >= 0 else -1.0
     return bool(np.min(orientation * cr) >= tol)
+
+
+def collision_spacing(w: np.ndarray) -> np.ndarray:
+    """Local image spacing of each grid point, as the collision pass defines it.
+
+    Point (i, j) takes the least of: its distances to (i, j+1) and (i, j+2);
+    for dr in 1..2 and ds in -2..2, its distance to (i-dr, j+ds) and the
+    distance between (i+dr, j) and (i, j+ds). Ray indices wrap; ring indices
+    stop at the grid edge.
+    """
+    R, S = w.shape
+    ring, ray = np.indices((R, S))
+    best = np.full((R, S), np.inf)
+    for ds in (1, 2):
+        best = np.minimum(best, np.abs(w - w[ring, (ray + ds) % S]))
+    for dr in (1, 2):
+        for ds in range(-2, 3):
+            inner = ring >= dr
+            i, j = ring[inner], ray[inner]
+            best[inner] = np.minimum(best[inner], np.abs(w[i, j] - w[i - dr, (j + ds) % S]))
+            outer = ring + dr < R
+            i, j = ring[outer], ray[outer]
+            best[outer] = np.minimum(best[outer], np.abs(w[i + dr, j] - w[i, (j + ds) % S]))
+    return best
+
+
+def collision_rule(w: np.ndarray):
+    """(tolerance per point, absolute floor) of the collision pair rule."""
+    wf = w.ravel()
+    floor = 1e-9 * max(np.ptp(wf.real), np.ptp(wf.imag), 1e-300)
+    return COLLISION_FACTOR * collision_spacing(w).ravel(), floor
+
+
+def colliding(w: np.ndarray, tol: np.ndarray, floor: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Mask of the flat index pairs (i, j) that count as collisions: not within
+    Chebyshev distance 2 on the (ring, wrapping ray) grid, and with images
+    closer than max(min(tol_i, tol_j), floor)."""
+    rays = w.shape[1]
+    wf = w.ravel()
+    ring_i, ray_i = np.divmod(i, rays)
+    ring_j, ray_j = np.divmod(j, rays)
+    dray = np.abs(ray_i - ray_j)
+    far = (np.abs(ring_i - ring_j) > 2) | (np.minimum(dray, rays - dray) > 2)
+    return far & (np.abs(wf[i] - wf[j]) < np.maximum(np.minimum(tol[i], tol[j]), floor))
+
+
+def brute_force_collisions(w: np.ndarray) -> int:
+    """Collision count over all pairs i < j of grid points, with no spatial index."""
+    tol, floor = collision_rule(w)
+    n = w.size
+    return sum(
+        int(np.count_nonzero(colliding(w, tol, floor, np.full(n - a - 1, a), np.arange(a + 1, n))))
+        for a in range(n - 1)
+    )
