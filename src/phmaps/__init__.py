@@ -28,6 +28,7 @@ from .errors import (
     GridTooLargeError,
     InvalidMapError,
     MapSyntaxError,
+    NonFiniteError,
     NotMemberError,
     ParamError,
     PhmapsError,

@@ -14,10 +14,11 @@ import numpy as np
 
 from . import catalog
 from .classes import ClassParams, Family, membership
-from .errors import NotMemberError, PhmapsError
+from .errors import GridTooLargeError, NotMemberError, PhmapsError
 from .exact import parse_scalar
 from .geometry import (
     ALL_CHECKS,
+    MAX_GRID_POINTS,
     DiskGrid,
     distortion_envelope,
     evaluate,
@@ -155,6 +156,8 @@ def _cmd_neighborhood(args) -> int:
 
 
 def _distortion_lines(F, lam, samples: int, seed: int) -> tuple[list[str], bool]:
+    if samples > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"--samples {samples} exceeds {MAX_GRID_POINTS}")
     env = distortion_envelope(F, lam)
     rng = np.random.default_rng(seed)
     r = rng.uniform(0.0, 0.999, samples)

@@ -30,7 +30,11 @@ class ParamError(PhmapsError):
 
 
 class GridTooLargeError(PhmapsError):
-    """Grid exceeds the enforced rings*rays budget."""
+    """A grid, render or sample count exceeds its enforced size budget."""
+
+
+class NonFiniteError(PhmapsError):
+    """A computed grid value is NaN or infinite (coefficients overflow float64)."""
 
 
 class ZeroValueError(PhmapsError):

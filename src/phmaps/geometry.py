@@ -10,10 +10,23 @@ Working with Im(F_theta/F) instead of differentiating arg avoids branch
 unwrapping entirely. All grid reductions are deterministic: minima are taken
 in ring-major order, so argmin ties break to the lowest ring, then lowest ray.
 A passing grid report is sampled evidence, not a proof.
+
+The derivatives come from one monomial table per map: F(z) = sum c z^alpha
+conj(z)^beta, and d/dtheta, d/dz, d/dzbar each reweight c and shift alpha or
+beta. On a DiskGrid the angles are exactly 2 pi s / rays, so a monomial is
+r^(alpha+beta) e^{2 pi i (alpha-beta) s / rays} and each ring of F, F_theta,
+F_thetatheta, F_z and F_zbar is one inverse FFT of a spectrum holding
+c r^(alpha+beta) at frequency (alpha-beta) mod rays. That is exact, not an
+approximation: the frequency wraps only because s is an integer. The sums
+are taken in another order than a term loop, so grid minima can differ from
+pointwise evaluation in the last digits and an argmin can move between tied
+points. `evaluate` keeps its term-by-term order, because the render goldens
+pin its bits and its vectorised and scalar results must agree exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +37,7 @@ from .catalog import phase_coefficient
 from .classes import hc, hs_lambda, membership, weight
 from .errors import (
     GridTooLargeError,
+    NonFiniteError,
     NotMemberError,
     ParamError,
     ZeroDerivativeError,
@@ -46,17 +60,49 @@ MAX_GRID_POINTS = 2 ** 15
 COLLISION_FACTOR = 0.1
 
 
-def _terms(F: PolyharmonicMap) -> list[tuple[int, int, complex, complex]]:
-    return [(n, k, F.coeff_a(n, k).as_complex(), F.coeff_b(n, k).as_complex()) for n, k in F.support()]
+def _monomials(F: PolyharmonicMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support as a monomial table (alpha, beta, c), F(z) = sum c z^alpha conj(z)^beta:
+    a[n,k] |z|^(2(k-1)) z^n is (n+k-1, k-1, a), |z|^(2(k-1)) conj(b[n,k] z^n) is (k-1, n+k-1, conj b)."""
+    rows = [(n + k - 1, k - 1, c.as_complex()) for (n, k), c in F.a.items()]
+    rows += [(k - 1, n + k - 1, c.as_complex().conjugate()) for (n, k), c in F.b.items()]
+    return tuple(np.array(col) for col in zip(*rows))  # never empty: a[1,1] = 1
+
+
+def _d_theta(table, order: int):
+    """z^alpha conj(z)^beta = r^(alpha+beta) e^{i(alpha-beta)theta}: c gains (i(alpha-beta))^order."""
+    alpha, beta, c = table
+    return alpha, beta, (1j * (alpha - beta)) ** order * c
+
+
+def _d_wirtinger(table):
+    """(F_z, F_zbar): c gains alpha (beta), which drops by one; monomials free of it vanish."""
+    alpha, beta, c = table
+    dz, dzb = alpha > 0, beta > 0
+    return (alpha[dz] - 1, beta[dz], (alpha * c)[dz]), (alpha[dzb], beta[dzb] - 1, (beta * c)[dzb])
+
+
+def _sum_at(table, r, u) -> np.ndarray:
+    """The table's sum at the points r u (r real) in O(points) memory: a monomial is there
+    r^(alpha+beta) |u|^(2 min(alpha,beta)) u^(alpha-beta), conj(u) for a negative power. In order of
+    |alpha-beta| each power of u is the last one times u^step; a and b at one (n,k) share r^(alpha+beta)."""
+    out, power, at = np.zeros(np.broadcast(r, u).shape, dtype=complex), np.ones_like(u), 0
+    terms = sorted(zip(*(col.tolist() for col in table)), key=lambda t: (abs(t[0] - t[1]), t[0] + t[1], t[0]))
+    for (d, e), group in itertools.groupby(terms, key=lambda t: (abs(t[0] - t[1]), t[0] + t[1])):
+        if d > at:
+            power, at = power * (u if d - at == 1 else u ** (d - at)), d
+        inner = sum(c * (power if a >= b else np.conj(power)) for a, b, c in group)
+        out = out + r ** e * (inner * np.abs(u) ** (e - d) if e > d else inner)
+    return out
 
 
 def evaluate(F: PolyharmonicMap, z):
-    """F(z) for complex scalars or arrays (finite sum over the support)."""
+    """F(z) for complex scalars or arrays (finite sum over the support, term by term)."""
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     r2 = z.real * z.real + z.imag * z.imag
     out = np.zeros(np.broadcast(z, r2).shape, dtype=complex)
-    for n, k, ca, cb in _terms(F):
+    for n, k in F.support():
+        ca, cb = F.coeff_a(n, k).as_complex(), F.coeff_b(n, k).as_complex()
         zn = z ** n
         layer = r2 ** (k - 1) if k > 1 else 1.0
         out = out + layer * (ca * zn + np.conj(cb * zn))
@@ -78,22 +124,12 @@ def evaluate_layer(F: PolyharmonicMap, k: int, z):
 
 
 def theta_derivative(F: PolyharmonicMap, r, theta, order: int = 1):
-    """Closed-form d^order/dtheta^order of F(r e^{i theta}).
-
-    Term rule: a[n,k] contributes r^(2(k-1)+n) (in)^order a e^{in theta} and
-    b[n,k] contributes r^(2(k-1)+n) (-in)^order conj(b) e^{-in theta}.
-    """
+    """Closed-form d^order/dtheta^order of F(r e^{i theta}), from the monomial table."""
     if order not in (1, 2):
         raise ParamError(f"derivative order must be 1 or 2, got {order}")
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    scalar = r.ndim == 0 and theta.ndim == 0
-    out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
-    for n, k, ca, cb in _terms(F):
-        rad = r ** (2 * (k - 1) + n)
-        e = np.exp(1j * n * theta)
-        out = out + rad * ((1j * n) ** order * ca * e + (-1j * n) ** order * np.conj(cb) * np.conj(e))
-    return complex(out[()]) if scalar else out
+    u = np.exp(1j * np.asarray(theta, dtype=float))
+    out = _sum_at(_d_theta(_monomials(F), order), np.asarray(r, dtype=float), u)
+    return complex(out[()]) if out.ndim == 0 else out
 
 
 def _as_real(val):
@@ -119,32 +155,10 @@ def convexity_indicator(F: PolyharmonicMap, r, theta):
 
 
 def wirtinger_derivatives(F: PolyharmonicMap, z):
-    """(F_z, F_zbar) from the term rules; 0^0 = 1 keeps k=2 layers finite at 0."""
+    """(F_z, F_zbar) from the monomial table; 0^0 = 1 keeps k=2 layers finite at 0."""
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zc = np.conj(z)
-    r2 = (z * zc).real
-    fz = np.zeros(z.shape, dtype=complex)
-    fzb = np.zeros(z.shape, dtype=complex)
-    for n, k, ca, cb in _terms(F):
-        cbc = np.conj(cb)
-        if k == 1:
-            if ca != 0:
-                fz = fz + ca * n * z ** (n - 1)
-            if cb != 0:
-                fzb = fzb + cbc * n * zc ** (n - 1)
-            continue
-        inner = r2 ** (k - 2)
-        outer = r2 ** (k - 1)
-        if ca != 0:
-            fz = fz + ca * ((k - 1) * inner * zc * z ** n + n * outer * z ** (n - 1))
-            fzb = fzb + ca * (k - 1) * inner * z ** (n + 1)
-        if cb != 0:
-            fz = fz + cbc * (k - 1) * inner * zc ** (n + 1)
-            fzb = fzb + cbc * ((k - 1) * inner * z * zc ** n + n * outer * zc ** (n - 1))
-    if scalar:
-        return complex(fz[()]), complex(fzb[()])
-    return fz, fzb
+    fz, fzb = (_sum_at(table, 1.0, z) for table in _d_wirtinger(_monomials(F)))
+    return (complex(fz[()]), complex(fzb[()])) if z.ndim == 0 else (fz, fzb)
 
 
 def jacobian(F: PolyharmonicMap, z):
@@ -273,6 +287,7 @@ def _minimum(values: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> Extre
 
 _NEIGHBOR_REACH = 2  # Chebyshev radius that counts as grid-adjacent
 _PAIR_BLOCK = 1 << 15  # candidate pairs examined per vectorised block
+_TERM_BLOCK = 1 << 15  # ring-by-monomial spectrum values scattered per block
 
 
 def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
@@ -384,15 +399,46 @@ def _close_pairs(wf, t, rays, queries, partners, lo, hi) -> int:
     return count
 
 
+def _on_grid(table, radii: np.ndarray, rays: int) -> np.ndarray:
+    """The table's sum at radii[j] e^{2 pi i s / rays}: one inverse DFT per ring.
+
+    There a monomial is r^(alpha+beta) e^{2 pi i (alpha-beta) s / rays}, so ring j
+    is the unscaled inverse DFT of a spectrum holding c r_j^(alpha+beta) at
+    frequency (alpha-beta) mod rays. The wrap is exact, not aliasing, because s
+    is an integer. The spectrum is filled _TERM_BLOCK ring-monomial values at a
+    time, so memory stays bounded however large the support.
+    """
+    alpha, beta, c = table
+    spectrum = np.zeros((radii.size, rays), dtype=complex)
+    ring = np.arange(radii.size)[:, None]
+    step = max(1, _TERM_BLOCK // radii.size)
+    for lo in range(0, c.size, step):
+        a, b = alpha[lo:lo + step], beta[lo:lo + step]
+        np.add.at(spectrum, (ring, (a - b) % rays), c[lo:lo + step] * radii[:, None] ** (a + b))
+    return np.fft.ifft(spectrum, axis=1, norm="forward")
+
+
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    """values, unless one is NaN or infinite: then NonFiniteError at the first (ring-major)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        ring, ray = divmod(int(np.argmin(finite)), values.shape[1])
+        raise NonFiniteError(f"{name} is NaN or infinite at grid ring {ring}, ray {ray}")
+    return values
+
+
 ALL_CHECKS = ("jacobian", "starlike", "convex", "injective")
 
 
 def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = ALL_CHECKS) -> GeometryReport:
     """Fill a GeometryReport with grid minima for the requested checks.
 
-    Degenerate sample points (vanishing F for the starlike check, vanishing
-    F_theta for the convex check) record a -inf minimum instead of raising, so
-    a report is always produced and simply fails its thresholds.
+    F, F_theta, F_thetatheta and the Jacobian come from the map's monomial table
+    by one inverse FFT per ring (_on_grid), each computed once. Degenerate
+    sample points (vanishing F for the starlike check, vanishing F_theta for the
+    convex check) record a -inf minimum instead of raising, so such a map still
+    gets a report, which fails its thresholds. A NaN or infinite grid value
+    (coefficients that overflow float64) raises NonFiniteError instead.
     """
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
     if not checks:
@@ -401,25 +447,30 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     angles = grid.angles()
     if radii.size * angles.size > MAX_GRID_POINTS:
         raise GridTooLargeError(f"{radii.size}x{angles.size} grid exceeds {MAX_GRID_POINTS} points")
-    z = grid.points()
+    table = _monomials(F)
+
+    def values(name, tab):
+        return _finite(name, _on_grid(tab, radii, angles.size))
 
     min_jac = min_arg = min_conv = None
     collisions = None
-    if "jacobian" in checks:
-        min_jac = _minimum(np.asarray(jacobian(F, z)), radii, angles)
-    w = d1 = None  # F and F_theta, each computed once for the checks sharing it
-    if "starlike" in checks or "injective" in checks:
-        w = evaluate(F, z)
-    if "starlike" in checks or "convex" in checks:
-        d1 = theta_derivative(F, radii[:, None], angles[None, :], 1)
-    if "starlike" in checks:
-        vals = np.where(np.abs(w) < EPS_ZERO, -np.inf, np.imag(d1 / np.where(np.abs(w) < EPS_ZERO, 1.0, w)))
-        min_arg = _minimum(vals, radii, angles)
-    if "convex" in checks:
-        d2 = theta_derivative(F, radii[:, None], angles[None, :], 2)
-        bad = np.abs(d1) < EPS_ZERO
-        vals = np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1)))
-        min_conv = _minimum(vals, radii, angles)
+    with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
+        if "jacobian" in checks:
+            fz, fzb = (_on_grid(tab, radii, angles.size) for tab in _d_wirtinger(table))
+            jac = _finite("Jacobian", np.abs(fz) ** 2 - np.abs(fzb) ** 2)
+            min_jac = _minimum(jac, radii, angles)
+        w = d1 = None  # F and F_theta, each computed once for the checks sharing it
+        if "starlike" in checks or "injective" in checks:
+            w = values("F", table)
+        if "starlike" in checks or "convex" in checks:
+            d1 = values("F_theta", _d_theta(table, 1))
+        if "starlike" in checks:
+            bad = np.abs(w) < EPS_ZERO
+            min_arg = _minimum(np.where(bad, -np.inf, np.imag(d1 / np.where(bad, 1.0, w))), radii, angles)
+        if "convex" in checks:
+            d2 = values("F_thetatheta", _d_theta(table, 2))
+            bad = np.abs(d1) < EPS_ZERO
+            min_conv = _minimum(np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1))), radii, angles)
     if "injective" in checks:
         collisions = _collision_count(w)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError
-from .geometry import DiskGrid, evaluate
+from .errors import GridTooLargeError, ParamError
+from .geometry import MAX_GRID_POINTS, DiskGrid, evaluate
 from .series import PolyharmonicMap
 
 # Boundary behavior of boundary-tight maps is cusp-like, so rendering stays
@@ -41,6 +41,10 @@ class RenderSpec:
             raise ParamError("canvas must be at least 100x100")
         if not 0 <= self.margin < 0.5:
             raise ParamError(f"margin fraction must lie in [0, 0.5), got {self.margin}")
+        vertices = (self.grid.rings + self.grid.rays) * (self.samples_per_curve + 1)
+        if vertices > MAX_GRID_POINTS:
+            raise GridTooLargeError(f"(rings + rays) x (samples + 1) = {vertices} vertices "
+                                    f"exceeds {MAX_GRID_POINTS}")
 
 
 def _curves(F: PolyharmonicMap, spec: RenderSpec) -> list[tuple[str, np.ndarray, np.ndarray]]:

@@ -1,7 +1,8 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the closed-form code paths they check: derivatives
-come from central finite differences on plain evaluation, the polyline
+come from central finite differences on plain evaluation, or from per-term
+closed forms that do not use the library's monomial table; the polyline
 properties come from brute-force segment / ray-crossing geometry, and the
 injectivity collision count comes from comparing every pair of grid points.
 """
@@ -30,6 +31,47 @@ def fd_wirtinger(F, z, step=1e-5):
     fx = (evaluate(F, z + step) - evaluate(F, z - step)) / (2 * step)
     fy = (evaluate(F, z + 1j * step) - evaluate(F, z - 1j * step)) / (2 * step)
     return (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
+
+
+def _terms(F):
+    return [(n, k, F.coeff_a(n, k).as_complex(), F.coeff_b(n, k).as_complex()) for n, k in F.support()]
+
+
+def term_loop_theta_derivative(F, r, theta, order):
+    """d^order/dtheta^order of F(r e^{i theta}) term by term: a[n,k] contributes
+    r^(2(k-1)+n) (in)^order a e^{in theta}, b[n,k] r^(2(k-1)+n) (-in)^order conj(b) e^{-in theta}."""
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    out = np.zeros(np.broadcast(r, theta).shape, dtype=complex)
+    for n, k, ca, cb in _terms(F):
+        e = np.exp(1j * n * theta)
+        phases = (1j * n) ** order * ca * e + (-1j * n) ** order * np.conj(cb) * np.conj(e)
+        out = out + r ** (2 * (k - 1) + n) * phases
+    return out
+
+
+def term_loop_jacobian(F, z):
+    """|F_z|^2 - |F_zbar|^2 with (F_z, F_zbar) differentiated term by term."""
+    z = np.asarray(z, dtype=complex)
+    zc = np.conj(z)
+    r2 = (z * zc).real
+    fz = np.zeros(z.shape, dtype=complex)
+    fzb = np.zeros(z.shape, dtype=complex)
+    for n, k, ca, cb in _terms(F):
+        cbc = np.conj(cb)
+        inner = r2 ** (k - 2) if k > 1 else 0.0
+        outer = r2 ** (k - 1)
+        fz = fz + ca * ((k - 1) * inner * zc * z ** n + n * outer * z ** (n - 1))
+        fz = fz + cbc * (k - 1) * inner * zc ** (n + 1)
+        fzb = fzb + ca * (k - 1) * inner * z ** (n + 1)
+        fzb = fzb + cbc * ((k - 1) * inner * z * zc ** n + n * outer * zc ** (n - 1))
+    return np.abs(fz) ** 2 - np.abs(fzb) ** 2
+
+
+def term_loop_grid(F, grid):
+    """(F, F_theta, F_thetatheta, Jacobian) on the grid's points, each term by term."""
+    z, r, theta = grid.points(), grid.radii()[:, None], grid.angles()[None, :]
+    return (evaluate(F, z), term_loop_theta_derivative(F, r, theta, 1),
+            term_loop_theta_derivative(F, r, theta, 2), term_loop_jacobian(F, z))
 
 
 def polyline_self_intersections(pts: np.ndarray) -> int:

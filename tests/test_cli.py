@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from phmaps import example_F1, example_F2, half_plane_map, identity_map, make_map, parse_map
 from phmaps.cli import main
+from phmaps.geometry import MAX_GRID_POINTS
 from phmaps.phmio import save_map
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -166,6 +168,23 @@ class TestVerify:
     def test_bad_radius_exits_two(self, f1):
         assert main(["verify", f1, "--suite", "convex", "--r", "1"]) == 2
 
+    @pytest.mark.parametrize("suite", ["starlike", "convex", "jacobian", "injective", "all"])
+    def test_overflowing_coefficients_exit_two(self, tmp_path, capsys, suite):
+        path = tmp_path / "overflow.phm"
+        save_map(make_map(1, a={(2, 1): 1e308, (3, 1): 1e308}, b={(2, 1): 1e308}), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(path), "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "NaN or infinite at grid ring" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_distortion_sample_budget(self, f1, capsys):
+        # rejected before the samples are drawn, so the huge count allocates nothing
+        assert main(["verify", f1, "--suite", "distortion", "--lambda", "2/3", "--samples", str(10**12)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --samples {10**12} exceeds {MAX_GRID_POINTS}"]
+
 
 class TestRender:
     def test_svg_and_csv_outputs(self, f1, tmp_path):
@@ -174,6 +193,13 @@ class TestRender:
         assert main(["render", f1, "-o", str(svg), "--csv", str(csv), "--rings", "4", "--rays", "8", "--samples", "64"]) == 0
         assert svg.read_bytes().startswith(b"<?xml")
         assert csv.read_text().splitlines()[0] == "curve_id,theta_or_r,re,im"
+
+    def test_vertex_budget(self, f1, tmp_path, capsys):
+        # rejected before any curve is evaluated, so no output file is written
+        svg = tmp_path / "big.svg"
+        assert main(["render", f1, "-o", str(svg), "--rings", "100000", "--rays", "100000", "--samples", "100000"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not svg.exists()
 
     def test_renders_are_reproducible(self, f2, tmp_path):
         one, two = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -26,7 +26,7 @@ from phmaps import (
     identity_map,
     make_map,
 )
-from phmaps.geometry import _collision_count
+from phmaps.geometry import _collision_count, verify_geometry
 from phmaps.sampling import random_member
 
 SMALL_GRIDS = [
@@ -77,6 +77,19 @@ def test_oracle_sees_the_fold():
 def test_half_plane_counts_pinned(N, count):
     w = evaluate(half_plane_map(N), DiskGrid(32, 256, 0.995).points())
     assert _collision_count(w) == count
+
+
+@pytest.mark.parametrize("N,count", [(2, 61), (3, 47), (4, 95), (5, 74)])
+def test_half_plane_counts_pinned_through_verify_geometry(N, count):
+    assert verify_geometry(half_plane_map(N), DiskGrid(32, 256, 0.995)).injectivity_collisions == count
+
+
+@pytest.mark.parametrize("grid", SMALL_GRIDS, ids=lambda g: f"{g.rings}x{g.rays}")
+def test_verify_geometry_counts_match_term_loop_images(grid):
+    # verify_geometry's image comes from per-ring FFTs; the count must not see the difference
+    for name, F in SMALL_MAPS:
+        count = verify_geometry(F, grid, ("injective",)).injectivity_collisions
+        assert count == _collision_count(evaluate(F, grid.points())), name
 
 
 def test_pair_threshold_is_strict():
@@ -148,6 +161,12 @@ FULL_SIZE = [
     *[(f"half-plane-{n}", half_plane_map(n), DiskGrid(32, 256, 0.995)) for n in (2, 3, 4, 5, 8)],
     ("half-plane-16", half_plane_map(16), DiskGrid(32, 1024, 0.995)),
 ]
+
+
+@pytest.mark.parametrize("name,F,grid", FULL_SIZE, ids=[c[0] for c in FULL_SIZE])
+def test_verify_geometry_counts_match_term_loop_images_at_full_size(name, F, grid):
+    count = verify_geometry(F, grid, ("injective",)).injectivity_collisions
+    assert count == _collision_count(evaluate(F, grid.points()))
 
 
 @pytest.mark.parametrize("name,F,grid", FULL_SIZE, ids=[c[0] for c in FULL_SIZE])

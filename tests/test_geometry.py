@@ -1,3 +1,5 @@
+import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,9 @@ import pytest
 import helpers
 from phmaps import (
     DiskGrid,
+    ExtremalSpec,
     GridTooLargeError,
+    NonFiniteError,
     NotMemberError,
     ParamError,
     ZeroDerivativeError,
@@ -20,6 +24,8 @@ from phmaps import (
     evaluate,
     example_F1,
     example_F2,
+    extremal_point,
+    half_plane_map,
     identity_map,
     jacobian,
     layer_bound_check,
@@ -30,6 +36,7 @@ from phmaps import (
     verify_geometry,
     wirtinger_derivatives,
 )
+from phmaps.geometry import EPS_ZERO, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger, _monomials, _on_grid
 from phmaps.sampling import random_member, random_valid_map
 
 
@@ -255,6 +262,18 @@ class TestVerifyGeometry:
         assert jacobian(example_F1(), z) == pytest.approx(ext.value)
 
 
+OVERFLOW = make_map(1, a={(2, 1): 1e308, (3, 1): 1e308}, b={(2, 1): 1e308})  # coefficients overflow float64
+
+
+@pytest.mark.parametrize("check,quantity", [("jacobian", "Jacobian"), ("starlike", "F"), ("convex", "F_theta"),
+                                            ("injective", "F")])
+def test_non_finite_grid_values_raise(check, quantity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning either
+        with pytest.raises(NonFiniteError, match=rf"^{quantity} is NaN or infinite at grid ring \d+, ray \d+$"):
+            verify_geometry(OVERFLOW, DiskGrid(32, 256, 0.995), (check,))
+
+
 class TestDistortion:
     def test_identity_envelope_low_branch(self):
         env = distortion_envelope(identity_map(), 0)
@@ -379,3 +398,95 @@ def test_convolution_search_smoke():
     assert isinstance(findings, list)
     for f in findings:
         assert {"trial", "lambda", "map", "min_jacobian", "min_arg_derivative"} <= set(f)
+
+
+# --- the grid kernel ----------------------------------------------------------
+
+
+def kernel_grid(F, grid):
+    """(F, F_theta, F_thetatheta, Jacobian) on the grid from the monomial table and per-ring FFTs."""
+    table, radii, rays = _monomials(F), grid.radii(), grid.rays
+    fz, fzb = (_on_grid(t, radii, rays) for t in _d_wirtinger(table))
+    return (_on_grid(table, radii, rays), _on_grid(_d_theta(table, 1), radii, rays),
+            _on_grid(_d_theta(table, 2), radii, rays), np.abs(fz) ** 2 - np.abs(fzb) ** 2)
+
+
+def kernel_maps():
+    rng = random.Random(0x6E1D)
+    maps = [
+        ("f1", example_F1()),
+        ("f2", example_F2()),
+        *[(f"identity-{p}", identity_map(p)) for p in (1, 2, 3)],
+        ("extremal", extremal_point(ExtremalSpec(n=3, k=2, lam=Fraction(1, 2), phase=0.7))),
+        ("distortion", distortion_extremal(Fraction(3, 4), Fraction(1, 5), Fraction(1, 10), Fraction(1, 20),
+                                           phases=(0.3, 1.1, -2.0))),
+        *[(f"half-plane-{n}", half_plane_map(n)) for n in range(2, 17)],
+    ]
+    for p in (1, 2, 3, 4):
+        maps.append((f"member-p{p}", random_member(rng, p, Fraction(rng.randint(0, 100), 100))))
+        maps.append((f"offaxis-p{p}", random_valid_map(rng, p=p, max_degree=6, allow_offaxis=True)))
+    return maps
+
+
+KERNEL_MAPS = kernel_maps()
+KERNEL_GRIDS = [
+    DiskGrid(32, 256, 0.995),
+    DiskGrid(32, 1024, 0.995),
+    DiskGrid(16, 256, 0.99, include_origin_ring=False),
+    DiskGrid(6, 3, 0.9),
+    DiskGrid(6, 7, 0.95),
+    DiskGrid(10, 100, 0.99),
+]
+BLOCKED = DiskGrid(4096, 8, 0.99)  # more rings than one spectrum block holds for the wider supports
+
+
+def checked_fields(w, d1, d2, jac):
+    """Jacobian, arg rate and convexity rate as verify_geometry minimises them (-inf where degenerate)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = np.where(np.abs(w) < EPS_ZERO, -np.inf, np.imag(d1 / w))
+        conv = np.where(np.abs(d1) < EPS_ZERO, -np.inf, np.imag(d2 / d1))
+    return jac, arg, conv
+
+
+def close(values, ref, tol=1e-9):
+    return np.max(np.abs(values - ref) / np.maximum(1.0, np.abs(ref))) <= tol
+
+
+def grid_id(grid):
+    return f"{grid.rings}x{grid.rays}" + ("" if grid.include_origin_ring else "-no-origin")
+
+
+class TestGridKernel:
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS + [BLOCKED], ids=grid_id)
+    def test_matches_term_loops(self, grid):
+        for name, F in KERNEL_MAPS:
+            for got, ref in zip(kernel_grid(F, grid), helpers.term_loop_grid(F, grid)):
+                assert close(got, ref), name
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=grid_id)
+    def test_matches_finite_differences(self, grid):
+        # the O(step^2) error of the difference quotients stays under 1e-9 only at low degree
+        z, r, theta = grid.points(), grid.radii()[:, None], grid.angles()[None, :]
+        for name, F in KERNEL_MAPS:
+            if F.max_degree > 4:
+                continue
+            w, d1, d2, jac = kernel_grid(F, grid)
+            fz, fzb = helpers.fd_wirtinger(F, z)
+            assert close(d1, helpers.fd_theta_derivative(F, r, theta, 1)), name
+            assert close(d2, helpers.fd_theta_derivative(F, r, theta, 2)), name
+            assert close(jac, np.abs(fz) ** 2 - np.abs(fzb) ** 2), name
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=grid_id)
+    def test_report_matches_term_loop_reference(self, grid):
+        passes = (lambda m: m > 0, lambda m: m > 0, lambda m: m >= SIGN_TOL)
+        for name, F in KERNEL_MAPS:
+            rep = verify_geometry(F, grid)
+            assert rep.injectivity_collisions == _collision_count(evaluate(F, grid.points())), name
+            extrema = (rep.min_jacobian, rep.min_arg_derivative, rep.min_convexity_indicator)
+            old = checked_fields(*helpers.term_loop_grid(F, grid))
+            new = checked_fields(*kernel_grid(F, grid))
+            for ext, ref, values, ok in zip(extrema, old, new, passes):
+                assert ext.value == values.min() and ok(ext.value) == ok(ref.min()), name
+                # an argmin may move between tied points, but the old one is as low to rounding
+                at_old = values.flat[np.argmin(ref)]
+                assert at_old == ext.value or at_old - ext.value <= 1e-9 * max(1.0, abs(ext.value)), name

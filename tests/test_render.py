@@ -8,6 +8,7 @@ import pytest
 import helpers
 from phmaps import (
     DiskGrid,
+    GridTooLargeError,
     ParamError,
     convexity_radius,
     convolve,
@@ -22,6 +23,7 @@ from phmaps import (
     rescale,
     rescale_convexity_certificate,
 )
+from phmaps.geometry import MAX_GRID_POINTS
 from phmaps.render import RenderSpec, render_csv, render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -141,6 +143,15 @@ class TestSpecValidation:
     def test_margin_range(self):
         with pytest.raises(ParamError):
             RenderSpec(margin=0.5)
+
+    def test_vertex_budget(self):
+        # (rings + rays) * (samples + 1) vertices; the CLI default 36 * 257 fits
+        RenderSpec(grid=DiskGrid(rings=12, rays=24, r_max=0.98), samples_per_curve=256)
+        RenderSpec(grid=DiskGrid(rings=8, rays=8, r_max=0.9), samples_per_curve=MAX_GRID_POINTS // 16 - 1)
+        with pytest.raises(GridTooLargeError):
+            RenderSpec(grid=DiskGrid(rings=8, rays=8, r_max=0.9), samples_per_curve=MAX_GRID_POINTS // 16)
+        with pytest.raises(GridTooLargeError):
+            RenderSpec(grid=DiskGrid(rings=10**9, rays=10**9, r_max=0.9), samples_per_curve=10**9)
 
 
 def test_fold_map_boundary_self_intersects():
