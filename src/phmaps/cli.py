@@ -3,6 +3,9 @@
 Exit codes: 0 = success/check passed, 1 = mathematically meaningful negative
 (non-member, geometry violation, outside neighborhood), 2 = usage, parse, or
 I/O errors. Reports go to stdout as "name=value" lines; diagnostics to stderr.
+
+Only `verify` and `render` import the numeric layer (numpy, `geometry`,
+`render`); the exact-only commands never load it.
 """
 
 from __future__ import annotations
@@ -10,20 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import catalog
 from .classes import ClassParams, Family, membership
-from .errors import GridTooLargeError, NotMemberError, PhmapsError
+from .errors import NotMemberError, PhmapsError
 from .exact import parse_scalar
-from .geometry import (
-    ALL_CHECKS,
-    MAX_GRID_POINTS,
-    DiskGrid,
-    distortion_envelope,
-    evaluate,
-    verify_geometry,
-)
 from .operators import convolve, integral_convolve, neighborhood_report
 from .phmio import load_map, save_map, serialize_map
 from .series import PolyharmonicMap
@@ -68,17 +61,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--lambda", dest="lam", type=_scalar_arg, default=None)
     p_check.add_argument("--normalized", action="store_true")
     p_check.add_argument("file")
+    p_check.set_defaults(func=_cmd_check)
 
     for name in ("convolve", "iconvolve"):
         p_c = sub.add_parser(name, help=f"{'integral ' if name == 'iconvolve' else ''}convolution of two maps")
         p_c.add_argument("file1")
         p_c.add_argument("file2")
         p_c.add_argument("-o", "--output", default=None)
+        p_c.set_defaults(func=_cmd_convolution, integral=name == "iconvolve")
 
     p_nb = sub.add_parser("neighborhood", help="weighted coefficient distance vs. inclusion bound")
     p_nb.add_argument("file1")
     p_nb.add_argument("file2")
     p_nb.add_argument("--lambda", dest="lam", type=_scalar_arg, required=True)
+    p_nb.set_defaults(func=_cmd_neighborhood)
 
     p_verify = sub.add_parser("verify", help="grid verification of geometric properties")
     p_verify.add_argument("file")
@@ -94,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="class parameter (required for the distortion suite)")
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_render = sub.add_parser("render", help="SVG (and optional CSV) image of the mapped disk")
     p_render.add_argument("file")
@@ -105,6 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--samples", type=int, default=256)
     p_render.add_argument("--width", type=int, default=800)
     p_render.add_argument("--height", type=int, default=800)
+    p_render.set_defaults(func=_cmd_render)
 
     p_ext = sub.add_parser("extremal", help="boundary-tight single-slot map")
     p_ext.add_argument("--n", type=int, required=True)
@@ -114,12 +112,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("--phase", type=float, default=0.0)
     p_ext.add_argument("-p", type=int, default=None)
     p_ext.add_argument("-o", "--output", default=None)
+    p_ext.set_defaults(func=_cmd_extremal)
 
     p_cat = sub.add_parser("catalog", help="write a named built-in map")
     p_cat.add_argument("name", choices=["identity", "f1", "f2", "half-plane"])
     p_cat.add_argument("-N", type=int, default=64, help="truncation degree for half-plane")
     p_cat.add_argument("-p", type=int, default=1, help="layer count for identity")
     p_cat.add_argument("-o", "--output", default=None)
+    p_cat.set_defaults(func=_cmd_catalog)
 
     return parser
 
@@ -139,10 +139,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.member else EXIT_FAIL
 
 
-def _cmd_convolution(args, integral: bool) -> int:
+def _cmd_convolution(args) -> int:
     F = load_map(args.file1)
     G = load_map(args.file2)
-    out = integral_convolve(F, G) if integral else convolve(F, G)
+    out = integral_convolve(F, G) if args.integral else convolve(F, G)
     _write_map(out, args.output)
     return EXIT_OK
 
@@ -155,27 +155,9 @@ def _cmd_neighborhood(args) -> int:
     return EXIT_OK if report.inside else EXIT_FAIL
 
 
-def _distortion_lines(F, lam, samples: int, seed: int) -> tuple[list[str], bool]:
-    if samples > MAX_GRID_POINTS:
-        raise GridTooLargeError(f"--samples {samples} exceeds {MAX_GRID_POINTS}")
-    env = distortion_envelope(F, lam)
-    rng = np.random.default_rng(seed)
-    r = rng.uniform(0.0, 0.999, samples)
-    theta = rng.uniform(0.0, 2.0 * np.pi, samples)
-    mags = np.abs(evaluate(F, r * np.exp(1j * theta)))
-    low_margin = float(np.min(mags - env.lower(r)))
-    high_margin = float(np.min(env.upper(r) - mags))
-    ok = low_margin >= -1e-12 and high_margin >= -1e-12
-    lines = [
-        f"distortion_branch={env.branch}",
-        f"distortion_lower_margin={low_margin!r}",
-        f"distortion_upper_margin={high_margin!r}",
-        f"distortion_ok={'true' if ok else 'false'}",
-    ]
-    return lines, ok
-
-
 def _cmd_verify(args) -> int:
+    from .geometry import ALL_CHECKS, MAX_GRID_POINTS, DiskGrid, distortion_check, verify_geometry
+
     F = load_map(args.file)
     suite = args.suite
     grid_checks = {
@@ -194,24 +176,29 @@ def _cmd_verify(args) -> int:
     if not 0 < r_max < 1:
         print(f"error: --r must lie in (0,1), got {r_max}", file=sys.stderr)
         return EXIT_USAGE
+    distortion = suite == "distortion" or (suite == "all" and args.lam is not None)
+    if distortion and args.lam is None:
+        print("error: --lambda is required for the distortion suite", file=sys.stderr)
+        return EXIT_USAGE
+    if distortion and args.samples > MAX_GRID_POINTS:
+        print(f"error: --samples {args.samples} exceeds {MAX_GRID_POINTS}", file=sys.stderr)
+        return EXIT_USAGE
 
     ok = True
     if grid_checks:
         report = verify_geometry(F, DiskGrid(rings=rings, rays=rays, r_max=r_max), grid_checks)
         print(report.to_kv())
         ok &= report.passed()
-    if suite in ("distortion", "all") and (args.lam is not None or suite == "distortion"):
-        if args.lam is None:
-            print("error: --lambda is required for the distortion suite", file=sys.stderr)
-            return EXIT_USAGE
-        lines, d_ok = _distortion_lines(F, args.lam, args.samples, args.seed)
-        print("\n".join(lines))
-        ok &= d_ok
+    if distortion:
+        dist = distortion_check(F, args.lam, args.samples, args.seed)
+        print(dist.to_kv())
+        ok &= dist.passed()
     print(f"suite_passed={'true' if ok else 'false'}")
     return EXIT_OK if ok else EXIT_FAIL
 
 
 def _cmd_render(args) -> int:
+    from .geometry import DiskGrid
     from .render import RenderSpec, render_csv, render_svg
 
     F = load_map(args.file)
@@ -221,8 +208,9 @@ def _cmd_render(args) -> int:
         width=args.width,
         height=args.height,
     )
+    svg = render_svg(F, spec)  # before the file is opened, so a failed render leaves none
     with open(args.output, "wb") as fh:
-        fh.write(render_svg(F, spec))
+        fh.write(svg)
     if args.csv:
         with open(args.csv, "wb") as fh:
             fh.write(render_csv(F, spec))
@@ -258,23 +246,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "convolve":
-            return _cmd_convolution(args, integral=False)
-        if args.command == "iconvolve":
-            return _cmd_convolution(args, integral=True)
-        if args.command == "neighborhood":
-            return _cmd_neighborhood(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        if args.command == "extremal":
-            return _cmd_extremal(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args)
     except NotMemberError as e:
         print(f"not a member: {e}", file=sys.stderr)
         return EXIT_FAIL

@@ -34,7 +34,7 @@ class GridTooLargeError(PhmapsError):
 
 
 class NonFiniteError(PhmapsError):
-    """A computed grid value is NaN or infinite (coefficients overflow float64)."""
+    """A coefficient, grid value or image extent does not fit float64 (NaN or infinite)."""
 
 
 class ZeroValueError(PhmapsError):

@@ -316,8 +316,15 @@ def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
     with the smaller (t, index), in a grid of cells sized to that endpoint's
     threshold octave. Its cost therefore does not depend on how much the image
     spacing varies over the grid.
+
+    An image whose bounding-box diagonal overflows float64 raises NonFiniteError:
+    its distances, and with them the floor, would be infinite.
     """
     R, S = w.shape
+    wf = w.ravel()
+    extent = np.ptp(wf.real), np.ptp(wf.imag)
+    if not np.isfinite(np.hypot(*extent)):  # then every distance below is finite
+        raise NonFiniteError("F's image is too wide for float64: distances between grid points overflow")
     reach = _NEIGHBOR_REACH
     spacing = np.full((R, S), np.inf)
     for dr in range(0, reach + 1):
@@ -333,8 +340,7 @@ def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
                 spacing[dr:] = np.minimum(spacing[dr:], d)
                 spacing[:-dr] = np.minimum(spacing[:-dr], d)
 
-    wf = w.ravel()
-    diam = max(np.ptp(wf.real), np.ptp(wf.imag), 1e-300)
+    diam = max(*extent, 1e-300)
     t = np.maximum(factor * spacing.ravel(), 1e-9 * diam)
     octave = np.frexp(t)[1]  # t < 2**octave
     x0, y0 = wf.real.min(), wf.imag.min()
@@ -437,8 +443,9 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     by one inverse FFT per ring (_on_grid), each computed once. Degenerate
     sample points (vanishing F for the starlike check, vanishing F_theta for the
     convex check) record a -inf minimum instead of raising, so such a map still
-    gets a report, which fails its thresholds. A NaN or infinite grid value
-    (coefficients that overflow float64) raises NonFiniteError instead.
+    gets a report, which fails its thresholds. A NaN or infinite grid value, or
+    an image too wide for float64 distances (coefficients that overflow it),
+    raises NonFiniteError instead.
     """
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
     if not checks:
@@ -471,8 +478,8 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
             d2 = values("F_thetatheta", _d_theta(table, 2))
             bad = np.abs(d1) < EPS_ZERO
             min_conv = _minimum(np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1))), radii, angles)
-    if "injective" in checks:
-        collisions = _collision_count(w)
+        if "injective" in checks:
+            collisions = _collision_count(w)
 
     return GeometryReport(
         grid=grid,
@@ -590,15 +597,60 @@ def distortion_extremal(lam, b11, a12=0, b12=0, phases: Sequence[float] | None =
     )
 
 
-def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0, tol: float = 1e-12) -> bool:
-    """Sampled per-layer bound |G_k(z)| <= (|a[1,k]|+|b[1,k]|)|z| + (1-|b11|)/(2(1+lambda))|z|^2."""
-    lam = as_scalar(lam)
-    if not membership(F, hs_lambda(lam)).member:
-        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
+def _disk_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, z): ``samples`` seeded points z = r e^{i theta} with r in [0, 0.999).
+
+    A count above MAX_GRID_POINTS raises GridTooLargeError before anything is
+    drawn, and one below 1 ParamError: no sample would pass vacuously.
+    """
+    if samples > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"{samples} samples exceed {MAX_GRID_POINTS}")
+    if samples < 1:
+        raise ParamError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     r = rng.uniform(0.0, 0.999, samples)
     theta = rng.uniform(0.0, 2.0 * np.pi, samples)
-    z = r * np.exp(1j * theta)
+    return r, r * np.exp(1j * theta)
+
+
+@dataclass(frozen=True)
+class DistortionReport:
+    """Least margins of sampled |F| inside its distortion envelope (negative: outside)."""
+
+    branch: str
+    lower_margin: float   # min of |F(z)| - lower(|z|)
+    upper_margin: float   # min of upper(|z|) - |F(z)|
+
+    def passed(self) -> bool:
+        """Both margins at least -1e-12 (boundary-tight maps touch the envelope)."""
+        return self.lower_margin >= -1e-12 and self.upper_margin >= -1e-12
+
+    def to_kv(self) -> str:
+        return "\n".join([
+            f"distortion_branch={self.branch}",
+            f"distortion_lower_margin={self.lower_margin!r}",
+            f"distortion_upper_margin={self.upper_margin!r}",
+            f"distortion_ok={'true' if self.passed() else 'false'}",
+        ])
+
+
+def distortion_check(F: PolyharmonicMap, lam, samples: int = 1000, seed: int = 0) -> DistortionReport:
+    """|F| against distortion_envelope(F, lam) at ``samples`` seeded points with |z| < 0.999."""
+    r, z = _disk_samples(samples, seed)
+    env = distortion_envelope(F, lam)
+    mags = np.abs(evaluate(F, z))
+    return DistortionReport(env.branch, float(np.min(mags - env.lower(r))), float(np.min(env.upper(r) - mags)))
+
+
+def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0, tol: float = 1e-12) -> bool:
+    """Sampled per-layer bound |G_k(z)| <= (|a[1,k]|+|b[1,k]|)|z| + (1-|b11|)/(2(1+lambda))|z|^2.
+
+    ``samples`` lies in [1, MAX_GRID_POINTS] (GridTooLargeError above, ParamError below).
+    """
+    r, z = _disk_samples(samples, seed)
+    lam = as_scalar(lam)
+    if not membership(F, hs_lambda(lam)).member:
+        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
     b11 = float(F.coeff_b(1, 1).magnitude())
     c2 = (1.0 - b11) / (2.0 * (1.0 + float(lam)))
     for k in range(1, F.p + 1):

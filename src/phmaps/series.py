@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Tuple
 
-from .errors import InvalidMapError
+from .errors import InvalidMapError, NonFiniteError
 from .exact import Scalar, as_scalar, format_scalar, is_exact, sqrt_scalar
 
 Key = Tuple[int, int]  # (n, k): power n >= 1, layer k >= 1
@@ -40,7 +40,11 @@ class Coefficient:
         return self.re == 0 and self.im == 0
 
     def as_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        """The value as a float complex; NonFiniteError if an exact part overflows float64."""
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError:
+            raise NonFiniteError(f"coefficient {self} overflows float64") from None
 
     def conjugate(self) -> "Coefficient":
         return Coefficient(self.re, -self.im)

@@ -33,6 +33,21 @@ def h2(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def big(tmp_path):
+    # exact, but too large for a float
+    path = tmp_path / "big.phm"
+    save_map(make_map(1, a={(2, 1): 10**400}), path)
+    return str(path)
+
+
+def single_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+    return captured.err
+
+
 def kv(capsys) -> dict:
     return dict(line.split("=", 1) for line in capsys.readouterr().out.strip().splitlines())
 
@@ -68,6 +83,12 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--class", "nonsense", f1])
         assert exc.value.code == 2
+
+    def test_coefficient_beyond_float_keeps_exact_report(self, big, capsys):
+        assert main(["check", "--class", "hs", big]) == 1
+        out = kv(capsys)
+        assert out["member"] == "false" and out["exact"] == "true"
+        assert out["row1_lhs"] == str(2 * 10**400)
 
     def test_normalized_flag(self, tmp_path, capsys):
         path = tmp_path / "g.phm"
@@ -180,6 +201,30 @@ class TestVerify:
         assert captured.err.startswith("error: ") and "NaN or infinite at grid ring" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_coefficient_beyond_float_exits_two(self, big, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", big, "--suite", "starlike"]) == 2
+        assert "overflows float64" in single_error_line(capsys)
+
+    def test_image_too_wide_for_float_exits_two(self, tmp_path, capsys):
+        # F is finite on the grid, but distances across its image overflow
+        path = tmp_path / "one308.phm"
+        save_map(make_map(1, a={(2, 1): 1e308}), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", str(path), "--suite", "injective"]) == 2
+        assert "too wide for float64" in single_error_line(capsys)
+
+    def test_distortion_sample_budget_checked_before_grid(self, f1, capsys):
+        assert main(["verify", f1, "--suite", "all", "--lambda", "2/3", "--samples", str(10**12)]) == 2
+        single_error_line(capsys)
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_distortion_needs_a_sample(self, f1, capsys, samples):
+        assert main(["verify", f1, "--suite", "distortion", "--lambda", "2/3", "--samples", samples]) == 2
+        assert "samples must be >= 1" in single_error_line(capsys)
+
     def test_distortion_sample_budget(self, f1, capsys):
         # rejected before the samples are drawn, so the huge count allocates nothing
         assert main(["verify", f1, "--suite", "distortion", "--lambda", "2/3", "--samples", str(10**12)]) == 2
@@ -199,6 +244,14 @@ class TestRender:
         svg = tmp_path / "big.svg"
         assert main(["render", f1, "-o", str(svg), "--rings", "100000", "--rays", "100000", "--samples", "100000"]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not svg.exists()
+
+    def test_coefficient_beyond_float_exits_two(self, big, tmp_path, capsys):
+        svg = tmp_path / "big.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["render", big, "-o", str(svg)]) == 2
+        assert "overflows float64" in single_error_line(capsys)
         assert not svg.exists()
 
     def test_renders_are_reproducible(self, f2, tmp_path):

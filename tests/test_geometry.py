@@ -8,6 +8,7 @@ import pytest
 import helpers
 from phmaps import (
     DiskGrid,
+    DistortionReport,
     ExtremalSpec,
     GridTooLargeError,
     NonFiniteError,
@@ -19,6 +20,7 @@ from phmaps import (
     convexity_indicator,
     convexity_radius,
     convolution_starlike_search,
+    distortion_check,
     distortion_envelope,
     distortion_extremal,
     evaluate,
@@ -36,7 +38,7 @@ from phmaps import (
     verify_geometry,
     wirtinger_derivatives,
 )
-from phmaps.geometry import EPS_ZERO, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger, _monomials, _on_grid
+from phmaps.geometry import EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger, _monomials, _on_grid
 from phmaps.sampling import random_member, random_valid_map
 
 
@@ -274,6 +276,25 @@ def test_non_finite_grid_values_raise(check, quantity):
             verify_geometry(OVERFLOW, DiskGrid(32, 256, 0.995), (check,))
 
 
+def test_image_too_wide_for_float_distances_raises():
+    # F is finite on the grid, but its extent (about 2e308) and distances overflow
+    F = make_map(1, a={(2, 1): 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="too wide for float64"):
+            verify_geometry(F, DiskGrid(32, 256, 0.995), ("injective",))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="too wide for float64"):
+        _collision_count(np.array([[-1e308, 1e308, 0], [1j, 2j, 3j]]))  # finite, but 2e308 wide
+
+
+def test_exact_coefficient_beyond_float_raises():
+    F = make_map(1, a={(2, 1): 10**400})
+    for compute in (lambda: evaluate(F, 0.5), lambda: theta_derivative(F, 0.5, 0.0),
+                    lambda: verify_geometry(F, DiskGrid(4, 8, 0.9), ("starlike",))):
+        with pytest.raises(NonFiniteError, match="overflows float64"):
+            compute()
+
+
 class TestDistortion:
     def test_identity_envelope_low_branch(self):
         env = distortion_envelope(identity_map(), 0)
@@ -310,6 +331,49 @@ class TestDistortion:
     def test_requires_membership(self):
         with pytest.raises(NotMemberError):
             distortion_envelope(make_map(1, a={(2, 1): 1}), Fraction(1, 2))
+
+
+class TestDistortionCheck:
+    def test_report_lines(self):
+        rep = distortion_check(example_F1(), Fraction(2, 3))
+        lines = rep.to_kv().splitlines()
+        assert [line.split("=")[0] for line in lines] == [
+            "distortion_branch", "distortion_lower_margin", "distortion_upper_margin", "distortion_ok"]
+        assert lines[0] == "distortion_branch=high" and lines[3] == "distortion_ok=true"
+        assert rep.passed() and rep.lower_margin >= -1e-12 and rep.upper_margin >= -1e-12
+
+    def test_margins_are_sampled_envelope_gaps(self):
+        F, lam = example_F2(), Fraction(1, 100)
+        rep = distortion_check(F, lam, samples=300, seed=5)
+        npr = np.random.default_rng(5)
+        r = npr.uniform(0.0, 0.999, 300)
+        mags = np.abs(evaluate(F, r * np.exp(1j * npr.uniform(0.0, 2.0 * np.pi, 300))))
+        env = distortion_envelope(F, lam)
+        assert rep.branch == "low"
+        assert rep.lower_margin == float(np.min(mags - env.lower(r)))
+        assert rep.upper_margin == float(np.min(env.upper(r) - mags))
+
+    def test_pass_threshold(self):
+        assert DistortionReport("low", -1e-12, 0.0).passed()
+        for rep in (DistortionReport("low", -2e-12, 1.0), DistortionReport("high", 1.0, -2e-12)):
+            assert not rep.passed() and rep.to_kv().endswith("distortion_ok=false")
+
+    def test_requires_membership(self):
+        with pytest.raises(NotMemberError):
+            distortion_check(make_map(1, a={(2, 1): 1}), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("check", [distortion_check, layer_bound_check])
+def test_sample_budget(check):
+    # rejected before any sample is drawn, so the huge count allocates nothing
+    with pytest.raises(GridTooLargeError, match=f"^{10**12} samples exceed {MAX_GRID_POINTS}$"):
+        check(example_F1(), Fraction(2, 3), samples=10**12)
+    with pytest.raises(GridTooLargeError):
+        check(example_F1(), Fraction(2, 3), samples=MAX_GRID_POINTS + 1)
+    check(example_F1(), Fraction(2, 3), samples=MAX_GRID_POINTS)
+    for samples in (0, -5):
+        with pytest.raises(ParamError, match="samples must be >= 1"):
+            check(example_F1(), Fraction(2, 3), samples=samples)
 
 
 class TestDistortionExtremal:

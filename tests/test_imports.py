@@ -1,0 +1,121 @@
+"""The lazy boundary between the exact core and the numeric layer.
+
+`import phmaps` and the exact-only CLI commands must not import numpy; the
+numeric names resolve on first use to the same objects as in their modules.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phmaps
+from phmaps import example_F1, half_plane_map
+from phmaps.phmio import save_map
+
+SRC = Path(phmaps.__file__).resolve().parent.parent
+
+# Every name `phmaps` exported before the numeric layer became lazy, by module.
+EXPORTS = {
+    "catalog": ["ExtremalSpec", "example_F1", "example_F2", "extremal_point", "half_plane_map", "identity_map"],
+    "classes": ["ClassParams", "Family", "MembershipReport", "class_reduction_check", "hc", "hs", "hs_lambda",
+                "membership", "weight"],
+    "errors": ["GridTooLargeError", "InvalidMapError", "MapSyntaxError", "NonFiniteError", "NotMemberError",
+               "ParamError", "PhmapsError", "WeightError", "ZeroDerivativeError", "ZeroValueError"],
+    "exact": ["EPS_STRICT", "Scalar", "format_scalar", "parse_scalar"],
+    "geometry": ["DiskGrid", "DistortionEnvelope", "GeometryReport", "arg_derivative", "convexity_indicator",
+                 "convexity_radius", "convolution_starlike_search", "distortion_envelope", "distortion_extremal",
+                 "evaluate", "evaluate_layer", "jacobian", "layer_bound_check", "rescale_convexity_certificate",
+                 "theta_derivative", "verify_geometry", "wirtinger_derivatives"],
+    "operators": ["ConvexCombination", "NeighborhoodReport", "ch0_certificate", "combine", "convex_combine",
+                  "convolve", "delta_bound", "integral_convolve", "neighborhood_distance", "neighborhood_report",
+                  "rescale"],
+    "phmio": ["load_map", "parse_map", "save_map", "serialize_map"],
+    "render": ["RenderSpec", "render_csv", "render_svg"],
+    "series": ["Coefficient", "PolyharmonicMap", "coeff", "make_map"],
+}
+
+# Runs `phmaps.cli.main(argv)` in a fresh interpreter; the last stderr line
+# reports the exit code and whether numpy was imported.
+PROBE = """
+import sys
+import phmaps
+assert "numpy" not in sys.modules, "import phmaps imported numpy"
+from phmaps.cli import main
+code = main(sys.argv[1:])
+print(f"probe {code} {'numpy' in sys.modules}", file=sys.stderr)
+"""
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.fixture
+def files(tmp_path):
+    save_map(example_F1(), tmp_path / "f1.phm")
+    save_map(half_plane_map(4), tmp_path / "h4.phm")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, numpy",
+    [
+        (["catalog", "half-plane", "-N", "8"], 0, False),
+        (["extremal", "--n", "3", "--k", "2", "--lambda", "1/2", "-p", "2"], 0, False),
+        (["check", "--class", "hs-lambda", "--lambda", "2/3", "{f1}"], 0, False),
+        (["check", "--class", "hc", "{f1}"], 1, False),
+        (["convolve", "{f1}", "{h4}"], 0, False),
+        (["iconvolve", "{f1}", "{h4}"], 0, False),
+        (["neighborhood", "{f1}", "{h4}", "--lambda", "2/3"], 1, False),
+        (["verify", "{f1}", "--suite", "starlike"], 0, True),
+        (["render", "{f1}", "-o", "{out}", "--rings", "4", "--rays", "8", "--samples", "64"], 0, True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_numpy_loads_only_for_numeric_commands(files, argv, exit_code, numpy):
+    paths = {"f1": files / "f1.phm", "h4": files / "h4.phm", "out": files / "out.svg"}
+    proc = run_fresh(PROBE, *(arg.format(**paths) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"probe {exit_code} {numpy}"
+
+
+def test_import_phmaps_leaves_numpy_unloaded():
+    proc = run_fresh("import sys, phmaps, phmaps.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_first_numeric_name_loads_and_caches():
+    proc = run_fresh(
+        "import sys, phmaps\n"
+        "f = phmaps.evaluate\n"
+        "print('numpy' in sys.modules, 'evaluate' in vars(phmaps), f is sys.modules['phmaps.geometry'].evaluate)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True"]
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_exports_resolve_to_the_module_objects(module):
+    mod = importlib.import_module(f"phmaps.{module}")
+    assert getattr(phmaps, module) is mod
+    listed = dir(phmaps)
+    for name in EXPORTS[module]:
+        assert getattr(phmaps, name) is getattr(mod, name), name
+        assert name in listed and name in phmaps.__all__, name
+
+
+def test_new_distortion_names_are_exported():
+    for name in ("DistortionReport", "distortion_check"):
+        assert getattr(phmaps, name) is getattr(phmaps.geometry, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        phmaps.no_such_name  # noqa: B018

@@ -5,6 +5,7 @@ import pytest
 from phmaps import (
     Coefficient,
     InvalidMapError,
+    NonFiniteError,
     class_reduction_check,
     example_F1,
     example_F2,
@@ -43,6 +44,12 @@ class TestCoefficient:
     def test_complex_product(self):
         c = Coefficient(0, 1) * Coefficient(0, 1)
         assert c == Coefficient(-1, 0)
+
+    def test_float_overflow_is_non_finite_error(self):
+        for c in (Coefficient(10**400, 0), Coefficient(0, Fraction(-(10**400), 3))):
+            with pytest.raises(NonFiniteError, match="overflows float64"):
+                c.as_complex()
+        assert Coefficient(Fraction(10**400, 10**399 + 1), 0).as_complex() == pytest.approx(10.0)
 
 
 class TestMapValidation:
