@@ -72,7 +72,6 @@ _LAZY = {
             "arg_derivative",
             "convexity_indicator",
             "convexity_radius",
-            "convolution_starlike_search",
             "distortion_check",
             "distortion_envelope",
             "distortion_extremal",

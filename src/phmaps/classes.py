@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidMapError, ParamError
-from .exact import Scalar, as_scalar, format_scalar, is_exact, strict_less
+from .exact import Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, strict_less, weighted_pair
 from .series import PolyharmonicMap
 
 
@@ -98,31 +98,11 @@ class MembershipReport:
         return self.row1_rhs - self.row1_lhs
 
     def to_kv(self) -> str:
-        lines = [
-            f"family={self.params.family.value}",
-            f"lambda={format_scalar(self.params.lam)}",
-            f"normalized_required={'true' if self.params.normalized else 'false'}",
-            f"row1_lhs={format_scalar(self.row1_lhs)}",
-            f"row1_rhs={format_scalar(self.row1_rhs)}",
-            f"row1_margin={format_scalar(self.row1_margin)}",
-            f"row2_value={format_scalar(self.row2_value)}",
-            f"row2_condition={format_scalar(self.row2_condition)}",
-            f"row2_lo={format_scalar(self.row2_lo)}",
-            f"row2_hi={format_scalar(self.row2_hi)}",
-            f"row2_ok={'true' if self.row2_ok else 'false'}",
-            f"normalized_ok={'true' if self.normalized_ok else 'false'}",
-            f"member={'true' if self.member else 'false'}",
-            f"exact={'true' if self.exact else 'false'}",
-            f"used_epsilon={'true' if self.used_epsilon else 'false'}",
-        ]
-        return "\n".join(lines)
-
-
-def _abs_sum_pair(F: PolyharmonicMap, n: int, k: int) -> tuple[Scalar, bool]:
-    """|a[n,k]| + |b[n,k]| and whether both magnitudes are exact."""
-    ma = F.coeff_a(n, k).magnitude()
-    mb = F.coeff_b(n, k).magnitude()
-    return ma + mb, is_exact(ma) and is_exact(mb)
+        p = self.params
+        names = ("row1_lhs", "row1_rhs", "row1_margin", "row2_value", "row2_condition", "row2_lo", "row2_hi",
+                 "row2_ok", "normalized_ok", "member", "exact", "used_epsilon")
+        return kv_lines([("family", p.family.value), ("lambda", p.lam), ("normalized_required", p.normalized),
+                         *((name, getattr(self, name)) for name in names)])
 
 
 def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
@@ -137,23 +117,27 @@ def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
         lam = Fraction(0)
     else:
         lam = Fraction(1)
+    # ClassParams has validated lam. For lam = P/Q the row-1 weight is the integer
+    # 2(k-1)Q + n(Pn + Q - P) over Q; a float lam keeps weight()'s float expression.
+    P, Q = (lam.numerator, lam.denominator) if is_exact(lam) else (None, None)
 
-    exact = True
-    row1_lhs: Scalar = Fraction(0)
-    first_weighted: Scalar = Fraction(0)   # sum_k (2k-1)(|a[1,k]|+|b[1,k]|), includes k=1
-    first_plain: Scalar = Fraction(0)      # sum_{k>=2} (|a[1,k]|+|b[1,k]|)
     b11_mag = F.coeff_b(1, 1).magnitude()
-    exact &= is_exact(b11_mag)
-
+    exact = is_exact(b11_mag)
+    row1_terms = []
+    weighted_terms = []   # sum_k (2k-1)(|a[1,k]|+|b[1,k]|), k >= 2
+    plain_terms = []      # sum_{k>=2} (|a[1,k]|+|b[1,k]|)
     for n, k in F.support():
-        pair, pair_exact = _abs_sum_pair(F, n, k)
-        exact &= pair_exact
+        ma, mb = F.coeff_a(n, k).magnitude(), F.coeff_b(n, k).magnitude()
+        exact &= is_exact(ma) and is_exact(mb)
         if n >= 2:
-            row1_lhs = row1_lhs + weight(n, k, lam) * pair
+            w = (2 * (k - 1) * Q + n * (P * n + Q - P), Q) if Q else 2 * (k - 1) + n * (lam * n + 1 - lam)
+            row1_terms.append(weighted_pair(w, ma, mb))
         elif k >= 2:
-            first_weighted = first_weighted + (2 * k - 1) * pair
-            first_plain = first_plain + pair
-    first_weighted = first_weighted + 1 + b11_mag  # k=1 term: |a[1,1]| + |b[1,1]|
+            weighted_terms.append(weighted_pair((2 * k - 1, 1), ma, mb))
+            plain_terms.append(weighted_pair((1, 1), ma, mb))
+    row1_lhs = fold_sum(row1_terms)
+    first_weighted = fold_sum([*weighted_terms, 1, b11_mag])  # k=1 term: |a[1,1]| + |b[1,1]|
+    first_plain = fold_sum(plain_terms)
 
     row2_value = first_weighted
     if params.family is Family.HS_LAMBDA:

@@ -4,6 +4,13 @@ A scalar is either a ``Fraction`` (exact) or a ``float`` (approximate).
 Mixing the two in ordinary arithmetic degrades to ``float``, which is exactly
 the propagation rule we want: a sum is exact iff every term was exact.
 
+``fold_sum`` adds long rows with integers: exact terms are (numerator,
+denominator) pairs over a running lcm, normalised once; from the first float
+term on it continues in float, in the same order. Its result is bit for bit
+the left fold ``Fraction(0) + t1 + t2 + ...``, exact or float. Integers are
+converted to and from text in chunks below CPython's 4300-digit limit, up to
+``MAX_SCALAR_DIGITS`` digits per integer part; more is a ValueError.
+
 Strict inequalities against class bounds are the one place approximation is
 dangerous, so ``strict_less`` fails closed: an approximate value passes a
 strict bound only if it clears the bound by ``EPS_STRICT``.
@@ -12,13 +19,20 @@ strict bound only if it clears the bound by ``EPS_STRICT``.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 Scalar = Union[Fraction, float]
 
 # Margin for strict "<" comparisons once any input is approximate.
 EPS_STRICT = 1e-12
+
+# Most digits in an integer literal or written integer; converting one takes ~0.1 s.
+MAX_SCALAR_DIGITS = 100_000
+_CHUNK_DIGITS = 4000  # per int/str conversion, below CPython's default 4300-digit limit
+_CHUNK = 10**_CHUNK_DIGITS
+_INT_LITERAL = r"\s*([+-]?)(\d+(?:_\d+)*)\s*"  # compiled on first use, not at import
 
 
 def is_exact(x) -> bool:
@@ -41,22 +55,46 @@ def as_scalar(x) -> Scalar:
     raise TypeError(f"cannot interpret {x!r} as a scalar")
 
 
+def _parse_int(text: str) -> int:
+    """int(text) without CPython's 4300-digit limit; parse_scalar bounds the digits."""
+    m = re.fullmatch(_INT_LITERAL, text) if len(text) > _CHUNK_DIGITS else None
+    if m is None:
+        return int(text)
+    digits = m[2].replace("_", "")
+    value = _parse_int(digits[:-_CHUNK_DIGITS] or "0") * _CHUNK + int(digits[-_CHUNK_DIGITS:])
+    return -value if m[1] == "-" else value
+
+
+def _int_text(n: int) -> str:
+    """str(n) without CPython's 4300-digit limit; ValueError past MAX_SCALAR_DIGITS digits."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if abs(n).bit_length() > 3 * MAX_SCALAR_DIGITS and abs(n) >= 10**MAX_SCALAR_DIGITS:
+        raise ValueError(f"exact value has more than MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS} digits")
+    high, low = divmod(abs(n), _CHUNK)
+    return ("-" if n < 0 else "") + _int_text(high) + f"{low:0{_CHUNK_DIGITS}d}"
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse "num/den" and integer literals exactly; decimal literals as floats.
 
-    Raises ValueError on anything else.
+    Raises ValueError on anything else, and on a literal or part of one with
+    more than MAX_SCALAR_DIGITS digits.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty numeric literal")
+    if len(s) > MAX_SCALAR_DIGITS and any(sum(map(str.isdecimal, part)) > MAX_SCALAR_DIGITS
+                                          for part in s.split("/")):
+        raise ValueError(f"numeric literal has more than MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS} digits")
     if "/" in s:
         num, _, den = s.partition("/")
         try:
-            return Fraction(int(num), int(den))
+            return Fraction(_parse_int(num), _parse_int(den))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
     try:
-        return Fraction(int(s))
+        return Fraction(_parse_int(s))
     except ValueError:
         pass
     value = float(s)  # raises ValueError on garbage
@@ -68,9 +106,43 @@ def parse_scalar(text: str) -> Scalar:
 def format_scalar(x: Scalar) -> str:
     """Inverse of parse_scalar: exact values as num/den (or int), floats via repr."""
     if is_exact(x):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        num, den = x.numerator, x.denominator
+        return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
     return repr(float(x))
+
+
+def kv_lines(fields: Iterable[tuple[str, object]]) -> str:
+    """Report lines ``name=value``: bools as true/false, strings as given, scalars by format_scalar."""
+    return "\n".join(name + "=" + (str(v).lower() if isinstance(v, bool) else v if isinstance(v, str)
+                                   else format_scalar(v)) for name, v in fields)
+
+
+def fold_sum(terms: Iterable[tuple[int, int] | Scalar]) -> Scalar:
+    """``Fraction(0) + t1 + t2 + ...`` bit for bit, each term a scalar or an
+    exact (numerator, denominator) pair with positive denominator."""
+    num, den = 0, 1
+    terms = iter(terms)
+    for t in terms:
+        if t.__class__ is tuple:
+            p, q = t
+        elif is_exact(t):
+            p, q = t.numerator, t.denominator
+        else:
+            total = num / den + t  # float(Fraction(num, den)) + t
+            for t in terms:
+                total = total + (t[0] / t[1] if t.__class__ is tuple else t)
+            return total
+        g = math.gcd(den, q)
+        num, den = num * (q // g) + p * (den // g), den // g * q
+    return Fraction(num, den)
+
+
+def weighted_pair(w: tuple[int, int] | float, x: Scalar, y: Scalar) -> tuple[int, int] | Scalar:
+    """The fold_sum term ``w * (x + y)`` for an exact pair or float ``w``."""
+    if w.__class__ is tuple and is_exact(x) and is_exact(y):
+        s = x.numerator * y.denominator + y.numerator * x.denominator
+        return w[0] * s, w[1] * x.denominator * y.denominator
+    return (Fraction(*w) if w.__class__ is tuple else w) * (x + y)
 
 
 def exact_sqrt(q: Fraction) -> Optional[Fraction]:

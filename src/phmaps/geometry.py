@@ -43,8 +43,8 @@ from .errors import (
     ZeroDerivativeError,
     ZeroValueError,
 )
-from .exact import Scalar, as_scalar, format_scalar
-from .operators import convolve, rescale
+from .exact import Scalar, as_scalar, format_scalar, kv_lines
+from .operators import rescale
 from .series import PolyharmonicMap, make_map
 
 EPS_ZERO = 1e-12          # nondegeneracy threshold for denominators
@@ -626,12 +626,8 @@ class DistortionReport:
         return self.lower_margin >= -1e-12 and self.upper_margin >= -1e-12
 
     def to_kv(self) -> str:
-        return "\n".join([
-            f"distortion_branch={self.branch}",
-            f"distortion_lower_margin={self.lower_margin!r}",
-            f"distortion_upper_margin={self.upper_margin!r}",
-            f"distortion_ok={'true' if self.passed() else 'false'}",
-        ])
+        return kv_lines([("distortion_branch", self.branch), ("distortion_lower_margin", self.lower_margin),
+                         ("distortion_upper_margin", self.upper_margin), ("distortion_ok", self.passed())])
 
 
 def distortion_check(F: PolyharmonicMap, lam, samples: int = 1000, seed: int = 0) -> DistortionReport:
@@ -700,41 +696,3 @@ def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:
     if not total <= 1:
         return False
     return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
-
-
-# --- experimental search (no correctness contract) ----------------------------
-
-
-def convolution_starlike_search(trials: int = 20, seed: int = 0,
-                                grid: DiskGrid | None = None) -> list[dict]:
-    """Search for starlikeness violations of two-layer convolutions.
-
-    Samples two-layer members for lambda in [1/2, 1) against coefficient-bound
-    certified two-layer maps, convolves, and records any grid report whose
-    starlike/jacobian minima fail. An empty result asserts nothing; the
-    underlying question is open.
-    """
-    from . import sampling  # local import: sampling sits above this module
-
-    import random
-
-    rng = random.Random(seed)
-    grid = grid or DiskGrid(rings=16, rays=128, r_max=0.99)
-    findings: list[dict] = []
-    for trial in range(trials):
-        lam = Fraction(1, 2) + Fraction(rng.randrange(0, 50), 100)
-        F = sampling.random_member(rng, p=2, lam=lam, normalized=True)
-        H = sampling.random_bounded_map(rng, p=2, max_degree=6)
-        FH = convolve(F, H)
-        report = verify_geometry(FH, grid, checks=("jacobian", "starlike"))
-        if not report.passed():
-            findings.append(
-                {
-                    "trial": trial,
-                    "lambda": lam,
-                    "map": FH,
-                    "min_jacobian": report.min_jacobian.value,
-                    "min_arg_derivative": report.min_arg_derivative.value,
-                }
-            )
-    return findings

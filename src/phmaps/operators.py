@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .classes import hs_lambda, membership
 from .errors import NotMemberError, ParamError, WeightError
-from .exact import EPS_STRICT, Scalar, as_scalar, format_scalar, is_exact
+from .exact import EPS_STRICT, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, weighted_pair
 from .series import Coefficient, Key, PolyharmonicMap, ZERO
 
 
@@ -52,11 +52,10 @@ class ConvexCombination:
             raise WeightError("empty combination")
         terms = tuple((as_scalar(t), F) for t, F in self.terms)
         object.__setattr__(self, "terms", terms)
-        total: Scalar = Fraction(0)
         for t, _ in terms:
             if t < 0:
                 raise WeightError(f"negative weight {format_scalar(t)}")
-            total = total + t
+        total = fold_sum(t for t, _ in terms)
         if is_exact(total):
             if total != 1:
                 raise WeightError(f"weights sum to {format_scalar(total)}, expected 1")
@@ -99,15 +98,15 @@ def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     layers k >= 2; plain |b11 - B11| for the k=1 antianalytic leader.
     """
     F, G = _padded_pair(F, G)
-    total: Scalar = Fraction(0)
+    terms = []
     keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
     for n, k in sorted(keys, key=lambda nk: (nk[1], nk[0])):
         da = (F.coeff_a(n, k) - G.coeff_a(n, k)).magnitude()
         db = (F.coeff_b(n, k) - G.coeff_b(n, k)).magnitude()
         w = (2 * (k - 1) + n) if n >= 2 else (2 * k - 1)
-        total = total + w * (da + db)
-    total = total + (F.coeff_b(1, 1) - G.coeff_b(1, 1)).magnitude()
-    return total
+        terms.append(weighted_pair((w, 1), da, db))
+    terms.append((F.coeff_b(1, 1) - G.coeff_b(1, 1)).magnitude())
+    return fold_sum(terms)
 
 
 def delta_bound(F: PolyharmonicMap, lam) -> Scalar:
@@ -135,14 +134,7 @@ class NeighborhoodReport:
         return is_exact(self.distance) and is_exact(self.delta_bound)
 
     def to_kv(self) -> str:
-        return "\n".join(
-            [
-                f"distance={format_scalar(self.distance)}",
-                f"delta_bound={format_scalar(self.delta_bound)}",
-                f"inside={'true' if self.inside else 'false'}",
-                f"exact={'true' if self.exact else 'false'}",
-            ]
-        )
+        return kv_lines((name, getattr(self, name)) for name in ("distance", "delta_bound", "inside", "exact"))
 
 
 def neighborhood_report(F: PolyharmonicMap, G: PolyharmonicMap, lam) -> NeighborhoodReport:

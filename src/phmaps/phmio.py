@@ -36,7 +36,6 @@ def parse_map(data: bytes | str) -> PolyharmonicMap:
     p: int | None = None
     a: dict[Key, Coefficient] = {}
     b: dict[Key, Coefficient] = {}
-    seen: set[tuple[str, int, int]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -55,7 +54,7 @@ def parse_map(data: bytes | str) -> PolyharmonicMap:
             continue
         if fields[0] not in ("a", "b") or len(fields) != 5:
             raise MapSyntaxError("expected 'a|b <n> <k> <re> <im>'", lineno)
-        letter = fields[0]
+        letter, table = fields[0], (a if fields[0] == "a" else b)
         try:
             n, k = int(fields[1]), int(fields[2])
         except ValueError:
@@ -64,14 +63,13 @@ def parse_map(data: bytes | str) -> PolyharmonicMap:
             raise MapSyntaxError(f"indices must be >= 1, got ({n}, {k})", lineno)
         if k > p:
             raise MapSyntaxError(f"layer {k} exceeds header p={p}", lineno)
-        if (letter, n, k) in seen:
+        if (n, k) in table:
             raise MapSyntaxError(f"duplicate coefficient {letter} {n} {k}", lineno)
-        seen.add((letter, n, k))
         try:
             re, im = parse_scalar(fields[3]), parse_scalar(fields[4])
         except ValueError as e:
             raise MapSyntaxError(str(e), lineno) from None
-        (a if letter == "a" else b)[(n, k)] = Coefficient(re, im)
+        table[(n, k)] = Coefficient(re, im)
 
     if p is None:
         raise MapSyntaxError("missing header 'p <int>'", 1)

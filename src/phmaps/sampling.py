@@ -171,23 +171,6 @@ def random_certified_map(rng: random.Random, max_degree: int = 8) -> Polyharmoni
     return make_map(1, a=a, b=b)
 
 
-def random_bounded_map(rng: random.Random, p: int = 2, max_degree: int = 6) -> PolyharmonicMap:
-    """Multi-layer analogue of the certificate bounds (for the open convolution search)."""
-    a: dict[Key, Coefficient] = {}
-    b: dict[Key, Coefficient] = {}
-    for k in range(1, p + 1):
-        for n in range(2, max_degree + 1):
-            if rng.random() < 0.5:
-                mag = random_fraction(rng, 8) * Fraction(n + 1, 2)
-                if mag:
-                    a[(n, k)] = axis_coefficient(mag, rng.choice(AXES), rng.choice((1, -1)))
-            if rng.random() < 0.5:
-                mag = random_fraction(rng, 8) * Fraction(n - 1, 2)
-                if mag:
-                    b[(n, k)] = axis_coefficient(mag, rng.choice(AXES), rng.choice((1, -1)))
-    return make_map(p, a=a, b=b)
-
-
 def random_perturbation(rng: random.Random, F: PolyharmonicMap, budget) -> PolyharmonicMap:
     """A map within neighborhood distance ``budget`` of F, exactly.
 

@@ -18,6 +18,7 @@ from .errors import InvalidMapError, NonFiniteError
 from .exact import Scalar, as_scalar, format_scalar, is_exact, sqrt_scalar
 
 Key = Tuple[int, int]  # (n, k): power n >= 1, layer k >= 1
+_ZERO_PART = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,9 @@ class Coefficient:
     im: Scalar = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "re", as_scalar(self.re))
-        object.__setattr__(self, "im", as_scalar(self.im))
+        if not (self.re.__class__ is self.im.__class__ is Fraction):
+            object.__setattr__(self, "re", as_scalar(self.re))
+            object.__setattr__(self, "im", as_scalar(self.im))
 
     @property
     def exact(self) -> bool:
@@ -37,7 +39,7 @@ class Coefficient:
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def as_complex(self) -> complex:
         """The value as a float complex; NonFiniteError if an exact part overflows float64."""
@@ -59,13 +61,23 @@ class Coefficient:
         return Coefficient(-self.re, -self.im)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
-        return Coefficient(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
+            # Skip the products with a zero factor: a factor on an axis has one.
+            re = a * c if a and c else _ZERO_PART
+            im = a * d if a and d else _ZERO_PART
+            if b and d:
+                re = re - b * d
+            if b and c:
+                im = im + b * c
+            return Coefficient(re, im)
+        return Coefficient(a * c - b * d, a * d + b * c)
 
     def scale(self, s: Scalar) -> "Coefficient":
-        return Coefficient(self.re * s, self.im * s)
+        re, im = self.re, self.im
+        if s.__class__ is re.__class__ is im.__class__ is Fraction:
+            return Coefficient(re * s if re else re, im * s if im else im)
+        return Coefficient(re * s, im * s)
 
     def magnitude_squared(self) -> Scalar:
         return self.re * self.re + self.im * self.im
@@ -138,8 +150,8 @@ class PolyharmonicMap:
         if not (lead.re == 1 and lead.im == 0):
             raise InvalidMapError(f"a[1,1] must equal 1, got {lead}")
         a[(1, 1)] = ONE
-        b11 = b.get((1, 1), ZERO)
-        if not b11.magnitude_squared() < 1:
+        b11 = b.get((1, 1))
+        if b11 is not None and not b11.magnitude_squared() < 1:
             raise InvalidMapError(f"|b[1,1]| must be < 1, got {b11}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

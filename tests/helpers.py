@@ -5,13 +5,22 @@ come from central finite differences on plain evaluation, or from per-term
 closed forms that do not use the library's monomial table; the polyline
 properties come from brute-force segment / ray-crossing geometry, and the
 injectivity collision count comes from comparing every pair of grid points.
+The exact core's sums and products are checked against the plain Fraction
+loops they replaced, which define the results bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
+from hypothesis import strategies as st
 
 from phmaps import evaluate, theta_derivative
+from phmaps.classes import Family, MembershipReport, weight
+from phmaps.exact import is_exact, strict_less
+from phmaps.series import Coefficient, PolyharmonicMap
 from phmaps.geometry import COLLISION_FACTOR
 
 
@@ -182,3 +191,108 @@ def brute_force_collisions(w: np.ndarray) -> int:
         int(np.count_nonzero(colliding(w, tol, floor, np.full(n - a - 1, a), np.arange(a + 1, n))))
         for a in range(n - 1)
     )
+
+
+# --- Fraction-loop references for the exact core -------------------------------
+
+
+def reference_product(x: Coefficient, y: Coefficient) -> Coefficient:
+    """Coefficient product with all four part products and both sums."""
+    return Coefficient(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+def reference_membership(F, params) -> MembershipReport:
+    """Both inequality rows as left folds of Fraction/float terms, one weight() per term."""
+    lam = {Family.HS_LAMBDA: params.lam, Family.HS: Fraction(0), Family.HC: Fraction(1)}[params.family]
+    exact = True
+    row1_lhs = first_weighted = first_plain = Fraction(0)
+    b11_mag = F.coeff_b(1, 1).magnitude()
+    exact &= is_exact(b11_mag)
+    for n, k in F.support():
+        ma, mb = F.coeff_a(n, k).magnitude(), F.coeff_b(n, k).magnitude()
+        pair = ma + mb
+        exact &= is_exact(ma) and is_exact(mb)
+        if n >= 2:
+            row1_lhs = row1_lhs + weight(n, k, lam) * pair
+        elif k >= 2:
+            first_weighted = first_weighted + (2 * k - 1) * pair
+            first_plain = first_plain + pair
+    first_weighted = first_weighted + 1 + b11_mag
+    if params.family is Family.HS_LAMBDA:
+        row1_rhs, row2_condition, row2_lo, row2_hi = 2 - first_weighted, first_weighted, Fraction(1), Fraction(2)
+    else:
+        tail = first_weighted - 1 - b11_mag
+        row1_rhs, row2_condition = 1 - b11_mag - tail, b11_mag + first_plain
+        row2_lo, row2_hi = Fraction(0), Fraction(1)
+    upper_ok, used_epsilon = strict_less(row2_condition, row2_hi)
+    row2_ok = bool(row2_condition >= row2_lo) and upper_ok
+    member = bool(row1_rhs - row1_lhs >= 0) and row2_ok and (F.is_normalized or not params.normalized)
+    return MembershipReport(params, row1_lhs, row1_rhs, first_weighted, row2_condition, row2_lo, row2_hi,
+                            row2_ok, F.is_normalized, member, exact, used_epsilon and not exact)
+
+
+def reference_neighborhood_distance(F, G):
+    """Weighted l1 distance as a left fold of Fraction/float terms."""
+    p = max(F.p, G.p)
+    F, G = F.padded(p), G.padded(p)
+    total = Fraction(0)
+    keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
+    for n, k in sorted(keys, key=lambda nk: (nk[1], nk[0])):
+        da = (F.coeff_a(n, k) - G.coeff_a(n, k)).magnitude()
+        db = (F.coeff_b(n, k) - G.coeff_b(n, k)).magnitude()
+        total = total + ((2 * (k - 1) + n) if n >= 2 else (2 * k - 1)) * (da + db)
+    return total + (F.coeff_b(1, 1) - G.coeff_b(1, 1)).magnitude()
+
+
+def same(x, y) -> bool:
+    """Equal and of one type; floats compare by repr, so every bit counts."""
+    return type(x) is type(y) and (repr(x) == repr(y) if isinstance(x, float) else x == y)
+
+
+def assert_same_report(got, want) -> None:
+    for field in dataclasses.fields(want):
+        assert same(getattr(got, field.name), getattr(want, field.name)), field.name
+    assert got.to_kv() == want.to_kv()
+
+
+# --- Hypothesis strategies ------------------------------------------------------
+
+exact_parts = st.fractions(min_value=-1, max_value=1, max_denominator=60)
+float_parts = st.floats(min_value=-1, max_value=1)
+PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+KINDS = ("axis", "pythagorean", "irrational", "decimal", "mixed")
+
+
+@st.composite
+def coefficients(draw, kind=None):
+    """A coefficient of one kind: an exact one on an axis, with a Pythagorean or an
+    irrational magnitude, one with decimal (float) parts, or one part of each."""
+    kind = kind or draw(st.sampled_from(KINDS))
+    q = draw(exact_parts)
+    if kind == "axis":
+        return draw(st.sampled_from((Coefficient(q, 0), Coefficient(0, q))))
+    if kind == "pythagorean":
+        x, y, h = draw(st.sampled_from(PYTHAGOREAN))
+        return Coefficient(q * x / h, -q * y / h)
+    if kind == "irrational":
+        return Coefficient(q, q / 2)
+    if kind == "decimal":
+        return Coefficient(draw(float_parts), draw(float_parts))
+    x = draw(float_parts)
+    return draw(st.sampled_from((Coefficient(q, x), Coefficient(x, q))))
+
+
+@st.composite
+def maps(draw):
+    """A valid map of up to three layers whose coefficients are all of one kind,
+    or, for the kind "mixed", each of any kind."""
+    kind = draw(st.sampled_from(KINDS))
+    entry = coefficients(None if kind == "mixed" else kind)
+    p = draw(st.integers(1, 3))
+    keys = st.tuples(st.integers(1, 6), st.integers(1, p)).filter(lambda nk: nk != (1, 1))
+    a = draw(st.dictionaries(keys, entry, max_size=8))
+    b = draw(st.dictionaries(keys, entry, max_size=8))
+    if draw(st.booleans()):
+        b11 = draw(entry)
+        b[(1, 1)] = Coefficient(b11.re / 2, b11.im / 2)  # |b11| <= 1/sqrt(2)
+    return PolyharmonicMap(p, {(1, 1): Coefficient(1, 0), **a}, b)

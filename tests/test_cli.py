@@ -6,6 +6,7 @@ import pytest
 
 from phmaps import example_F1, example_F2, half_plane_map, identity_map, make_map, parse_map
 from phmaps.cli import main
+from phmaps.exact import MAX_SCALAR_DIGITS
 from phmaps.geometry import MAX_GRID_POINTS
 from phmaps.phmio import save_map
 
@@ -90,6 +91,15 @@ class TestCheck:
         assert out["member"] == "false" and out["exact"] == "true"
         assert out["row1_lhs"] == str(2 * 10**400)
 
+    def test_decimal_f1_transcript(self, tmp_path, capsys):
+        # The float row-1 sum rounds to just above 1; summing in another order flips the verdict.
+        path = tmp_path / "d1.phm"
+        path.write_text("p 1\na 1 1 1 0\na 2 1 0.1 0\nb 2 1 0.2 0\n")
+        assert main(["check", "--class", "hs-lambda", "--lambda", "2/3", str(path)]) == 1
+        out = kv(capsys)
+        assert out["row1_lhs"] == "1.0000000000000002" and out["row1_margin"] == "-2.220446049250313e-16"
+        assert (out["member"], out["exact"], out["used_epsilon"]) == ("false", "false", "false")
+
     def test_normalized_flag(self, tmp_path, capsys):
         path = tmp_path / "g.phm"
         save_map(make_map(1, b={(1, 1): Fraction(1, 4)}), path)
@@ -117,6 +127,28 @@ class TestConvolve:
         G = parse_map(out.read_bytes())
         assert G.coeff_a(2, 1).re == Fraction(3, 40)
         assert G.coeff_b(2, 1).re == Fraction(-1, 20)
+
+    def test_products_past_the_int_str_limit(self, tmp_path, capsys):
+        d = tmp_path / "d.phm"
+        d.write_text("p 1\na 1 1 1 0\na 2 1 1" + "0" * 3000 + " 0\n")
+        out = tmp_path / "dd.phm"
+        assert main(["convolve", str(d), str(d), "-o", str(out)]) == 0
+        assert parse_map(out.read_bytes()).coeff_a(2, 1).re == 10**6000
+        assert main(["convolve", str(d), str(d)]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        assert main(["check", "--class", "hs", str(out)]) == 1
+        assert kv(capsys)["row1_lhs"] == "2" + "0" * 6000
+
+    def test_values_past_the_digit_bound_exit_two(self, tmp_path, capsys):
+        over = tmp_path / "over.phm"
+        over.write_text("p 1\na 1 1 1 0\na 2 1 1" + "0" * MAX_SCALAR_DIGITS + " 0\n")
+        assert main(["check", "--class", "hs", str(over)]) == 2
+        assert f"line 3: numeric literal has more than MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS}" in \
+            single_error_line(capsys)
+        half = tmp_path / "half.phm"
+        half.write_text("p 1\na 1 1 1 0\na 2 1 1" + "0" * (MAX_SCALAR_DIGITS // 2 + 1) + " 0\n")
+        assert main(["convolve", str(half), str(half)]) == 2
+        assert f"MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS}" in single_error_line(capsys)
 
 
 class TestNeighborhood:

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phmaps.exact import (
     EPS_STRICT,
+    MAX_SCALAR_DIGITS,
     exact_sqrt,
     format_scalar,
     is_exact,
@@ -64,3 +65,61 @@ def test_strict_less_approximate_fails_closed():
     assert not ok and used
     ok, used = strict_less(2.0 - 10 * EPS_STRICT, 2.0)
     assert ok and used
+
+
+@st.composite
+def small_literals(draw):
+    """(text, value) of an integer literal with a sign, leading zeros and underscores."""
+    sign, value = draw(st.sampled_from(["", "+", "-"])), draw(st.integers(0, 10**12))
+    digits = f"{value:_}" if draw(st.booleans()) else str(value)
+    return sign + "0" * draw(st.integers(0, 2)) + digits, -value if sign == "-" else value
+
+
+@st.composite
+def huge_literals(draw):
+    """(text, value) of an integer literal whose digit count sits at the conversion
+    chunk, at CPython's 4300-digit int/str limit or at MAX_SCALAR_DIGITS."""
+    digits = draw(st.sampled_from([3999, 4000, 4001, 4300, 4301, MAX_SCALAR_DIGITS - 1, MAX_SCALAR_DIGITS,
+                                   MAX_SCALAR_DIGITS + 1]))
+    sign, head, tail = draw(st.sampled_from(["", "+", "-"])), draw(st.integers(1, 9)), draw(st.integers(0, 999999))
+    value = head * 10 ** (digits - 1) + tail
+    return f"{sign}{head}{'0' * (digits - 7)}{tail:06d}", -value if sign == "-" else value
+
+
+def check_literal(text: str, value) -> None:
+    if any(sum(ch.isdigit() for ch in part) > MAX_SCALAR_DIGITS for part in text.split("/")):
+        with pytest.raises(ValueError, match=f"MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS}"):
+            parse_scalar(text)
+        return
+    x = parse_scalar(text)
+    assert x == value and is_exact(x)
+    out = format_scalar(x)
+    assert parse_scalar(out) == x and format_scalar(parse_scalar(out)) == out
+
+
+@given(small_literals(), small_literals())
+def test_edge_literals(num, den):
+    check_literal(num[0], num[1])
+    if den[1]:
+        check_literal(f"{num[0]}/{den[0]}", Fraction(num[1], den[1]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(huge_literals(), small_literals())
+def test_huge_literals_near_the_digit_bound(num, den):
+    check_literal(num[0], num[1])
+    if den[1]:
+        check_literal(f"{num[0]}/{den[0]}", Fraction(num[1], den[1]))
+
+
+def test_edge_literal_examples():
+    assert parse_scalar("1_000") == 1000 and parse_scalar("+1/2") == Fraction(1, 2)
+    assert format_scalar(parse_scalar("-0")) == "0" and format_scalar(parse_scalar("-0/5")) == "0"
+    with pytest.raises(ValueError):
+        parse_scalar("1__0")
+
+
+def test_format_rejects_values_past_the_digit_bound():
+    assert format_scalar(Fraction(-(10**MAX_SCALAR_DIGITS - 1), 3)).startswith("-3333")
+    with pytest.raises(ValueError, match=f"MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS}"):
+        format_scalar(Fraction(1, 10**MAX_SCALAR_DIGITS))

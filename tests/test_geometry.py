@@ -19,7 +19,6 @@ from phmaps import (
     arg_derivative,
     convexity_indicator,
     convexity_radius,
-    convolution_starlike_search,
     distortion_check,
     distortion_envelope,
     distortion_extremal,
@@ -455,13 +454,6 @@ class TestConvexityRadius:
             rescale_convexity_certificate(example_F1(), Fraction(2, 3), Fraction(3, 4))
         with pytest.raises(NotMemberError):
             rescale_convexity_certificate(make_map(1, a={(2, 1): 1}), Fraction(1, 2), Fraction(1, 2))
-
-
-def test_convolution_search_smoke():
-    findings = convolution_starlike_search(trials=3, seed=0, grid=DiskGrid(8, 64, 0.95))
-    assert isinstance(findings, list)
-    for f in findings:
-        assert {"trial", "lambda", "map", "min_jacobian", "min_arg_derivative"} <= set(f)
 
 
 # --- the grid kernel ----------------------------------------------------------

@@ -27,7 +27,7 @@ EXPORTS = {
                "ParamError", "PhmapsError", "WeightError", "ZeroDerivativeError", "ZeroValueError"],
     "exact": ["EPS_STRICT", "Scalar", "format_scalar", "parse_scalar"],
     "geometry": ["DiskGrid", "DistortionEnvelope", "GeometryReport", "arg_derivative", "convexity_indicator",
-                 "convexity_radius", "convolution_starlike_search", "distortion_envelope", "distortion_extremal",
+                 "convexity_radius", "distortion_envelope", "distortion_extremal",
                  "evaluate", "evaluate_layer", "jacobian", "layer_bound_check", "rescale_convexity_certificate",
                  "theta_derivative", "verify_geometry", "wirtinger_derivatives"],
     "operators": ["ConvexCombination", "NeighborhoodReport", "ch0_certificate", "combine", "convex_combine",

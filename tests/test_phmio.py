@@ -1,16 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import maps
 from phmaps import (
     InvalidMapError,
     MapSyntaxError,
+    convolve,
     example_F1,
     identity_map,
     make_map,
     parse_map,
     serialize_map,
 )
+from phmaps.exact import MAX_SCALAR_DIGITS
 from phmaps.sampling import random_valid_map
 
 F1_TEXT = "p 1\na 1 1 1 0\na 2 1 1/10 0\nb 2 1 1/5 0"
@@ -95,3 +100,39 @@ def test_round_trip_random_corpus(rng):
     for _ in range(100):
         F = random_valid_map(rng, p=rng.randint(1, 4), max_degree=16, allow_offaxis=True)
         assert parse_map(serialize_map(F)) == F
+
+
+def test_products_past_the_int_str_limit_round_trip():
+    D = parse_map("p 1\na 1 1 1 0\na 2 1 1" + "0" * 3000 + " 0\n")
+    DD = convolve(D, D)
+    data = serialize_map(DD)
+    assert f"a 2 1 1{'0' * 6000} 0".encode() in data
+    assert parse_map(data) == DD and DD.coeff_a(2, 1).re == 10**6000
+
+
+def test_literal_past_the_digit_bound_is_a_syntax_error():
+    at_bound = "p 1\na 1 1 1 0\nb 2 1 -" + "9" * MAX_SCALAR_DIGITS + " 0\n"
+    assert parse_map(at_bound).coeff_b(2, 1).re == 1 - 10**MAX_SCALAR_DIGITS
+    with pytest.raises(MapSyntaxError, match=f"line 3: .*MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS}"):
+        parse_map("p 1\na 1 1 1 0\nb 2 1 1/1" + "0" * MAX_SCALAR_DIGITS + " 0\n")
+
+
+@given(maps())
+def test_round_trip_property(F):
+    data = serialize_map(F)
+    G = parse_map(data)
+    assert G == F and G.is_exact == F.is_exact and serialize_map(G) == data
+
+
+TOKENS = ["p", "a", "b", "c", "#", "0", "1", "2", "3", "-1", "1/2", "+1/2", "-0", "1/0", "0.5", "1e999", "nan",
+          "inf", "1_000", "_1", "x", "1.5.1", "10" * 30]
+documents = st.lists(st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join), max_size=8).map("\n".join)
+
+
+@given(st.one_of(documents, documents.map(lambda d: "p 1\na 1 1 1 0\n" + d), st.text(), st.binary()))
+def test_garbage_raises_only_format_errors(data):
+    try:
+        F = parse_map(data)
+    except (MapSyntaxError, InvalidMapError):
+        return
+    assert parse_map(serialize_map(F)) == F
