@@ -122,7 +122,7 @@ def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
     P, Q = (lam.numerator, lam.denominator) if is_exact(lam) else (None, None)
 
     b11_mag = F.coeff_b(1, 1).magnitude()
-    exact = is_exact(b11_mag)
+    exact = is_exact(lam) and is_exact(b11_mag)  # a float lam rounds the row-1 weights
     row1_terms = []
     weighted_terms = []   # sum_k (2k-1)(|a[1,k]|+|b[1,k]|), k >= 2
     plain_terms = []      # sum_{k>=2} (|a[1,k]|+|b[1,k]|)

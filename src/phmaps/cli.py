@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_render(args) -> int:
     from .geometry import DiskGrid
-    from .render import RenderSpec, render_csv, render_svg
+    from .render import Image, RenderSpec
 
     F = load_map(args.file)
     spec = RenderSpec(
@@ -208,12 +208,12 @@ def _cmd_render(args) -> int:
         width=args.width,
         height=args.height,
     )
-    svg = render_svg(F, spec)  # before the file is opened, so a failed render leaves none
+    image = Image(F, spec)  # before any file is opened, so a failed render leaves none
     with open(args.output, "wb") as fh:
-        fh.write(svg)
+        fh.write(image.svg())
     if args.csv:
         with open(args.csv, "wb") as fh:
-            fh.write(render_csv(F, spec))
+            fh.write(image.csv())
     return EXIT_OK
 
 

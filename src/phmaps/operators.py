@@ -33,11 +33,19 @@ def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
     return PolyharmonicMap(F.p, a, b)
 
 
+def _over(c: Coefficient, n: int) -> Coefficient:
+    """c / n: an exact part gets its denominator multiplied once, a float part keeps x * Fraction(1, n)."""
+    if n == 1:
+        return c
+    return Coefficient(*(Fraction(x.numerator, x.denominator * n) if x.__class__ is Fraction else x * Fraction(1, n)
+                         for x in (c.re, c.im)))
+
+
 def integral_convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
     """Entrywise product with each degree-n term divided by n."""
     F, G = _padded_pair(F, G)
-    a = {(n, k): (F.a[(n, k)] * G.a[(n, k)]).scale(Fraction(1, n)) for n, k in F.a.keys() & G.a.keys()}
-    b = {(n, k): (F.b[(n, k)] * G.b[(n, k)]).scale(Fraction(1, n)) for n, k in F.b.keys() & G.b.keys()}
+    a = {(n, k): _over(F.a[(n, k)] * G.a[(n, k)], n) for n, k in F.a.keys() & G.a.keys()}
+    b = {(n, k): _over(F.b[(n, k)] * G.b[(n, k)], n) for n, k in F.b.keys() & G.b.keys()}
     return PolyharmonicMap(F.p, a, b)
 
 

@@ -1,10 +1,11 @@
 """Deterministic SVG and CSV rendering of the disk image under a mapping.
 
-Output is a fixed SVG 1.1 subset: one polyline per grid ring (closed) and per
-ray (from the origin outward), coordinates printed with %.6f, no external
-references. Identical input produces byte-identical output, which is what the
-golden-file tests rely on. CSV rows carry 17-significant-digit floats so they
-round-trip the underlying doubles.
+An `Image` evaluates F once on all grid rings and once on all rays, and raises
+NonFiniteError on a NaN, infinite or float64-overflowing image. The SVG is a
+fixed 1.1 subset: one polyline per ring (closed) and per ray (from the origin
+outward), %.6f coordinates, no external references. CSV rows carry
+17-significant-digit floats, which round-trip the doubles. Identical input
+gives byte-identical output, which the golden tests rely on.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooLargeError, ParamError
+from .errors import GridTooLargeError, NonFiniteError, ParamError
 from .geometry import MAX_GRID_POINTS, DiskGrid, evaluate
 from .series import PolyharmonicMap
 
@@ -47,58 +48,57 @@ class RenderSpec:
                                     f"exceeds {MAX_GRID_POINTS}")
 
 
-def _curves(F: PolyharmonicMap, spec: RenderSpec) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """(curve_id, parameter values, image vertices) for every ring and ray."""
-    m = spec.samples_per_curve
-    out: list[tuple[str, np.ndarray, np.ndarray]] = []
-    theta = 2.0 * np.pi * np.arange(m) / m
-    for idx, r in enumerate(spec.grid.radii(), start=1):
-        out.append((f"ring_{idx}", theta, evaluate(F, r * np.exp(1j * theta))))
-    radial = spec.grid.r_max * np.arange(m + 1) / m
-    for ray, ang in enumerate(spec.grid.angles()):
-        out.append((f"ray_{ray}", radial, evaluate(F, radial * np.exp(1j * ang))))
-    return out
+class Image:
+    """F along every grid ring (rings x m) and ray (rays x (m + 1)), serialised by csv() and svg()."""
+
+    def __init__(self, F: PolyharmonicMap, spec: RenderSpec = RenderSpec()):
+        m, self.spec = spec.samples_per_curve, spec
+        self.theta = 2.0 * np.pi * np.arange(m) / m
+        self.radial = spec.grid.r_max * np.arange(m + 1) / m
+        with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
+            self.rings = evaluate(F, spec.grid.radii()[:, None] * np.exp(1j * self.theta))
+            self.rays = evaluate(F, self.radial * np.exp(1j * spec.grid.angles())[:, None])
+            w = np.concatenate([self.rings.ravel(), self.rays.ravel()])
+            self.bbox = float(w.real.min()), float(w.real.max()), float(w.imag.min()), float(w.imag.max())
+            x_min, x_max, y_min, y_max = self.bbox
+            if not np.isfinite(np.hypot(x_max - x_min, y_max - y_min)):  # also for any NaN or infinite vertex
+                raise NonFiniteError("F's image is NaN, infinite or too wide for float64 on the render grid")
+
+    def csv(self) -> bytes:
+        """The render_csv bytes."""
+        out = ["curve_id,theta_or_r,re,im\n"]
+        for name, first, t, w in (("ring_%d", 1, self.theta, self.rings), ("ray_%d", 0, self.radial, self.rays)):
+            rows = np.stack([np.broadcast_to(t, w.shape), w.real, w.imag], axis=-1).reshape(len(w), -1)
+            out += [(f"{name % i},%.17g,%.17g,%.17g\n" * t.size) % tuple(row)
+                    for i, row in enumerate(rows.tolist(), start=first)]
+        return "".join(out).encode("utf-8")
+
+    def svg(self) -> bytes:
+        """The render_svg bytes."""
+        spec, (x_min, x_max, y_min, y_max) = self.spec, self.bbox
+        fit = 1.0 - 2.0 * spec.margin
+        scale = min(spec.width * fit / max(x_max - x_min, 1e-12), spec.height * fit / max(y_max - y_min, 1e-12))
+        off_x = (spec.width - scale * (x_min + x_max)) / 2.0
+        off_y = (spec.height + scale * (y_min + y_max)) / 2.0  # SVG y axis points down
+        # Closing each ring on its exact first vertex gives every curve m + 1 vertices.
+        w = np.concatenate([np.concatenate([self.rings, self.rings[:, :1]], axis=1), self.rays])
+        xy = np.stack([off_x + scale * w.real, off_y - scale * w.imag], axis=-1).reshape(len(w), -1)
+        pts = " ".join(["%.6f,%.6f"] * w.shape[1])
+        widths = [spec.stroke_width] * len(w)
+        if spec.boundary_emphasis:
+            widths[len(self.rings) - 1] = 2.0 * spec.stroke_width
+        head = (f'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
+                f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">\n')
+        body = "".join(f'<polyline fill="none" stroke="black" stroke-width="{sw:.6f}" points="{pts % tuple(row)}"/>\n'
+                       for sw, row in zip(widths, xy.tolist()))
+        return (head + body + "</svg>\n").encode("utf-8")
 
 
 def render_csv(F: PolyharmonicMap, spec: RenderSpec = RenderSpec()) -> bytes:
     """Rows "curve_id,theta_or_r,re,im"; rings parameterized by theta, rays by r."""
-    lines = ["curve_id,theta_or_r,re,im"]
-    for curve_id, params, w in _curves(F, spec):
-        for t, v in zip(params, w):
-            lines.append(f"{curve_id},{t:.17g},{v.real:.17g},{v.imag:.17g}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return Image(F, spec).csv()
 
 
 def render_svg(F: PolyharmonicMap, spec: RenderSpec = RenderSpec()) -> bytes:
     """Fitted, deterministic SVG of the ring and ray images."""
-    curves = _curves(F, spec)
-    all_pts = np.concatenate([w for _, _, w in curves])
-    x_min, x_max = float(np.min(all_pts.real)), float(np.max(all_pts.real))
-    y_min, y_max = float(np.min(all_pts.imag)), float(np.max(all_pts.imag))
-    usable_w = spec.width * (1.0 - 2.0 * spec.margin)
-    usable_h = spec.height * (1.0 - 2.0 * spec.margin)
-    span_x = max(x_max - x_min, 1e-12)
-    span_y = max(y_max - y_min, 1e-12)
-    scale = min(usable_w / span_x, usable_h / span_y)
-    off_x = (spec.width - scale * (x_min + x_max)) / 2.0
-    off_y = (spec.height + scale * (y_min + y_max)) / 2.0  # SVG y axis points down
-
-    n_rings = len(spec.grid.radii())
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-    ]
-    for i, (curve_id, _, w) in enumerate(curves):
-        verts = w
-        if curve_id.startswith("ring"):
-            verts = np.concatenate([w, w[:1]])  # close the loop on the exact first vertex
-        sw = spec.stroke_width
-        if spec.boundary_emphasis and i == n_rings - 1:
-            sw = 2.0 * spec.stroke_width
-        pts = " ".join(
-            f"{off_x + scale * v.real:.6f},{off_y - scale * v.imag:.6f}" for v in verts
-        )
-        lines.append(f'<polyline fill="none" stroke="black" stroke-width="{sw:.6f}" points="{pts}"/>')
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return Image(F, spec).svg()

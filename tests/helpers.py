@@ -6,7 +6,9 @@ closed forms that do not use the library's monomial table; the polyline
 properties come from brute-force segment / ray-crossing geometry, and the
 injectivity collision count comes from comparing every pair of grid points.
 The exact core's sums and products are checked against the plain Fraction
-loops they replaced, which define the results bit for bit.
+loops they replaced, which define the results bit for bit, and the batched
+renderer against the per-curve evaluation and per-vertex formatting it
+replaced, which define the SVG and CSV bytes.
 """
 
 from __future__ import annotations
@@ -201,10 +203,24 @@ def reference_product(x: Coefficient, y: Coefficient) -> Coefficient:
     return Coefficient(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
 
 
+def reference_integral_convolve(F, G) -> PolyharmonicMap:
+    """Entrywise four-product form, each part multiplied by a newly built Fraction(1, n)."""
+    p = max(F.p, G.p)
+    F, G = F.padded(p), G.padded(p)
+
+    def entry(x, y, n):
+        c = reference_product(x, y)
+        return Coefficient(c.re * Fraction(1, n), c.im * Fraction(1, n))
+
+    a = {(n, k): entry(F.a[(n, k)], G.a[(n, k)], n) for n, k in F.a.keys() & G.a.keys()}
+    b = {(n, k): entry(F.b[(n, k)], G.b[(n, k)], n) for n, k in F.b.keys() & G.b.keys()}
+    return PolyharmonicMap(p, a, b)
+
+
 def reference_membership(F, params) -> MembershipReport:
     """Both inequality rows as left folds of Fraction/float terms, one weight() per term."""
     lam = {Family.HS_LAMBDA: params.lam, Family.HS: Fraction(0), Family.HC: Fraction(1)}[params.family]
-    exact = True
+    exact = is_exact(lam)
     row1_lhs = first_weighted = first_plain = Fraction(0)
     b11_mag = F.coeff_b(1, 1).magnitude()
     exact &= is_exact(b11_mag)
@@ -253,6 +269,66 @@ def assert_same_report(got, want) -> None:
     for field in dataclasses.fields(want):
         assert same(getattr(got, field.name), getattr(want, field.name)), field.name
     assert got.to_kv() == want.to_kv()
+
+
+# --- Per-curve render reference ------------------------------------------------
+
+
+def reference_curves(F, spec) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(curve_id, parameter values, image vertices) for every ring and ray, one evaluate call per curve."""
+    m = spec.samples_per_curve
+    out = []
+    theta = 2.0 * np.pi * np.arange(m) / m
+    for idx, r in enumerate(spec.grid.radii(), start=1):
+        out.append((f"ring_{idx}", theta, evaluate(F, r * np.exp(1j * theta))))
+    radial = spec.grid.r_max * np.arange(m + 1) / m
+    for ray, ang in enumerate(spec.grid.angles()):
+        out.append((f"ray_{ray}", radial, evaluate(F, radial * np.exp(1j * ang))))
+    return out
+
+
+def reference_render_csv(F, spec) -> bytes:
+    """CSV rows formatted one numpy scalar at a time."""
+    lines = ["curve_id,theta_or_r,re,im"]
+    for curve_id, params, w in reference_curves(F, spec):
+        for t, v in zip(params, w):
+            lines.append(f"{curve_id},{t:.17g},{v.real:.17g},{v.imag:.17g}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_render_svg(F, spec) -> bytes:
+    """SVG with the canvas transform and formatting applied one vertex at a time."""
+    curves = reference_curves(F, spec)
+    all_pts = np.concatenate([w for _, _, w in curves])
+    x_min, x_max = float(np.min(all_pts.real)), float(np.max(all_pts.real))
+    y_min, y_max = float(np.min(all_pts.imag)), float(np.max(all_pts.imag))
+    usable_w = spec.width * (1.0 - 2.0 * spec.margin)
+    usable_h = spec.height * (1.0 - 2.0 * spec.margin)
+    span_x = max(x_max - x_min, 1e-12)
+    span_y = max(y_max - y_min, 1e-12)
+    scale = min(usable_w / span_x, usable_h / span_y)
+    off_x = (spec.width - scale * (x_min + x_max)) / 2.0
+    off_y = (spec.height + scale * (y_min + y_max)) / 2.0  # SVG y axis points down
+
+    n_rings = len(spec.grid.radii())
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" height="{spec.height}" '
+        f'viewBox="0 0 {spec.width} {spec.height}">',
+    ]
+    for i, (curve_id, _, w) in enumerate(curves):
+        verts = w
+        if curve_id.startswith("ring"):
+            verts = np.concatenate([w, w[:1]])  # close the loop on the exact first vertex
+        sw = spec.stroke_width
+        if spec.boundary_emphasis and i == n_rings - 1:
+            sw = 2.0 * spec.stroke_width
+        pts = " ".join(
+            f"{off_x + scale * v.real:.6f},{off_y - scale * v.imag:.6f}" for v in verts
+        )
+        lines.append(f'<polyline fill="none" stroke="black" stroke-width="{sw:.6f}" points="{pts}"/>')
+    lines.append("</svg>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 # --- Hypothesis strategies ------------------------------------------------------

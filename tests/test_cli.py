@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from phmaps import example_F1, example_F2, half_plane_map, identity_map, make_map, parse_map
+from phmaps import evaluate, example_F1, example_F2, half_plane_map, identity_map, make_map, parse_map
 from phmaps.cli import main
 from phmaps.exact import MAX_SCALAR_DIGITS
 from phmaps.geometry import MAX_GRID_POINTS
@@ -90,6 +90,13 @@ class TestCheck:
         out = kv(capsys)
         assert out["member"] == "false" and out["exact"] == "true"
         assert out["row1_lhs"] == str(2 * 10**400)
+
+    def test_float_lambda_is_not_exact(self, f1, capsys):
+        # exact magnitudes, but the float lambda rounds the row-1 weights
+        assert main(["check", "--class", "hs-lambda", "--lambda", "0.5", f1]) == 0
+        out = kv(capsys)
+        assert out["row1_lhs"] == "0.8999999999999999"
+        assert (out["member"], out["exact"], out["used_epsilon"]) == ("true", "false", "false")
 
     def test_decimal_f1_transcript(self, tmp_path, capsys):
         # The float row-1 sum rounds to just above 1; summing in another order flips the verdict.
@@ -285,6 +292,36 @@ class TestRender:
             assert main(["render", big, "-o", str(svg)]) == 2
         assert "overflows float64" in single_error_line(capsys)
         assert not svg.exists()
+
+    def test_csv_render_evaluates_once_per_curve_family(self, f2, tmp_path, monkeypatch):
+        import phmaps.render
+
+        calls = []
+
+        def counting_evaluate(F, z):
+            calls.append(z.shape)
+            return evaluate(F, z)
+
+        monkeypatch.setattr(phmaps.render, "evaluate", counting_evaluate)
+        svg, csv = tmp_path / "f2.svg", tmp_path / "f2.csv"
+        argv = ["render", f2, "-o", str(svg), "--csv", str(csv), "--rings", "4", "--rays", "8", "--rmax", "0.9",
+                "--samples", "64"]
+        assert main(argv) == 0
+        assert calls == [(4, 64), (8, 65)]  # all rings at once, then all rays
+        assert svg.read_bytes() == (GOLDEN / "f2_render.svg").read_bytes()
+        assert csv.read_bytes() == (GOLDEN / "f2_render.csv").read_bytes()
+
+    @pytest.mark.parametrize("terms", [{"a": {(2, 1): 1e308, (3, 1): 1e308}, "b": {(2, 1): 1e308}},
+                                       {"a": {(2, 1): 1e308}}], ids=["non_finite", "wide"])
+    def test_non_finite_image_exits_two(self, tmp_path, capsys, terms):
+        path = tmp_path / "ovf.phm"
+        save_map(make_map(1, **terms), path)
+        svg, csv = tmp_path / "ovf.svg", tmp_path / "ovf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["render", str(path), "-o", str(svg), "--csv", str(csv)]) == 2
+        assert "NaN, infinite or too wide" in single_error_line(capsys)
+        assert not svg.exists() and not csv.exists()
 
     def test_renders_are_reproducible(self, f2, tmp_path):
         one, two = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -16,6 +16,7 @@ from helpers import (
     assert_same_report,
     coefficients,
     maps,
+    reference_integral_convolve,
     reference_membership,
     reference_neighborhood_distance,
     reference_product,
@@ -23,7 +24,7 @@ from helpers import (
 )
 from phmaps import Coefficient, example_F1, example_F2, half_plane_map, hc, hs, hs_lambda, make_map, membership
 from phmaps.exact import fold_sum, weighted_pair
-from phmaps.operators import neighborhood_distance
+from phmaps.operators import integral_convolve, neighborhood_distance
 
 lams = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=30), st.floats(min_value=0, max_value=1))
 scalars = st.one_of(st.fractions(max_denominator=10**6), st.floats(min_value=-1e6, max_value=1e6),
@@ -86,6 +87,16 @@ def test_named_maps_match_the_fraction_loop(name, lam):
 def test_neighborhood_distance_matches_the_fraction_loop(F, G):
     assert same(neighborhood_distance(F, G), reference_neighborhood_distance(F, G))
     assert same(neighborhood_distance(F, F), reference_neighborhood_distance(F, F))
+
+
+@given(maps(), maps())
+def test_integral_convolve_matches_the_fraction_loop(F, G):
+    got, want = integral_convolve(F, G), reference_integral_convolve(F, G)
+    assert got.p == want.p
+    for table, expected in ((got.a, want.a), (got.b, want.b)):
+        assert table.keys() == expected.keys()
+        for key, c in table.items():
+            assert same(c.re, expected[key].re) and same(c.im, expected[key].im), key
 
 
 @given(coefficients(), coefficients(), st.one_of(st.fractions(max_denominator=100), st.floats(-4, 4)))

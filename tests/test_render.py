@@ -1,9 +1,12 @@
+import random
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import helpers
 from phmaps import (
@@ -17,6 +20,7 @@ from phmaps import (
     example_F2,
     extremal_point,
     ExtremalSpec,
+    NonFiniteError,
     half_plane_map,
     identity_map,
     make_map,
@@ -24,7 +28,8 @@ from phmaps import (
     rescale_convexity_certificate,
 )
 from phmaps.geometry import MAX_GRID_POINTS
-from phmaps.render import RenderSpec, render_csv, render_svg
+from phmaps.render import Image, RenderSpec, render_csv, render_svg
+from phmaps.sampling import random_member
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,6 +53,85 @@ class TestDeterminism:
 
     def test_golden_svg(self):
         assert render_svg(example_F2(), SMALL) == (GOLDEN / "f2_render.svg").read_bytes()
+
+
+def assert_matches_reference(F, spec):
+    assert render_svg(F, spec) == helpers.reference_render_svg(F, spec)
+    assert render_csv(F, spec) == helpers.reference_render_csv(F, spec)
+
+
+REFERENCE_MAPS = {
+    "f1": example_F1(),
+    "f2": example_F2(),
+    "identity": identity_map(),
+    "identity_p3": identity_map(3),
+    "f1*h8": convolve(example_F1(), half_plane_map(8)),
+    "h64": half_plane_map(64),
+    "extremal_rotated": extremal_point(ExtremalSpec(n=3, k=2, lam=Fraction(1, 3), phase=Fraction(1, 8)), 2),
+    "complex_exact": make_map(2, a={(2, 1): (Fraction(3, 20), Fraction(-1, 5)), (3, 2): (0, Fraction(1, 30))},
+                              b={(1, 1): (Fraction(1, 4), Fraction(1, 3)), (2, 2): (Fraction(-1, 40), 0)}),
+    "float": make_map(2, a={(2, 1): 0.1234, (1, 2): complex(0.05, -0.02)},
+                      b={(1, 1): complex(0.3, 0.1), (3, 1): -0.01}),
+}
+
+REFERENCE_SPECS = {
+    "default": RenderSpec(),
+    "no_origin_ring": RenderSpec(grid=DiskGrid(rings=6, rays=10, r_max=0.95, include_origin_ring=False),
+                                 samples_per_curve=96),
+    "odd_samples": RenderSpec(grid=DiskGrid(rings=5, rays=7, r_max=0.9), samples_per_curve=101),
+    "non_square": RenderSpec(grid=DiskGrid(rings=3, rays=9, r_max=0.97), samples_per_curve=80, width=1200,
+                             height=150, margin=0.1, stroke_width=0.75),
+    "plain_boundary": RenderSpec(grid=DiskGrid(rings=4, rays=6, r_max=0.98), samples_per_curve=64,
+                                 boundary_emphasis=False),
+}
+
+
+class TestMatchesPerCurveReference:
+    """The batched renderer writes the bytes of one evaluate call and one f-string per curve/vertex."""
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS.keys())
+    @pytest.mark.parametrize("F", REFERENCE_MAPS.values(), ids=REFERENCE_MAPS.keys())
+    def test_maps_and_specs(self, F, spec):
+        assert_matches_reference(F, spec)
+
+    def test_half_plane_truncations(self):
+        for N in range(2, 65):
+            assert_matches_reference(half_plane_map(N), SMALL)
+
+    def test_random_members(self):
+        rng = random.Random(6)
+        for _ in range(12):
+            lam = Fraction(rng.randint(0, 4), 4)
+            F = random_member(rng, rng.randint(1, 3), lam, normalized=rng.random() < 0.5, tight=rng.random() < 0.3)
+            assert_matches_reference(F, SMALL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(helpers.maps())
+    def test_hypothesis_maps(self, F):
+        assert_matches_reference(F, SMALL)
+
+    def test_image_serialises_both_formats(self):
+        image = Image(example_F2(), SMALL)
+        assert image.svg() == (GOLDEN / "f2_render.svg").read_bytes()
+        assert image.csv() == (GOLDEN / "f2_render.csv").read_bytes()
+
+
+OVERFLOW_MAPS = {
+    # infinite vertices, and NaN ones where overflows of opposite sign meet (default spec)
+    "non_finite": make_map(1, a={(2, 1): 1e308, (3, 1): 1e308}, b={(2, 1): 1e308}),
+    # finite vertices; the bounding-box diagonal (SMALL) or its width (default spec) overflows
+    "wide": make_map(1, a={(2, 1): 1e308}),
+}
+
+
+@pytest.mark.parametrize("spec", [SMALL, RenderSpec()], ids=["small", "default"])
+@pytest.mark.parametrize("F", OVERFLOW_MAPS.values(), ids=OVERFLOW_MAPS.keys())
+def test_non_finite_image_raises_without_warnings(F, spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for render in (Image, render_svg, render_csv):
+            with pytest.raises(NonFiniteError, match="NaN, infinite or too wide"):
+                render(F, spec)
 
 
 class TestSvgStructure:
