@@ -9,7 +9,11 @@ The angular-derivative quantities drive the geometric checks:
 Working with Im(F_theta/F) instead of differentiating arg avoids branch
 unwrapping entirely. All grid reductions are deterministic: minima are taken
 in ring-major order, so argmin ties break to the lowest ring, then lowest ray.
-A passing grid report is sampled evidence, not a proof.
+A passing grid report is sampled evidence, not a proof, with one exception:
+a certified zero collision count (``injectivity_certified``). The certificate
+is the two-sided Lipschitz bound m |z1 - z2| <= |F(z1) - F(z2)| from the
+coefficients (`_lipschitz_bounds`), and m > 0 proves F injective on the whole
+closed disk |z| <= r_max, not only on the grid.
 
 The derivatives come from one monomial table per map: F(z) = sum c z^alpha
 conj(z)^beta, and d/dtheta, d/dz, d/dzbar each reweight c and shift alpha or
@@ -47,7 +51,7 @@ from .exact import Scalar, as_scalar, format_scalar, kv_lines
 from .operators import rescale
 from .series import PolyharmonicMap, make_map
 
-EPS_ZERO = 1e-12          # nondegeneracy threshold for denominators
+EPS_ZERO = 1e-12          # nondegeneracy threshold for denominators, relative to |z|
 SIGN_TOL = -1e-9          # sign checks pass above this (boundary-tight examples)
 MAX_GRID_POINTS = 2 ** 15
 
@@ -141,7 +145,7 @@ def arg_derivative(F: PolyharmonicMap, r, theta):
     """d/dtheta of arg F(r e^{i theta}), computed as Im(F_theta / F)."""
     z = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
     w = evaluate(F, z)
-    if np.any(np.abs(w) < EPS_ZERO):
+    if np.any(np.abs(w) <= EPS_ZERO * np.abs(z)):
         raise ZeroValueError("map value vanishes at a sample point")
     return _as_real(np.imag(theta_derivative(F, r, theta, 1) / w))
 
@@ -149,7 +153,7 @@ def arg_derivative(F: PolyharmonicMap, r, theta):
 def convexity_indicator(F: PolyharmonicMap, r, theta):
     """d/dtheta of arg F_theta, computed as Im(F_thetatheta / F_theta)."""
     d1 = theta_derivative(F, r, theta, 1)
-    if np.any(np.abs(d1) < EPS_ZERO):
+    if np.any(np.abs(d1) <= EPS_ZERO * np.abs(np.asarray(r, dtype=float))):
         raise ZeroDerivativeError("angular derivative vanishes at a sample point")
     return _as_real(np.imag(theta_derivative(F, r, theta, 2) / d1))
 
@@ -176,7 +180,10 @@ class DiskGrid:
     """Polar sampling grid: ``rings`` circles up to r_max, ``rays`` angles.
 
     Ring j sits at r_max * j / rings; with include_origin_ring=False the
-    innermost ring is dropped (kept if it is the only one).
+    innermost ring is dropped (kept if it is the only one). Neighbouring
+    points of the innermost ring must lie at least 2**-1000 apart, so that
+    distances between grid points and their images stay normal float64
+    numbers: a smaller r_max raises ParamError.
     """
 
     rings: int = 32
@@ -191,10 +198,17 @@ class DiskGrid:
             raise ParamError(f"rays must be >= 3, got {self.rays}")
         if not 0 < self.r_max < 1:
             raise ParamError(f"r_max must lie in (0,1), got {self.r_max}")
+        gap = self.r_max * self._first_ring / self.rings * 2 * np.sin(np.pi / self.rays)
+        if gap < 2.0 ** -1000:
+            raise ParamError(f"r_max={self.r_max!r} is too small for float64: neighbouring points of the "
+                             f"innermost ring lie {gap:.3g} apart, below 2**-1000")
+
+    @property
+    def _first_ring(self) -> int:
+        return 1 if (self.include_origin_ring or self.rings == 1) else 2
 
     def radii(self) -> np.ndarray:
-        j0 = 1 if (self.include_origin_ring or self.rings == 1) else 2
-        return self.r_max * np.arange(j0, self.rings + 1) / self.rings
+        return self.r_max * np.arange(self._first_ring, self.rings + 1) / self.rings
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.rays) / self.rays
@@ -215,7 +229,12 @@ class Extremum:
 
 @dataclass(frozen=True)
 class GeometryReport:
-    """Grid minima (with argmin locations) and the sampled injectivity count."""
+    """Grid minima (with argmin locations) and the injectivity collision count.
+
+    ``injectivity_certified`` is True when the coefficient certificate proved
+    the count zero without searching, False when the count was searched, and
+    None when the injective check did not run.
+    """
 
     grid: DiskGrid
     checks: tuple[str, ...]
@@ -223,6 +242,7 @@ class GeometryReport:
     min_arg_derivative: Extremum | None = None
     min_convexity_indicator: Extremum | None = None
     injectivity_collisions: int | None = None
+    injectivity_certified: bool | None = None
 
     def passed(self) -> bool:
         """Thresholds: jacobian > 0, starlike > 0, convex >= SIGN_TOL, zero collisions."""
@@ -257,6 +277,8 @@ class GeometryReport:
             lines.append(f"argmin_{name}_ray={ext.ray}")
         if self.injectivity_collisions is not None:
             lines.append(f"injectivity_collisions={self.injectivity_collisions}")
+        if self.injectivity_certified is not None:
+            lines.append(f"injectivity_certified={'true' if self.injectivity_certified else 'false'}")
         lines.append(f"passed={'true' if self.passed() else 'false'}")
         return "\n".join(lines)
 
@@ -286,6 +308,7 @@ def _minimum(values: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> Extre
 
 
 _NEIGHBOR_REACH = 2  # Chebyshev radius that counts as grid-adjacent
+_COLLISION_FLOOR = 1e-9  # least pair threshold, as a share of the image diameter
 _PAIR_BLOCK = 1 << 15  # candidate pairs examined per vectorised block
 _TERM_BLOCK = 1 << 15  # ring-by-monomial spectrum values scattered per block
 
@@ -341,7 +364,7 @@ def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
                 spacing[:-dr] = np.minimum(spacing[:-dr], d)
 
     diam = max(*extent, 1e-300)
-    t = np.maximum(factor * spacing.ravel(), 1e-9 * diam)
+    t = np.maximum(factor * spacing.ravel(), _COLLISION_FLOOR * diam)
     octave = np.frexp(t)[1]  # t < 2**octave
     x0, y0 = wf.real.min(), wf.imag.min()
 
@@ -405,6 +428,63 @@ def _close_pairs(wf, t, rays, queries, partners, lo, hi) -> int:
     return count
 
 
+def _lipschitz_bounds(table, r: float) -> tuple[float, float]:
+    """(m, M) = (1 - L, 1 + L), so that m |z1 - z2| <= |F(z1) - F(z2)| <= M |z1 - z2| on |z| <= r.
+
+    F is z plus monomials c z^alpha conj(z)^beta, each with |d/dz| + |d/dzbar| =
+    (alpha+beta) |c| |z|^(alpha+beta-1) <= (alpha+beta) |c| r^(alpha+beta-1) on the
+    disk, which is convex; L sums these over every monomial except z. This is the
+    coefficient argument behind the paper's univalence theorem: at r = 1, m is
+    the hs row-1 margin, which is nonnegative for every member of hs-lambda.
+    """
+    alpha, beta, c = table
+    e = alpha + beta
+    rest = (alpha != 1) | (beta != 0)
+    lip = float(np.sum(e[rest] * float(r) ** (e[rest] - 1) * np.abs(c[rest])))
+    return 1.0 - lip, 1.0 + lip
+
+
+def _injectivity_certified(table, grid: DiskGrid) -> bool:
+    """True when the coefficients prove that `_collision_count` finds no collision on the grid.
+
+    Write R, S for the grid's rings and rays, s = sin(pi/S), q = _NEIGHBOR_REACH + 1,
+    f = COLLISION_FACTOR, and take (m, M) from `_lipschitz_bounds` at r_max. Let
+    (i, j) be a non-adjacent grid pair, i the endpoint at the larger radius r_i.
+
+    - Distance. If their rays are q or more apart (wrapping round), the angle
+      between them lies in [2 pi q/S, pi], so |z_i - z_j| >= r_i A with
+      A = sin(min(2 pi q/S, pi/2)). Otherwise their rings are q or more apart and
+      |z_i - z_j| >= r_max B with B = q/R. Either way |z_i - z_j| >= r_max D with
+      D = min(A r_1/r_max, B), r_1 the innermost radius.
+    - Threshold. The pair's is at most t_i = max(f spacing_i, floor). The local
+      spacing includes the +1 ray neighbour, 2 r_i s away, so f spacing_i <=
+      2 f M r_i s; the image is at most 2 M r_max wide, so floor <=
+      2 _COLLISION_FLOOR M r_max.
+    - So |F(z_i) - F(z_j)| >= m |z_i - z_j| reaches the threshold whenever
+      m > c M with c = max(2 f s/A, 2 f s/B, 2 _COLLISION_FLOOR/D). For 32x256,
+      c ~ 0.0334: z plus monomials with L < 0.9354 certifies.
+
+    The pass counts on the computed image, not on F, so the test is
+    m > c M (1 + slack). Each computed grid value lies within rho r_i M of F,
+    rho = u (terms + 3 + 8 log2(S) sqrt(S)) for the unit roundoff u: the spectrum
+    sums, then the inverse FFT, whose error measured about u times the spectrum's
+    l1 norm (<= r_i M), far inside this allowance. That moves each distance and
+    spacing by at most 2 rho r_i M; slack = 32 rho/s + 2 u R + 8 u covers it and
+    the rounding of m, M, the radii and the thresholds. DiskGrid keeps the
+    innermost spacing above 2**-1000, so all of this stays in float64's normal
+    range, and m r_max D > 1e-309 then also beats the 1e-300 diameter floor.
+    """
+    m, M = _lipschitz_bounds(table, grid.r_max)
+    R, S, q = grid.rings, grid.rays, _NEIGHBOR_REACH + 1
+    s = np.sin(np.pi / S)
+    A, B = np.sin(min(2 * np.pi * q / S, np.pi / 2)), q / R
+    D = min(A * grid._first_ring / R, B)
+    c = max(2 * COLLISION_FACTOR * s / A, 2 * COLLISION_FACTOR * s / B, 2 * _COLLISION_FLOOR / D)
+    u = np.finfo(float).eps / 2
+    rho = u * (table[2].size + 3 + 8 * np.log2(S) * np.sqrt(S))
+    return bool(m > c * M * (1 + 32 * rho / s + 2 * u * R + 8 * u))
+
+
 def _on_grid(table, radii: np.ndarray, rays: int) -> np.ndarray:
     """The table's sum at radii[j] e^{2 pi i s / rays}: one inverse DFT per ring.
 
@@ -441,11 +521,14 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
 
     F, F_theta, F_thetatheta and the Jacobian come from the map's monomial table
     by one inverse FFT per ring (_on_grid), each computed once. Degenerate
-    sample points (vanishing F for the starlike check, vanishing F_theta for the
-    convex check) record a -inf minimum instead of raising, so such a map still
-    gets a report, which fails its thresholds. A NaN or infinite grid value, or
-    an image too wide for float64 distances (coefficients that overflow it),
-    raises NonFiniteError instead.
+    sample points (|F| <= EPS_ZERO r for the starlike check, |F_theta| <=
+    EPS_ZERO r for the convex check, r the ring radius) record a -inf minimum
+    instead of raising, so such a map still gets a report, which fails its
+    thresholds. A NaN or infinite grid value, or an image too wide for float64
+    distances (coefficients that overflow it), raises NonFiniteError instead.
+
+    The injective check first tries the coefficient certificate
+    (`_injectivity_certified`); when it holds, the count is 0 without a search.
     """
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
     if not checks:
@@ -460,26 +543,29 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
         return _finite(name, _on_grid(tab, radii, angles.size))
 
     min_jac = min_arg = min_conv = None
-    collisions = None
+    collisions = certified = None
+    degenerate = EPS_ZERO * radii[:, None]
     with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
         if "jacobian" in checks:
             fz, fzb = (_on_grid(tab, radii, angles.size) for tab in _d_wirtinger(table))
             jac = _finite("Jacobian", np.abs(fz) ** 2 - np.abs(fzb) ** 2)
             min_jac = _minimum(jac, radii, angles)
+        if "injective" in checks:
+            certified = _injectivity_certified(table, grid)
         w = d1 = None  # F and F_theta, each computed once for the checks sharing it
-        if "starlike" in checks or "injective" in checks:
+        if "starlike" in checks or certified is False:
             w = values("F", table)
         if "starlike" in checks or "convex" in checks:
             d1 = values("F_theta", _d_theta(table, 1))
         if "starlike" in checks:
-            bad = np.abs(w) < EPS_ZERO
+            bad = np.abs(w) <= degenerate
             min_arg = _minimum(np.where(bad, -np.inf, np.imag(d1 / np.where(bad, 1.0, w))), radii, angles)
         if "convex" in checks:
             d2 = values("F_thetatheta", _d_theta(table, 2))
-            bad = np.abs(d1) < EPS_ZERO
+            bad = np.abs(d1) <= degenerate
             min_conv = _minimum(np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1))), radii, angles)
         if "injective" in checks:
-            collisions = _collision_count(w)
+            collisions = 0 if certified else _collision_count(w)
 
     return GeometryReport(
         grid=grid,
@@ -488,6 +574,7 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
         min_arg_derivative=min_arg,
         min_convexity_indicator=min_conv,
         injectivity_collisions=collisions,
+        injectivity_certified=certified,
     )
 
 

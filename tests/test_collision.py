@@ -2,7 +2,9 @@
 
 ``helpers.brute_force_collisions`` compares every pair of grid points; the
 scipy cross-check finds candidate pairs with a k-d tree instead. Both apply
-the pair rule documented on ``_collision_count``.
+the pair rule documented on ``_collision_count``. The coefficient certificate
+that lets ``verify_geometry`` skip the pass is checked against the same pass
+and oracle: whenever it holds, they find no collision.
 """
 
 import random
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import helpers
 from phmaps import (
+    Coefficient,
     DiskGrid,
     ExtremalSpec,
     distortion_extremal,
@@ -23,10 +26,15 @@ from phmaps import (
     example_F2,
     extremal_point,
     half_plane_map,
+    hs,
     identity_map,
     make_map,
+    membership,
+    save_map,
 )
-from phmaps.geometry import _collision_count, verify_geometry
+from phmaps import geometry
+from phmaps.cli import main
+from phmaps.geometry import _collision_count, _injectivity_certified, _lipschitz_bounds, _monomials, _on_grid, verify_geometry
 from phmaps.sampling import random_member
 
 SMALL_GRIDS = [
@@ -174,3 +182,149 @@ def test_matches_kdtree_at_full_size(name, F, grid):
     pytest.importorskip("scipy")
     w = evaluate(F, grid.points())
     assert _collision_count(w) == kdtree_collisions(w)
+
+
+# --- the coefficient certificate ---------------------------------------------
+
+
+@pytest.mark.parametrize("name,F", SMALL_MAPS, ids=[name for name, _ in SMALL_MAPS])
+def test_lower_lipschitz_bound_at_one_is_the_hs_row1_margin(name, F):
+    m, M = _lipschitz_bounds(_monomials(F), 1.0)
+    margin = membership(F, hs()).row1_margin
+    assert F.is_exact and m == pytest.approx(float(margin), abs=1e-12) and M == pytest.approx(2 - float(margin))
+
+
+@pytest.mark.parametrize("b", [Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(93, 100),
+                               Fraction(9354, 10000)])
+def test_affine_maps_certify_up_to_the_32x256_bound(b):
+    # z + b conj(z) has L = b; on 32x256 the certificate holds for L < 0.9354...
+    F, grid = make_map(1, b={(1, 1): b}), DiskGrid(32, 256, 0.995)
+    rep = verify_geometry(F, grid, ("injective",))
+    assert (rep.injectivity_collisions, rep.injectivity_certified) == (0, True)
+    assert _collision_count(evaluate(F, grid.points())) == 0
+
+
+@pytest.mark.parametrize("b,count", [(Fraction(9355, 10000), 0), (Fraction(39, 40), 4), (Fraction(49, 50), 64)])
+def test_affine_maps_past_the_bound_are_searched(b, count):
+    rep = verify_geometry(make_map(1, b={(1, 1): b}), DiskGrid(32, 256, 0.995), ("injective",))
+    assert (rep.injectivity_collisions, rep.injectivity_certified) == (count, False)
+
+
+@pytest.mark.parametrize("name,F,count", [*[(f"half-plane-{n}", half_plane_map(n), c)
+                                            for n, c in ((2, 61), (3, 47), (4, 95), (5, 74))],
+                                          ("fold", FOLD, 30), ("near-reflection", NEAR_REFLECTION, 4742)])
+def test_pinned_counts_are_searched_not_certified(name, F, count):
+    rep = verify_geometry(F, DiskGrid(32, 256, 0.995))
+    assert (rep.injectivity_collisions, rep.injectivity_certified) == (count, False)
+    assert "injectivity_collisions=%d\ninjectivity_certified=false\n" % count in rep.to_kv()
+
+
+@pytest.mark.parametrize("name,F,searched", [("f1", example_F1(), False), ("half-plane-2", half_plane_map(2), True)])
+def test_certified_maps_skip_the_pass(monkeypatch, name, F, searched):
+    calls = []
+
+    def spy(w, *args):
+        calls.append(w.shape)
+        return _collision_count(w, *args)
+
+    monkeypatch.setattr(geometry, "_collision_count", spy)
+    rep = verify_geometry(F, DiskGrid(32, 256, 0.995))
+    assert calls == ([(32, 256)] if searched else [])
+    assert rep.injectivity_certified is not searched
+
+
+def test_checks_without_injective_report_no_certificate():
+    rep = verify_geometry(example_F1(), DiskGrid(8, 32, 0.9), ("jacobian", "starlike"))
+    assert rep.injectivity_certified is None and "injectivity_certified" not in rep.to_kv()
+
+
+def smallest_r_max(rings, rays, include_origin_ring):
+    """Just above the least r_max DiskGrid accepts: innermost ray spacing 2**-1000."""
+    first = 1 if include_origin_ring or rings == 1 else 2
+    return 2.0 ** -1000 * rings / (first * 2 * np.sin(np.pi / rays)) * (1 + 1e-12)
+
+
+FOLD_BASES = [FOLD, NEAR_REFLECTION, *(half_plane_map(n) for n in range(2, 6))]
+
+
+@st.composite
+def certificate_cases(draw):
+    """(F, grid): exact class members; maps with exact off-axis (complex) or float
+    coefficients whose Lipschitz sum L straddles the certificate's bound; and maps
+    z + s (G - z) for s in [1/2, 1] and G a fold, near-reflection or half-plane map,
+    which collide on about two in five of their grids. Grids run from 1xN and Nx3
+    up to 32x64, with r_max in [0.3, 0.999] or near its least value."""
+    kind = draw(st.sampled_from(["member", "complex", "float", "fold"]))
+    if kind == "fold":
+        rings, rays, origin = draw(st.integers(8, 32)), draw(st.integers(16, 64)), draw(st.booleans())
+        grid = DiskGrid(rings, rays, draw(st.floats(0.9, 0.999)), include_origin_ring=origin)
+        G, s = draw(st.sampled_from(FOLD_BASES)), Fraction(draw(st.integers(50, 100)), 100)
+        a = {key: c if key == (1, 1) else c.scale(s) for key, c in G.a.items()}
+        return make_map(G.p, a=a, b={key: c.scale(s) for key, c in G.b.items()}), grid
+    rings = draw(st.sampled_from([1, 2, 3, 6, draw(st.integers(1, 32))]))
+    rays = draw(st.sampled_from([3, 4, 5, draw(st.integers(3, 64))]))
+    origin = draw(st.booleans())
+    if draw(st.integers(0, 4)) == 0:
+        r_max = smallest_r_max(rings, rays, origin) * draw(st.sampled_from([1.0, 2.0, 1e10, 1e100]))
+    else:
+        r_max = draw(st.floats(0.3, 0.999))
+    grid = DiskGrid(rings, rays, r_max, include_origin_ring=origin)
+    p = draw(st.integers(1, 3))
+    if kind == "member":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        lam = Fraction(draw(st.integers(0, 100)), 100)
+        return random_member(rng, p, lam, normalized=draw(st.booleans()), tight=draw(st.booleans())), grid
+    keys = draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 6), st.integers(1, p)),
+                         min_size=1, max_size=6, unique=True))
+    shares = [draw(st.integers(1, 8)) for _ in keys]
+    budget = Fraction(draw(st.integers(0, 150)), 100)  # L at r = 1
+    a, b = {}, {}
+    for (letter, n, k), share in zip(keys, shares):
+        if (letter, n, k) == ("a", 1, 1):
+            continue
+        mag = min(budget * share / sum(shares) / (n + 2 * k - 2), Fraction(99, 100))
+        turn = Fraction(draw(st.integers(0, 12)), 13)
+        re, im = mag * (1 - turn * turn) / (1 + turn * turn), mag * 2 * turn / (1 + turn * turn)
+        value = Coefficient(re, im) if kind == "complex" else Coefficient(float(re), float(im))
+        (a if letter == "a" else b)[(n, k)] = value
+    return make_map(p, a=a, b=b), grid
+
+
+@settings(deadline=None)
+@given(certificate_cases())
+def test_certificate_soundness(case):
+    F, grid = case
+    table = _monomials(F)
+    if not _injectivity_certified(table, grid):
+        return
+    assert _collision_count(_on_grid(table, grid.radii(), grid.rays)) == 0  # verify_geometry's image
+    w = evaluate(F, grid.points())
+    assert _collision_count(w) == 0
+    if w.size <= 256:
+        assert helpers.brute_force_collisions(w) == 0
+    rep = verify_geometry(F, grid, ("injective",))
+    assert (rep.injectivity_collisions, rep.injectivity_certified) == (0, True)
+
+
+# --- radii at the edge of float64 ----------------------------------------------
+
+
+def test_cli_rejects_a_radius_too_small_for_float64(tmp_path, capsys):
+    # Once counted 521600 and 33455872 collisions on the univalent f1.
+    path = tmp_path / "f1.phm"
+    save_map(example_F1(), path)
+    for r in ("1e-308", "1e-320"):
+        assert main(["verify", str(path), "--r", r, "--suite", "injective"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: r_max=") and err.count("\n") == 1
+    assert main(["verify", str(path), "--r", "1e-290", "--suite", "injective"]) == 0
+    assert "injectivity_collisions=0\ninjectivity_certified=true\n" in capsys.readouterr().out
+
+
+def test_cli_passes_the_identity_on_a_tiny_disk(tmp_path, capsys):
+    # An absolute degeneracy test once failed every point of rings below 1e-12.
+    path = tmp_path / "id.phm"
+    save_map(identity_map(), path)
+    for suite in ("starlike", "convex"):
+        assert main(["verify", str(path), "--r", "1e-11", "--suite", suite, "--grid", "32x256"]) == 0
+        assert "passed=true\n" in capsys.readouterr().out

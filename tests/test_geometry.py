@@ -132,6 +132,11 @@ class TestArgDerivative:
         F = make_map(1, a={(2, 1): -2})  # vanishes at z = 1/2
         with pytest.raises(ZeroValueError):
             arg_derivative(F, 0.5, 0.0)
+        with pytest.raises(ZeroValueError):  # the threshold is relative to |z|, which is 0 here
+            arg_derivative(identity_map(), 0.0, 0.0)
+
+    def test_tiny_radius_is_not_degenerate(self):
+        assert arg_derivative(identity_map(), 1e-200, 0.3) == pytest.approx(1.0)
 
 
 class TestConvexityIndicator:
@@ -150,6 +155,9 @@ class TestConvexityIndicator:
         F = make_map(1, a={(2, 1): -1})  # F_theta = 0 at z = 1/2 (stationary angle)
         with pytest.raises(ZeroDerivativeError):
             convexity_indicator(F, 0.5, 0.0)
+        with pytest.raises(ZeroDerivativeError):
+            convexity_indicator(identity_map(), 0.0, 0.0)
+        assert convexity_indicator(identity_map(), 1e-200, 0.3) == pytest.approx(1.0)
 
 
 class TestWirtinger:
@@ -215,6 +223,13 @@ class TestVerifyGeometry:
         assert rep.min_jacobian.value < 0
         assert rep.injectivity_collisions > 0
 
+    @pytest.mark.parametrize("r_max", [1e-11, 1e-100, 1e-290])
+    def test_tiny_disk_is_not_degenerate(self, r_max):
+        # degeneracy is |F| or |F_theta| <= EPS_ZERO r: the identity has |F| = |F_theta| = r
+        rep = verify_geometry(identity_map(), DiskGrid(32, 256, r_max), ("starlike", "convex"))
+        assert rep.passed() and rep.min_arg_derivative.value == pytest.approx(1.0)
+        assert rep.min_convexity_indicator.value == pytest.approx(1.0)
+
     def test_interior_zero_recorded_as_neg_inf(self):
         F = make_map(1, a={(2, 1): -2})  # zero at z = 1/2
         rep = verify_geometry(F, DiskGrid(3, 8, 0.75), ("starlike",))
@@ -232,6 +247,9 @@ class TestVerifyGeometry:
             DiskGrid(4, 2, 0.9)
         with pytest.raises(ParamError):
             DiskGrid(4, 64, 1.0)
+        with pytest.raises(ParamError):  # innermost ray spacing ~7.7e-304 < 2**-1000
+            DiskGrid(32, 256, 1e-300)
+        assert DiskGrid(32, 256, 1e-290).r_max == 1e-290
 
     def test_origin_ring_toggle(self):
         full = DiskGrid(4, 8, 0.8, include_origin_ring=True)
@@ -496,11 +514,13 @@ KERNEL_GRIDS = [
 BLOCKED = DiskGrid(4096, 8, 0.99)  # more rings than one spectrum block holds for the wider supports
 
 
-def checked_fields(w, d1, d2, jac):
-    """Jacobian, arg rate and convexity rate as verify_geometry minimises them (-inf where degenerate)."""
+def checked_fields(grid, w, d1, d2, jac):
+    """Jacobian, arg rate and convexity rate as verify_geometry minimises them (-inf where
+    degenerate: |F| or |F_theta| at most EPS_ZERO times the ring radius)."""
+    degenerate = EPS_ZERO * grid.radii()[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.where(np.abs(w) < EPS_ZERO, -np.inf, np.imag(d1 / w))
-        conv = np.where(np.abs(d1) < EPS_ZERO, -np.inf, np.imag(d2 / d1))
+        arg = np.where(np.abs(w) <= degenerate, -np.inf, np.imag(d1 / w))
+        conv = np.where(np.abs(d1) <= degenerate, -np.inf, np.imag(d2 / d1))
     return jac, arg, conv
 
 
@@ -539,8 +559,8 @@ class TestGridKernel:
             rep = verify_geometry(F, grid)
             assert rep.injectivity_collisions == _collision_count(evaluate(F, grid.points())), name
             extrema = (rep.min_jacobian, rep.min_arg_derivative, rep.min_convexity_indicator)
-            old = checked_fields(*helpers.term_loop_grid(F, grid))
-            new = checked_fields(*kernel_grid(F, grid))
+            old = checked_fields(grid, *helpers.term_loop_grid(F, grid))
+            new = checked_fields(grid, *kernel_grid(F, grid))
             for ext, ref, values, ok in zip(extrema, old, new, passes):
                 assert ext.value == values.min() and ok(ext.value) == ok(ref.min()), name
                 # an argmin may move between tied points, but the old one is as low to rounding
