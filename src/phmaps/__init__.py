@@ -11,6 +11,7 @@ first used, so exact-only work never pays for the numpy import.
 
 from .catalog import (
     ExtremalSpec,
+    distortion_extremal,
     example_F1,
     example_F2,
     extremal_point,
@@ -43,16 +44,20 @@ from .errors import (
 from .exact import EPS_STRICT, Scalar, format_scalar, parse_scalar
 from .operators import (
     ConvexCombination,
+    DistortionEnvelope,
     NeighborhoodReport,
     ch0_certificate,
     combine,
     convex_combine,
+    convexity_radius,
     convolve,
     delta_bound,
+    distortion_envelope,
     integral_convolve,
     neighborhood_distance,
     neighborhood_report,
     rescale,
+    rescale_convexity_certificate,
 )
 from .phmio import load_map, parse_map, save_map, serialize_map
 from .series import Coefficient, PolyharmonicMap, coeff, make_map
@@ -66,20 +71,14 @@ _LAZY = {
         (
             "geometry",
             "DiskGrid",
-            "DistortionEnvelope",
             "DistortionReport",
             "GeometryReport",
             "arg_derivative",
             "convexity_indicator",
-            "convexity_radius",
             "distortion_check",
-            "distortion_envelope",
-            "distortion_extremal",
             "evaluate",
-            "evaluate_layer",
             "jacobian",
             "layer_bound_check",
-            "rescale_convexity_certificate",
             "theta_derivative",
             "verify_geometry",
             "wirtinger_derivatives",

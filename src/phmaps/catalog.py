@@ -9,21 +9,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .classes import weight
-from .errors import ParamError
+from .errors import MAX_GRID_POINTS, GridTooLargeError, ParamError
 from .exact import Scalar, as_scalar
-from .series import Coefficient, PolyharmonicMap, identity_map, make_map
+from .series import Coefficient, PolyharmonicMap, make_map
 
-__all__ = [
-    "identity_map",
-    "example_F1",
-    "example_F2",
-    "ExtremalSpec",
-    "extremal_point",
-    "half_plane_map",
-    "phase_coefficient",
-]
+
+def identity_map(p: int = 1) -> PolyharmonicMap:
+    """F(z) = z."""
+    return make_map(p)
 
 
 def example_F1() -> PolyharmonicMap:
@@ -37,7 +33,12 @@ def example_F2() -> PolyharmonicMap:
 
 
 def phase_coefficient(magnitude: Scalar, phase: float) -> Coefficient:
-    """magnitude * e^{i*phase}, kept exact for phases that are multiples of pi/2."""
+    """magnitude * e^{i*phase}, kept exact for phases that are multiples of pi/2.
+
+    A NaN or infinite phase raises ParamError.
+    """
+    if not math.isfinite(phase):
+        raise ParamError(f"phase must be finite, got {phase!r}")
     magnitude = as_scalar(magnitude)
     quarter = phase / (math.pi / 2)
     if quarter == round(quarter):
@@ -99,9 +100,61 @@ def half_plane_map(N: int = 64) -> PolyharmonicMap:
     series; any convolution against a finitely supported map only sees the
     finitely many matching entries, so the truncation is exact there. The
     (n+1)/2 growth makes rendering meaningful only strictly inside the disk.
+    N above MAX_GRID_POINTS raises GridTooLargeError before anything is built.
     """
     if N < 1:
         raise ParamError(f"truncation degree must be >= 1, got {N}")
+    if N > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"truncation degree {N} exceeds {MAX_GRID_POINTS}")
     a = {(n, 1): Fraction(n + 1, 2) for n in range(2, N + 1)}
     b = {(n, 1): Fraction(-(n - 1), 2) for n in range(2, N + 1)}
     return make_map(1, a=a, b=b)
+
+
+def distortion_extremal(lam, b11, a12=0, b12=0, phases: Sequence[float] | None = None) -> PolyharmonicMap:
+    """Equality-attaining map for the distortion envelope.
+
+    Low branch (lambda <= 1/2), phases (mu, nu):
+        z + b11 e^{i mu} conj(z) + (1-b11)/(2(1+lambda)) e^{i nu} z^2.
+    High branch, phases (eta, phi, psi): adds the z|z|^2 slot carrying
+    a12+b12 and reduces the z^2 numerator by 3(a12+b12).
+
+    With zero phases and z = r on the positive real axis all terms align, so
+    |F(r)| equals the upper envelope exactly.
+    """
+    lam = as_scalar(lam)
+    b11 = as_scalar(b11)
+    a12 = as_scalar(a12)
+    b12 = as_scalar(b12)
+    if not 0 <= lam <= 1:
+        raise ParamError("lambda must lie in [0,1]")
+    if not 0 <= b11 < 1:
+        raise ParamError("need 0 <= b11 < 1")
+    if a12 < 0 or b12 < 0:
+        raise ParamError("slot budgets must be nonnegative")
+    high = lam > Fraction(1, 2)
+    if not high:
+        if a12 != 0 or b12 != 0:
+            raise ParamError("a12/b12 budgets apply only to the high branch (lambda > 1/2)")
+        mu, nu = phases if phases is not None else (0.0, 0.0)
+        c2 = (1 - b11) / (2 * (1 + lam))
+        return make_map(
+            1,
+            a={(2, 1): phase_coefficient(c2, nu)},
+            b={(1, 1): phase_coefficient(b11, -mu)},
+        )
+    eta, phi, psi = phases if phases is not None else (0.0, 0.0, 0.0)
+    d = a12 + b12
+    numerator = 1 - b11 - 3 * d
+    if numerator < 0:
+        raise ParamError("need b11 + 3(a12+b12) <= 1 on the high branch")
+    c2 = numerator / (2 * (1 + lam))
+    if d == 0:  # no z|z|^2 slot, a single layer suffices
+        return make_map(
+            1, a={(2, 1): phase_coefficient(c2, phi)}, b={(1, 1): phase_coefficient(b11, -eta)}
+        )
+    return make_map(
+        2,
+        a={(2, 1): phase_coefficient(c2, phi), (1, 2): phase_coefficient(d, psi)},
+        b={(1, 1): phase_coefficient(b11, -eta)},
+    )

@@ -15,7 +15,7 @@ import sys
 
 from . import catalog
 from .classes import ClassParams, Family, membership
-from .errors import NotMemberError, PhmapsError
+from .errors import MAX_GRID_POINTS, NotMemberError, PhmapsError
 from .exact import parse_scalar
 from .operators import convolve, integral_convolve, neighborhood_report
 from .phmio import load_map, save_map, serialize_map
@@ -156,7 +156,7 @@ def _cmd_neighborhood(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .geometry import ALL_CHECKS, MAX_GRID_POINTS, DiskGrid, distortion_check, verify_geometry
+    from .geometry import ALL_CHECKS, DiskGrid, distortion_check, verify_geometry
 
     F = load_map(args.file)
     suite = args.suite

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size budget they enforce."""
+
+MAX_GRID_POINTS = 2 ** 15
 
 
 class PhmapsError(Exception):
@@ -30,7 +32,9 @@ class ParamError(PhmapsError):
 
 
 class GridTooLargeError(PhmapsError):
-    """A grid, render or sample count exceeds its enforced size budget."""
+    """A size knob exceeds MAX_GRID_POINTS: verify grid points, render vertices,
+    distortion or layer samples, or the half-plane truncation degree. Each is
+    checked before anything is allocated."""
 
 
 class NonFiniteError(PhmapsError):

@@ -32,28 +32,24 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .catalog import phase_coefficient
-from .classes import hc, hs_lambda, membership, weight
 from .errors import (
+    MAX_GRID_POINTS,
     GridTooLargeError,
     NonFiniteError,
-    NotMemberError,
     ParamError,
     ZeroDerivativeError,
     ZeroValueError,
 )
-from .exact import Scalar, as_scalar, format_scalar, kv_lines
-from .operators import rescale
-from .series import PolyharmonicMap, make_map
+from .exact import kv_lines
+from .operators import distortion_envelope
+from .series import PolyharmonicMap
 
 EPS_ZERO = 1e-12          # nondegeneracy threshold for denominators, relative to |z|
 SIGN_TOL = -1e-9          # sign checks pass above this (boundary-tight examples)
-MAX_GRID_POINTS = 2 ** 15
 
 # Fraction of the local image spacing below which two non-adjacent grid images
 # count as a collision. Boundary-tight maps develop near-cusps whose straddling
@@ -110,20 +106,6 @@ def evaluate(F: PolyharmonicMap, z):
         zn = z ** n
         layer = r2 ** (k - 1) if k > 1 else 1.0
         out = out + layer * (ca * zn + np.conj(cb * zn))
-    return complex(out[()]) if scalar else out
-
-
-def evaluate_layer(F: PolyharmonicMap, k: int, z):
-    """The harmonic layer G_k alone, without its |z|^(2(k-1)) factor."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    out = np.zeros(z.shape, dtype=complex)
-    for (n, kk), c in F.a.items():
-        if kk == k:
-            out = out + c.as_complex() * z ** n
-    for (n, kk), c in F.b.items():
-        if kk == k:
-            out = out + np.conj(c.as_complex() * z ** n)
     return complex(out[()]) if scalar else out
 
 
@@ -257,42 +239,25 @@ class GeometryReport:
             ok &= self.injectivity_collisions == 0
         return bool(ok)
 
+    def _extrema(self) -> list[tuple[str, Extremum]]:
+        """(quantity, minimum) for each grid minimum that was computed, in report order."""
+        named = [("jacobian", self.min_jacobian), ("arg_derivative", self.min_arg_derivative),
+                 ("convexity_indicator", self.min_convexity_indicator)]
+        return [(name, ext) for name, ext in named if ext is not None]
+
     def to_kv(self) -> str:
-        lines = [
-            f"rings={self.grid.rings}",
-            f"rays={self.grid.rays}",
-            f"r_max={self.grid.r_max!r}",
-            f"checks={','.join(self.checks)}",
-        ]
-        named = [
-            ("jacobian", self.min_jacobian),
-            ("arg_derivative", self.min_arg_derivative),
-            ("convexity_indicator", self.min_convexity_indicator),
-        ]
-        for name, ext in named:
-            if ext is None:
-                continue
-            lines.append(f"min_{name}={ext.value!r}")
-            lines.append(f"argmin_{name}_ring={ext.ring}")
-            lines.append(f"argmin_{name}_ray={ext.ray}")
-        if self.injectivity_collisions is not None:
-            lines.append(f"injectivity_collisions={self.injectivity_collisions}")
-        if self.injectivity_certified is not None:
-            lines.append(f"injectivity_certified={'true' if self.injectivity_certified else 'false'}")
-        lines.append(f"passed={'true' if self.passed() else 'false'}")
-        return "\n".join(lines)
+        fields = [("rings", self.grid.rings), ("rays", self.grid.rays), ("r_max", self.grid.r_max),
+                  ("checks", ",".join(self.checks))]
+        for name, ext in self._extrema():
+            fields += [(f"min_{name}", ext.value), (f"argmin_{name}_ring", ext.ring), (f"argmin_{name}_ray", ext.ray)]
+        injectivity = [("injectivity_collisions", self.injectivity_collisions),
+                       ("injectivity_certified", self.injectivity_certified)]
+        fields += [(name, value) for name, value in injectivity if value is not None]
+        return kv_lines(fields + [("passed", self.passed())])
 
     def to_csv(self) -> str:
-        rows = ["quantity,ring,ray,r,theta,value"]
-        named = [
-            ("jacobian", self.min_jacobian),
-            ("arg_derivative", self.min_arg_derivative),
-            ("convexity_indicator", self.min_convexity_indicator),
-        ]
-        for name, ext in named:
-            if ext is not None:
-                rows.append(f"{name},{ext.ring},{ext.ray},{ext.r:.17g},{ext.theta:.17g},{ext.value:.17g}")
-        return "\n".join(rows) + "\n"
+        rows = [f"{name},{e.ring},{e.ray},{e.r:.17g},{e.theta:.17g},{e.value:.17g}" for name, e in self._extrema()]
+        return "\n".join(["quantity,ring,ray,r,theta,value", *rows]) + "\n"
 
 
 def _minimum(values: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> Extremum:
@@ -533,10 +498,11 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
     if not checks:
         raise ParamError("no recognized checks requested")
+    rings = grid.rings - grid._first_ring + 1  # counted before any array is built
+    if rings * grid.rays > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"{rings}x{grid.rays} grid exceeds {MAX_GRID_POINTS} points")
     radii = grid.radii()
     angles = grid.angles()
-    if radii.size * angles.size > MAX_GRID_POINTS:
-        raise GridTooLargeError(f"{radii.size}x{angles.size} grid exceeds {MAX_GRID_POINTS} points")
     table = _monomials(F)
 
     def values(name, tab):
@@ -579,109 +545,6 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
 
 
 # --- distortion --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistortionEnvelope:
-    """Radius-dependent |F| bounds: lower(r) <= |F(z)| <= upper(r) at |z| = r.
-
-    Coefficient tuples are (c1, c2, c3) for c1*r + c2*r^2 + c3*r^3. The cubic
-    terms appear only on the high branch (lambda > 1/2).
-    """
-
-    lam: float
-    b11: float
-    a12: float
-    b12: float
-    branch: str
-    lower_coeffs: tuple[float, float, float]
-    upper_coeffs: tuple[float, float, float]
-
-    def lower(self, r):
-        c1, c2, c3 = self.lower_coeffs
-        r = np.asarray(r, dtype=float)
-        val = r * (c1 + r * (c2 + r * c3))
-        return float(val[()]) if val.ndim == 0 else val
-
-    def upper(self, r):
-        c1, c2, c3 = self.upper_coeffs
-        r = np.asarray(r, dtype=float)
-        val = r * (c1 + r * (c2 + r * c3))
-        return float(val[()]) if val.ndim == 0 else val
-
-
-def distortion_envelope(F: PolyharmonicMap, lam) -> DistortionEnvelope:
-    """Two-sided |F| envelope for a class member, by branch of lambda."""
-    lam = as_scalar(lam)
-    if not membership(F, hs_lambda(lam)).member:
-        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
-    b11 = float(F.coeff_b(1, 1).magnitude())
-    a12 = float(F.coeff_a(1, 2).magnitude())
-    b12 = float(F.coeff_b(1, 2).magnitude())
-    lamf = float(lam)
-    if lam <= Fraction(1, 2):
-        c2 = (1.0 - b11) / (2.0 * (1.0 + lamf))
-        return DistortionEnvelope(
-            lam=lamf, b11=b11, a12=a12, b12=b12, branch="low",
-            lower_coeffs=(1.0 - b11, -c2, 0.0),
-            upper_coeffs=(1.0 + b11, c2, 0.0),
-        )
-    d = a12 + b12
-    c2 = (1.0 - b11 - 3.0 * d) / (2.0 * (1.0 + lamf))
-    return DistortionEnvelope(
-        lam=lamf, b11=b11, a12=a12, b12=b12, branch="high",
-        lower_coeffs=(1.0 - b11, -c2, -d),
-        upper_coeffs=(1.0 + b11, c2, d),
-    )
-
-
-def distortion_extremal(lam, b11, a12=0, b12=0, phases: Sequence[float] | None = None) -> PolyharmonicMap:
-    """Equality-attaining map for the distortion envelope.
-
-    Low branch (lambda <= 1/2), phases (mu, nu):
-        z + b11 e^{i mu} conj(z) + (1-b11)/(2(1+lambda)) e^{i nu} z^2.
-    High branch, phases (eta, phi, psi): adds the z|z|^2 slot carrying
-    a12+b12 and reduces the z^2 numerator by 3(a12+b12).
-
-    With zero phases and z = r on the positive real axis all terms align, so
-    |F(r)| equals the upper envelope exactly.
-    """
-    lam = as_scalar(lam)
-    b11 = as_scalar(b11)
-    a12 = as_scalar(a12)
-    b12 = as_scalar(b12)
-    if not 0 <= lam <= 1:
-        raise ParamError("lambda must lie in [0,1]")
-    if not 0 <= b11 < 1:
-        raise ParamError("need 0 <= b11 < 1")
-    if a12 < 0 or b12 < 0:
-        raise ParamError("slot budgets must be nonnegative")
-    high = lam > Fraction(1, 2)
-    if not high:
-        if a12 != 0 or b12 != 0:
-            raise ParamError("a12/b12 budgets apply only to the high branch (lambda > 1/2)")
-        mu, nu = phases if phases is not None else (0.0, 0.0)
-        c2 = (1 - b11) / (2 * (1 + lam))
-        return make_map(
-            1,
-            a={(2, 1): phase_coefficient(c2, nu)},
-            b={(1, 1): phase_coefficient(b11, -mu)},
-        )
-    eta, phi, psi = phases if phases is not None else (0.0, 0.0, 0.0)
-    d = a12 + b12
-    numerator = 1 - b11 - 3 * d
-    if numerator < 0:
-        raise ParamError("need b11 + 3(a12+b12) <= 1 on the high branch")
-    c2 = numerator / (2 * (1 + lam))
-    if d == 0:  # no z|z|^2 slot, a single layer suffices
-        return make_map(
-            1, a={(2, 1): phase_coefficient(c2, phi)}, b={(1, 1): phase_coefficient(b11, -eta)}
-        )
-    return make_map(
-        2,
-        a={(2, 1): phase_coefficient(c2, phi), (1, 2): phase_coefficient(d, psi)},
-        b={(1, 1): phase_coefficient(b11, -eta)},
-    )
 
 
 def _disk_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -731,55 +594,13 @@ def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0
     ``samples`` lies in [1, MAX_GRID_POINTS] (GridTooLargeError above, ParamError below).
     """
     r, z = _disk_samples(samples, seed)
-    lam = as_scalar(lam)
-    if not membership(F, hs_lambda(lam)).member:
-        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
-    b11 = float(F.coeff_b(1, 1).magnitude())
-    c2 = (1.0 - b11) / (2.0 * (1.0 + float(lam)))
-    for k in range(1, F.p + 1):
-        g = np.abs(evaluate_layer(F, k, z))
+    env = distortion_envelope(F, lam)
+    c2 = (1.0 - env.b11) / (2.0 * (1.0 + env.lam))
+    for k in range(1, F.p + 1):  # G_k alone, without its |z|^(2(k-1)) factor, term by term
+        g = sum((c.as_complex() * z ** n for (n, kk), c in F.a.items() if kk == k), np.zeros(z.shape, dtype=complex))
+        g = np.abs(sum((np.conj(c.as_complex() * z ** n) for (n, kk), c in F.b.items() if kk == k), g))
         lead = float(F.coeff_a(1, k).magnitude() + F.coeff_b(1, k).magnitude())
         if not np.all(g <= lead * r + c2 * r * r + tol):
             return False
     return True
 
-
-# --- convexity radius --------------------------------------------------------
-
-
-def convexity_radius(lam) -> Scalar:
-    """max(1/2, lambda): members rescaled to this radius map onto convex domains."""
-    lam = as_scalar(lam)
-    if not 0 <= lam <= 1:
-        raise ParamError("lambda must lie in [0,1]")
-    return max(Fraction(1, 2), lam)
-
-
-def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:
-    """Exact certificate that rescale(F, r) satisfies the hc row-1 condition.
-
-    Checks the per-term inequality (2(k-1)+n^2) r^(2k+n-3) <= weight(n,k,lambda)
-    over the support, the summed form <= 1, and the hc row-1 margin of the
-    rescaled map. All three are exact for rational inputs.
-    """
-    lam = as_scalar(lam)
-    r = as_scalar(r)
-    if not membership(F, hs_lambda(lam)).member:
-        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
-    if not 0 < r <= convexity_radius(lam):
-        raise ParamError(
-            f"radius {format_scalar(r)} outside (0, {format_scalar(convexity_radius(lam))}]"
-        )
-    total: Scalar = Fraction(0)
-    for n, k in F.support():
-        if n < 2:
-            continue
-        hc_weight = 2 * (k - 1) + n * n
-        scale = r ** (2 * k + n - 3)
-        if not hc_weight * scale <= weight(n, k, lam):
-            return False
-        pair = F.coeff_a(n, k).magnitude() + F.coeff_b(n, k).magnitude()
-        total = total + hc_weight * pair * scale
-    if not total <= 1:
-        return False
-    return bool(membership(rescale(F, r), hc()).row1_margin >= 0)

@@ -6,6 +6,10 @@ and rescaling r^{-1} F(r z) multiplies entry (n, k) by r^(2k+n-3). The
 neighborhood distance is the weighted l1 metric used by the inclusion bound
 ``delta_bound``. Maps of different depth are zero-padded, matching the series
 semantics. Everything here is pure and exactness-preserving.
+
+The paper's coefficient results for members of hs-lambda live here too: the
+convexity radius with its exact rescaling certificate, and the distortion
+envelope, whose float coefficients `geometry.distortion_check` samples.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classes import hs_lambda, membership
+from .classes import hc, hs_lambda, membership, weight
 from .errors import NotMemberError, ParamError, WeightError
 from .exact import EPS_STRICT, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, weighted_pair
 from .series import Coefficient, Key, PolyharmonicMap, ZERO
@@ -170,3 +174,95 @@ def ch0_certificate(H: PolyharmonicMap) -> bool:
         if n >= 2 and not 4 * c.magnitude_squared() <= (n - 1) ** 2:
             return False
     return True
+
+
+def convexity_radius(lam) -> Scalar:
+    """max(1/2, lambda): members rescaled to this radius map onto convex domains."""
+    lam = as_scalar(lam)
+    if not 0 <= lam <= 1:
+        raise ParamError("lambda must lie in [0,1]")
+    return max(Fraction(1, 2), lam)
+
+
+def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:
+    """Exact certificate that rescale(F, r) satisfies the hc row-1 condition.
+
+    Checks the per-term inequality (2(k-1)+n^2) r^(2k+n-3) <= weight(n,k,lambda)
+    over the support, the summed form <= 1, and the hc row-1 margin of the
+    rescaled map. All three are exact for rational inputs.
+    """
+    lam = as_scalar(lam)
+    r = as_scalar(r)
+    if not membership(F, hs_lambda(lam)).member:
+        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
+    if not 0 < r <= convexity_radius(lam):
+        raise ParamError(
+            f"radius {format_scalar(r)} outside (0, {format_scalar(convexity_radius(lam))}]"
+        )
+    total: Scalar = Fraction(0)
+    for n, k in F.support():
+        if n < 2:
+            continue
+        hc_weight = 2 * (k - 1) + n * n
+        scale = r ** (2 * k + n - 3)
+        if not hc_weight * scale <= weight(n, k, lam):
+            return False
+        pair = F.coeff_a(n, k).magnitude() + F.coeff_b(n, k).magnitude()
+        total = total + hc_weight * pair * scale
+    if not total <= 1:
+        return False
+    return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
+
+
+def _cubic(coeffs: tuple[float, float, float], r):
+    """c1 r + c2 r^2 + c3 r^3 in Horner form, for a float r or a numpy array of them."""
+    c1, c2, c3 = coeffs
+    return r * (c1 + r * (c2 + r * c3))
+
+
+@dataclass(frozen=True)
+class DistortionEnvelope:
+    """Radius-dependent |F| bounds: lower(r) <= |F(z)| <= upper(r) at |z| = r.
+
+    Coefficient tuples are (c1, c2, c3) for c1*r + c2*r^2 + c3*r^3. The cubic
+    terms appear only on the high branch (lambda > 1/2).
+    """
+
+    lam: float
+    b11: float
+    a12: float
+    b12: float
+    branch: str
+    lower_coeffs: tuple[float, float, float]
+    upper_coeffs: tuple[float, float, float]
+
+    def lower(self, r):
+        return _cubic(self.lower_coeffs, r)
+
+    def upper(self, r):
+        return _cubic(self.upper_coeffs, r)
+
+
+def distortion_envelope(F: PolyharmonicMap, lam) -> DistortionEnvelope:
+    """Two-sided |F| envelope for a class member, by branch of lambda."""
+    lam = as_scalar(lam)
+    if not membership(F, hs_lambda(lam)).member:
+        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
+    b11 = float(F.coeff_b(1, 1).magnitude())
+    a12 = float(F.coeff_a(1, 2).magnitude())
+    b12 = float(F.coeff_b(1, 2).magnitude())
+    lamf = float(lam)
+    if lam <= Fraction(1, 2):
+        c2 = (1.0 - b11) / (2.0 * (1.0 + lamf))
+        return DistortionEnvelope(
+            lam=lamf, b11=b11, a12=a12, b12=b12, branch="low",
+            lower_coeffs=(1.0 - b11, -c2, 0.0),
+            upper_coeffs=(1.0 + b11, c2, 0.0),
+        )
+    d = a12 + b12
+    c2 = (1.0 - b11 - 3.0 * d) / (2.0 * (1.0 + lamf))
+    return DistortionEnvelope(
+        lam=lamf, b11=b11, a12=a12, b12=b12, branch="high",
+        lower_coeffs=(1.0 - b11, -c2, -d),
+        upper_coeffs=(1.0 + b11, c2, d),
+    )

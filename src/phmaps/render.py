@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooLargeError, NonFiniteError, ParamError
-from .geometry import MAX_GRID_POINTS, DiskGrid, evaluate
+from .errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError
+from .geometry import DiskGrid, evaluate
 from .series import PolyharmonicMap
 
 # Boundary behavior of boundary-tight maps is cusp-like, so rendering stays

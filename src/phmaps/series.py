@@ -217,8 +217,3 @@ def make_map(p: int, a: Mapping[Key, object] | None = None, b: Mapping[Key, obje
     a = dict(a or {})
     a.setdefault((1, 1), ONE)
     return PolyharmonicMap(p, a, dict(b or {}))
-
-
-def identity_map(p: int = 1) -> PolyharmonicMap:
-    """F(z) = z."""
-    return make_map(p)

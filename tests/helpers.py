@@ -8,7 +8,9 @@ injectivity collision count comes from comparing every pair of grid points.
 The exact core's sums and products are checked against the plain Fraction
 loops they replaced, which define the results bit for bit, and the batched
 renderer against the per-curve evaluation and per-vertex formatting it
-replaced, which define the SVG and CSV bytes.
+replaced, which define the SVG and CSV bytes. The grid report's hand-rolled
+serialisers and the numpy envelope cubic define the `verify` report bytes
+the same way.
 """
 
 from __future__ import annotations
@@ -272,6 +274,46 @@ def assert_same_report(got, want) -> None:
 
 
 # --- Per-curve render reference ------------------------------------------------
+
+
+def _reference_extrema(rep):
+    return [("jacobian", rep.min_jacobian), ("arg_derivative", rep.min_arg_derivative),
+            ("convexity_indicator", rep.min_convexity_indicator)]
+
+
+def reference_geometry_kv(rep) -> str:
+    """GeometryReport.to_kv as it was written out line by line."""
+    lines = [f"rings={rep.grid.rings}", f"rays={rep.grid.rays}", f"r_max={rep.grid.r_max!r}",
+             f"checks={','.join(rep.checks)}"]
+    for name, ext in _reference_extrema(rep):
+        if ext is None:
+            continue
+        lines.append(f"min_{name}={ext.value!r}")
+        lines.append(f"argmin_{name}_ring={ext.ring}")
+        lines.append(f"argmin_{name}_ray={ext.ray}")
+    if rep.injectivity_collisions is not None:
+        lines.append(f"injectivity_collisions={rep.injectivity_collisions}")
+    if rep.injectivity_certified is not None:
+        lines.append(f"injectivity_certified={'true' if rep.injectivity_certified else 'false'}")
+    lines.append(f"passed={'true' if rep.passed() else 'false'}")
+    return "\n".join(lines)
+
+
+def reference_geometry_csv(rep) -> str:
+    """GeometryReport.to_csv as it was written out row by row."""
+    rows = ["quantity,ring,ray,r,theta,value"]
+    for name, ext in _reference_extrema(rep):
+        if ext is not None:
+            rows.append(f"{name},{ext.ring},{ext.ray},{ext.r:.17g},{ext.theta:.17g},{ext.value:.17g}")
+    return "\n".join(rows) + "\n"
+
+
+def reference_cubic(coeffs, r):
+    """DistortionEnvelope.lower/upper as they were written with numpy; the distortion margins carry its bits."""
+    c1, c2, c3 = coeffs
+    r = np.asarray(r, dtype=float)
+    val = r * (c1 + r * (c2 + r * c3))
+    return float(val[()]) if val.ndim == 0 else val
 
 
 def reference_curves(F, spec) -> list[tuple[str, np.ndarray, np.ndarray]]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from phmaps import (
     DiskGrid,
     ExtremalSpec,
+    GridTooLargeError,
     ParamError,
     convolve,
+    distortion_extremal,
     example_F1,
     example_F2,
     extremal_point,
@@ -19,6 +22,7 @@ from phmaps import (
     verify_geometry,
 )
 from phmaps.catalog import phase_coefficient
+from phmaps.errors import MAX_GRID_POINTS
 from phmaps.sampling import axis_coefficient, random_fraction
 
 
@@ -131,6 +135,19 @@ class TestHalfPlaneMap:
         with pytest.raises(ParamError):
             half_plane_map(0)
 
+    def test_degree_budget_checked_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLargeError, match=f"^truncation degree {10**12} exceeds {MAX_GRID_POINTS}$"):
+                half_plane_map(10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        with pytest.raises(GridTooLargeError):
+            half_plane_map(MAX_GRID_POINTS + 1)
+        assert half_plane_map(MAX_GRID_POINTS).coeff_a(MAX_GRID_POINTS, 1).re == Fraction(MAX_GRID_POINTS + 1, 2)
+
 
 def test_phase_coefficient_quarter_turns_are_exact():
     m = Fraction(2, 7)
@@ -141,3 +158,13 @@ def test_phase_coefficient_quarter_turns_are_exact():
     c = phase_coefficient(m, 1.0)
     assert isinstance(c.re, float)
     assert abs(complex(c.re, c.im) - float(m) * complex(math.cos(1), math.sin(1))) < 1e-15
+
+
+@pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+def test_non_finite_phase_raises_param_error(phase):
+    for build in (lambda: phase_coefficient(Fraction(1, 2), phase),
+                  lambda: extremal_point(ExtremalSpec(n=2, k=1, lam=Fraction(1, 2), phase=phase)),
+                  lambda: distortion_extremal(Fraction(1, 4), Fraction(1, 4), phases=(0.0, phase)),
+                  lambda: distortion_extremal(1, Fraction(1, 8), Fraction(1, 10), phases=(phase, 0.0, 0.0))):
+        with pytest.raises(ParamError, match="^phase must be finite"):
+            build()

@@ -3,6 +3,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phmaps import evaluate, example_F1, example_F2, half_plane_map, identity_map, make_map, parse_map
 from phmaps.cli import main
@@ -354,3 +356,71 @@ class TestExtremalAndCatalog:
         out = tmp_path / "h.phm"
         assert main(["catalog", "half-plane", "-N", "2", "-o", str(out)]) == 0
         assert parse_map(out.read_bytes()) == half_plane_map(2)
+
+    @pytest.mark.parametrize("phase", ["inf", "-inf", "nan"])
+    def test_extremal_non_finite_phase_exits_two(self, phase, capsys):
+        assert main(["extremal", "--n", "2", "--lambda", "1/2", f"--phase={phase}"]) == 2
+        assert "phase must be finite" in single_error_line(capsys)
+
+    def test_half_plane_degree_budget(self, tmp_path, capsys):
+        # rejected before any coefficient is built, so no file is written
+        out = tmp_path / "h.phm"
+        assert main(["catalog", "half-plane", "-N", "40000", "-o", str(out)]) == 2
+        assert single_error_line(capsys) == f"error: truncation degree 40000 exceeds {MAX_GRID_POINTS}\n"
+        assert not out.exists()
+
+
+# Values for the numeric flags: valid, out of range, huge, non-finite and unparseable.
+TOKENS = st.sampled_from(["2", "3", "1/2", "0.9", "0", "-1", str(10**12), "inf", "-inf", "nan", "1e400", "1e-400",
+                          "10**12", "x", "", "1/0", "2/x"])
+
+# Per command: a valid argv, its choice-valued options, and the numeric flags a draw overrides.
+# `{f1}` and `{out}` stand for an input map and an output path.
+COMMANDS = {
+    "extremal": (["--n=2", "--lambda=1/2", "-o", "{out}"], {"--kind": ["a", "b"]},
+                 ["--n", "--k", "--lambda", "--phase", "-p"]),
+    "catalog": (["-o", "{out}"], {"": ["identity", "f1", "f2", "half-plane"]}, ["-N", "-p"]),
+    "check": (["{f1}"], {"--class": ["hs-lambda", "hs", "hc"]}, ["--lambda"]),
+    "verify": (["{f1}", "--lambda=2/3"], {"--suite": ["starlike", "convex", "jacobian", "injective", "distortion", "all"]},
+               ["--grid", "--r", "--lambda", "--samples", "--seed"]),
+    "render": (["{f1}", "-o", "{out}"], {}, ["--rings", "--rays", "--rmax", "--samples", "--width", "--height"]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A valid argv of one command with one numeric flag overridden by TOKENS.
+
+    argparse keeps the last value of a repeated flag, so the override wins, and
+    --flag=value lets a value such as -inf reach the flag's parser. One flag at
+    a time, so that an unparseable token elsewhere cannot hide a fault.
+    """
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    base, choices, numeric = COMMANDS[command]
+    argv = [command, *base]
+    for flag, options in choices.items():
+        option = draw(st.sampled_from(options))
+        argv.append(f"{flag}={option}" if flag else option)
+    flag = draw(st.sampled_from(numeric))
+    value = f"{draw(TOKENS)}x{draw(TOKENS)}" if flag == "--grid" else draw(TOKENS)
+    return [*argv, f"{flag}={value}"]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    save_map(example_F1(), path / "f1.phm")
+    return path
+
+
+@settings(max_examples=300)
+@given(argv=cli_argv())
+def test_cli_exits_0_1_2_on_any_numeric_token(argv, contract_dir):
+    """The CLI contract: exit 0, 1 or 2 (argparse's own usage errors exit 2), never a traceback."""
+    argv = [arg.format(f1=contract_dir / "f1.phm", out=contract_dir / "out") for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+        assert code == 2, argv
+    assert code in (0, 1, 2), argv

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -240,6 +242,22 @@ class TestVerifyGeometry:
         with pytest.raises(GridTooLargeError):
             verify_geometry(identity_map(), DiskGrid(256, 256, 0.9))
 
+    def test_grid_budget_checked_before_allocating(self):
+        # the points are counted from rings and rays, so no per-ring array is built first
+        grid = DiskGrid(4_000_000, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLargeError, match="^4000000x3 grid exceeds"):
+                verify_geometry(identity_map(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the dropped origin ring does not count: 4 x 8192 points fit, 5 x 8192 do not
+        with pytest.raises(GridTooLargeError, match="^5x8192 grid exceeds"):
+            verify_geometry(identity_map(), DiskGrid(5, 8192))
+        verify_geometry(identity_map(), DiskGrid(5, 8192, include_origin_ring=False), ("jacobian",))
+
     def test_grid_validation(self):
         with pytest.raises(ParamError):
             DiskGrid(0, 64, 0.9)
@@ -349,6 +367,16 @@ class TestDistortion:
         with pytest.raises(NotMemberError):
             distortion_envelope(make_map(1, a={(2, 1): 1}), Fraction(1, 2))
 
+    def test_bounds_match_the_numpy_reference_bit_for_bit(self, rng):
+        r = np.random.default_rng(8).uniform(0, 1, 257)
+        for _ in range(20):
+            lam = Fraction(rng.randint(0, 10), 10)
+            env = distortion_envelope(random_member(rng, rng.randint(1, 3), lam), lam)
+            for bound, coeffs in ((env.lower, env.lower_coeffs), (env.upper, env.upper_coeffs)):
+                want = helpers.reference_cubic(coeffs, r).tolist()
+                assert bound(r).tolist() == want == [bound(x) for x in r.tolist()]
+                assert [bound(Fraction(x)) for x in r[:8].tolist()] == want[:8]
+
 
 class TestDistortionCheck:
     def test_report_lines(self):
@@ -444,6 +472,27 @@ class TestLayerBound:
     def test_requires_membership(self):
         with pytest.raises(NotMemberError):
             layer_bound_check(make_map(1, a={(2, 1): 1}), Fraction(1, 4))
+
+    def test_verdict_flips_at_the_layer_excess(self, rng):
+        # one sample per seed, so the verdict flips where tol crosses that point's largest
+        # excess of |G_k| over its bound; G_k alone is summed in Python complex arithmetic
+        def layer(F, k, w):
+            return (sum(c.as_complex() * w ** n for (n, kk), c in F.a.items() if kk == k)
+                    + sum((c.as_complex() * w ** n).conjugate() for (n, kk), c in F.b.items() if kk == k))
+
+        for _ in range(6):
+            lam = Fraction(rng.randint(0, 10), 10)
+            F = random_member(rng, rng.randint(2, 3), lam)
+            c2 = (1 - float(F.coeff_b(1, 1).magnitude())) / (2 * (1 + float(lam)))
+            for seed in range(4):
+                npr = np.random.default_rng(seed)
+                x = float(npr.uniform(0.0, 0.999))
+                w = x * complex(np.exp(1j * npr.uniform(0.0, 2.0 * np.pi)))
+                excess = max(abs(layer(F, k, w)) - c2 * x * x
+                             - float(F.coeff_a(1, k).magnitude() + F.coeff_b(1, k).magnitude()) * x
+                             for k in range(1, F.p + 1))
+                assert layer_bound_check(F, lam, samples=1, seed=seed, tol=excess + 1e-9)
+                assert not layer_bound_check(F, lam, samples=1, seed=seed, tol=excess - 1e-9)
 
 
 class TestConvexityRadius:
@@ -566,3 +615,25 @@ class TestGridKernel:
                 # an argmin may move between tied points, but the old one is as low to rounding
                 at_old = values.flat[np.argmin(ref)]
                 assert at_old == ext.value or at_old - ext.value <= 1e-9 * max(1.0, abs(ext.value)), name
+
+
+def serialiser_maps():
+    rng = random.Random(0x5E7)
+    return [example_F1(), example_F2(), identity_map(), identity_map(3),
+            extremal_point(ExtremalSpec(n=3, k=2, lam=Fraction(1, 2), phase=0.7)),
+            *[half_plane_map(n) for n in range(2, 6)],
+            make_map(1, b={(1, 1): Fraction(999, 1000)}),  # z + 999/1000 conj z, which collides on the grid
+            *[random_member(rng, p, Fraction(rng.randint(0, 100), 100)) for p in (1, 2, 3)]]
+
+
+CHECK_SUBSETS = [c for n in range(1, 5) for c in itertools.combinations(("jacobian", "starlike", "convex", "injective"), n)]
+
+
+@pytest.mark.parametrize("grid", [DiskGrid(8, 64), DiskGrid(32, 256), DiskGrid(3, 5, include_origin_ring=False)],
+                         ids=grid_id)
+def test_report_serialisers_match_the_line_by_line_reference(grid):
+    for F in serialiser_maps():
+        for checks in CHECK_SUBSETS:
+            rep = verify_geometry(F, grid, checks)
+            assert rep.to_kv() == helpers.reference_geometry_kv(rep), checks
+            assert rep.to_csv() == helpers.reference_geometry_csv(rep), checks

@@ -20,19 +20,19 @@ SRC = Path(phmaps.__file__).resolve().parent.parent
 
 # Every name `phmaps` exported before the numeric layer became lazy, by module.
 EXPORTS = {
-    "catalog": ["ExtremalSpec", "example_F1", "example_F2", "extremal_point", "half_plane_map", "identity_map"],
+    "catalog": ["ExtremalSpec", "distortion_extremal", "example_F1", "example_F2", "extremal_point",
+                "half_plane_map", "identity_map"],
     "classes": ["ClassParams", "Family", "MembershipReport", "class_reduction_check", "hc", "hs", "hs_lambda",
                 "membership", "weight"],
     "errors": ["GridTooLargeError", "InvalidMapError", "MapSyntaxError", "NonFiniteError", "NotMemberError",
                "ParamError", "PhmapsError", "WeightError", "ZeroDerivativeError", "ZeroValueError"],
     "exact": ["EPS_STRICT", "Scalar", "format_scalar", "parse_scalar"],
-    "geometry": ["DiskGrid", "DistortionEnvelope", "GeometryReport", "arg_derivative", "convexity_indicator",
-                 "convexity_radius", "distortion_envelope", "distortion_extremal",
-                 "evaluate", "evaluate_layer", "jacobian", "layer_bound_check", "rescale_convexity_certificate",
-                 "theta_derivative", "verify_geometry", "wirtinger_derivatives"],
-    "operators": ["ConvexCombination", "NeighborhoodReport", "ch0_certificate", "combine", "convex_combine",
-                  "convolve", "delta_bound", "integral_convolve", "neighborhood_distance", "neighborhood_report",
-                  "rescale"],
+    "geometry": ["DiskGrid", "GeometryReport", "arg_derivative", "convexity_indicator", "evaluate", "jacobian",
+                 "layer_bound_check", "theta_derivative", "verify_geometry", "wirtinger_derivatives"],
+    "operators": ["ConvexCombination", "DistortionEnvelope", "NeighborhoodReport", "ch0_certificate", "combine",
+                  "convex_combine", "convexity_radius", "convolve", "delta_bound", "distortion_envelope",
+                  "integral_convolve", "neighborhood_distance", "neighborhood_report", "rescale",
+                  "rescale_convexity_certificate"],
     "phmio": ["load_map", "parse_map", "save_map", "serialize_map"],
     "render": ["RenderSpec", "render_csv", "render_svg"],
     "series": ["Coefficient", "PolyharmonicMap", "coeff", "make_map"],
@@ -109,6 +109,34 @@ def test_exports_resolve_to_the_module_objects(module):
     for name in EXPORTS[module]:
         assert getattr(phmaps, name) is getattr(mod, name), name
         assert name in listed and name in phmaps.__all__, name
+
+
+# The paper's exact results, called with numpy absent from sys.modules.
+EXACT_RESULTS = """
+import sys
+from fractions import Fraction as Q
+import phmaps
+F = phmaps.example_F1()
+assert phmaps.convexity_radius(Q(1, 3)) == Q(1, 2)
+assert phmaps.rescale_convexity_certificate(F, Q(2, 3), Q(2, 3))
+assert phmaps.distortion_envelope(F, Q(2, 3)).upper(0.5) == 0.5 * (1.0 + 0.5 * (0.3 + 0.5 * 0.0))
+assert phmaps.distortion_extremal(Q(1, 4), Q(1, 4)).coeff_a(2, 1).re == Q(3, 10)
+assert phmaps.identity_map(2) == phmaps.make_map(2)
+print(sorted(m for m in sys.modules if m.startswith("numpy") or m in ("phmaps.geometry", "phmaps.render")))
+"""
+
+
+def test_exact_results_run_without_numpy():
+    proc = run_fresh(EXACT_RESULTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_lazy_names_are_defined_in_the_numeric_modules():
+    for name, module in phmaps._LAZY.items():
+        value = getattr(phmaps, name)
+        assert (value.__name__ if name == module else value.__module__) == f"phmaps.{module}", name
+    assert not hasattr(phmaps, "evaluate_layer") and not hasattr(phmaps.geometry, "evaluate_layer")
 
 
 def test_new_distortion_names_are_exported():
