@@ -133,28 +133,17 @@ def distortion_extremal(lam, b11, a12=0, b12=0, phases: Sequence[float] | None =
     if a12 < 0 or b12 < 0:
         raise ParamError("slot budgets must be nonnegative")
     high = lam > Fraction(1, 2)
-    if not high:
-        if a12 != 0 or b12 != 0:
-            raise ParamError("a12/b12 budgets apply only to the high branch (lambda > 1/2)")
-        mu, nu = phases if phases is not None else (0.0, 0.0)
-        c2 = (1 - b11) / (2 * (1 + lam))
-        return make_map(
-            1,
-            a={(2, 1): phase_coefficient(c2, nu)},
-            b={(1, 1): phase_coefficient(b11, -mu)},
-        )
-    eta, phi, psi = phases if phases is not None else (0.0, 0.0, 0.0)
+    if not high and (a12 != 0 or b12 != 0):
+        raise ParamError("a12/b12 budgets apply only to the high branch (lambda > 1/2)")
+    count = 3 if high else 2
+    phases = (0.0,) * count if phases is None else tuple(phases)
+    if len(phases) != count:
+        raise ValueError(f"the {'high' if high else 'low'} branch takes {count} phases, got {len(phases)}")
     d = a12 + b12
     numerator = 1 - b11 - 3 * d
     if numerator < 0:
         raise ParamError("need b11 + 3(a12+b12) <= 1 on the high branch")
-    c2 = numerator / (2 * (1 + lam))
-    if d == 0:  # no z|z|^2 slot, a single layer suffices
-        return make_map(
-            1, a={(2, 1): phase_coefficient(c2, phi)}, b={(1, 1): phase_coefficient(b11, -eta)}
-        )
-    return make_map(
-        2,
-        a={(2, 1): phase_coefficient(c2, phi), (1, 2): phase_coefficient(d, psi)},
-        b={(1, 1): phase_coefficient(b11, -eta)},
-    )
+    a = {(2, 1): phase_coefficient(numerator / (2 * (1 + lam)), phases[1])}
+    if d > 0:  # the z|z|^2 slot needs a second layer
+        a[(1, 2)] = phase_coefficient(d, phases[2])
+    return make_map(2 if d > 0 else 1, a=a, b={(1, 1): phase_coefficient(b11, -phases[0])})

@@ -23,6 +23,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from .errors import NonFiniteError
+
 Scalar = Union[Fraction, float]
 
 # Margin for strict "<" comparisons once any input is approximate.
@@ -157,12 +159,23 @@ def exact_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 def sqrt_scalar(q: Scalar) -> Scalar:
-    """Exact square root when the argument is a rational perfect square, else float."""
+    """Exact square root when the argument is a rational perfect square, else float.
+
+    An exact argument too large for a float gets its root within an ulp from a
+    64-bit isqrt, scaled; NonFiniteError when that root is too large too.
+    """
     if is_exact(q):
         root = exact_sqrt(Fraction(q))
         if root is not None:
             return root
-    return math.sqrt(float(q))
+    try:
+        return math.sqrt(float(q))
+    except OverflowError:  # q is exact: sqrt(q) = isqrt(q / 4**s) 2**s, to 64 bits
+        s = (q.numerator.bit_length() - q.denominator.bit_length()) // 2 - 64
+    try:
+        return math.ldexp(float(math.isqrt(q.numerator // (q.denominator << 2 * s))), s)
+    except OverflowError:
+        raise NonFiniteError(f"the square root of an exact value near 2**{2 * s + 128} overflows float64") from None
 
 
 def strict_less(value: Scalar, bound: Scalar) -> tuple[bool, bool]:

@@ -15,22 +15,19 @@ is the two-sided Lipschitz bound m |z1 - z2| <= |F(z1) - F(z2)| from the
 coefficients (`_lipschitz_bounds`), and m > 0 proves F injective on the whole
 closed disk |z| <= r_max, not only on the grid.
 
-The derivatives come from one monomial table per map: F(z) = sum c z^alpha
-conj(z)^beta, and d/dtheta, d/dz, d/dzbar each reweight c and shift alpha or
-beta. On a DiskGrid the angles are exactly 2 pi s / rays, so a monomial is
-r^(alpha+beta) e^{2 pi i (alpha-beta) s / rays} and each ring of F, F_theta,
-F_thetatheta, F_z and F_zbar is one inverse FFT of a spectrum holding
-c r^(alpha+beta) at frequency (alpha-beta) mod rays. That is exact, not an
-approximation: the frequency wraps only because s is an integer. The sums
-are taken in another order than a term loop, so grid minima can differ from
-pointwise evaluation in the last digits and an argmin can move between tied
-points. `evaluate` keeps its term-by-term order, because the render goldens
-pin its bits and its vectorised and scalar results must agree exactly.
+Every value comes from one monomial table per map, F(z) = sum c z^alpha
+conj(z)^beta, which d/dtheta, d/dz and d/dzbar reweight, and two kernels read
+it. `_pointwise` sums it term by term at any points; its order fixes the bits
+of `evaluate`, which the render goldens pin. `_on_grid` serves DiskGrid
+points, where a monomial is r^(alpha+beta) e^{2 pi i (alpha-beta) s / rays}:
+each ring is one inverse FFT of a spectrum holding c r^(alpha+beta) at
+frequency (alpha-beta) mod rays, exactly, as s is an integer. Its sums run in
+another order, so grid minima can differ from pointwise values in the last
+digits and an argmin can move between tied points.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,7 +42,7 @@ from .errors import (
     ZeroValueError,
 )
 from .exact import kv_lines
-from .operators import distortion_envelope
+from .operators import _hs_lambda_member, distortion_envelope
 from .series import PolyharmonicMap
 
 EPS_ZERO = 1e-12          # nondegeneracy threshold for denominators, relative to |z|
@@ -81,77 +78,74 @@ def _d_wirtinger(table):
     return (alpha[dz] - 1, beta[dz], (alpha * c)[dz]), (alpha[dzb], beta[dzb] - 1, (beta * c)[dzb])
 
 
-def _sum_at(table, r, u) -> np.ndarray:
-    """The table's sum at the points r u (r real) in O(points) memory: a monomial is there
-    r^(alpha+beta) |u|^(2 min(alpha,beta)) u^(alpha-beta), conj(u) for a negative power. In order of
-    |alpha-beta| each power of u is the last one times u^step; a and b at one (n,k) share r^(alpha+beta)."""
-    out, power, at = np.zeros(np.broadcast(r, u).shape, dtype=complex), np.ones_like(u), 0
-    terms = sorted(zip(*(col.tolist() for col in table)), key=lambda t: (abs(t[0] - t[1]), t[0] + t[1], t[0]))
-    for (d, e), group in itertools.groupby(terms, key=lambda t: (abs(t[0] - t[1]), t[0] + t[1])):
-        if d > at:
-            power, at = power * (u if d - at == 1 else u ** (d - at)), d
-        inner = sum(c * (power if a >= b else np.conj(power)) for a, b, c in group)
-        out = out + r ** e * (inner * np.abs(u) ** (e - d) if e > d else inner)
+def _pointwise(table, z) -> np.ndarray:
+    """The table's sum at the points z. With m = min(alpha, beta) and d = |alpha - beta|,
+    c z^alpha conj(z)^beta is |z|^(2m) c z^d, or |z|^(2m) conj(c' z^d) with c' = conj c for
+    alpha < beta. Each (m, d) in increasing order adds |z|^(2m) (c z^d + conj(c' z^d)),
+    a missing side as 0. A map's own (m, d) is (k-1, n), so this is the series' term loop."""
+    z = np.asarray(z, dtype=complex)
+    r2 = z.real * z.real + z.imag * z.imag
+    sides = {}
+    for a, b, c in zip(*(col.tolist() for col in table)):
+        key = (min(a, b), abs(a - b), a < b)
+        c = c.conjugate() if a < b else c
+        sides[key] = sides[key] + c if key in sides else c
+    out = np.zeros(z.shape, dtype=complex)
+    for m, d in sorted({key[:2] for key in sides}):
+        zd = z ** d
+        layer = r2 ** m if m else 1.0
+        out = out + layer * (sides.get((m, d, False), 0j) * zd + np.conj(sides.get((m, d, True), 0j) * zd))
     return out
+
+
+def _unwrap(values):
+    """A 0-d result as a Python complex or float; an array as it is."""
+    return values.item() if np.ndim(values) == 0 else values
 
 
 def evaluate(F: PolyharmonicMap, z):
     """F(z) for complex scalars or arrays (finite sum over the support, term by term)."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    r2 = z.real * z.real + z.imag * z.imag
-    out = np.zeros(np.broadcast(z, r2).shape, dtype=complex)
-    for n, k in F.support():
-        ca, cb = F.coeff_a(n, k).as_complex(), F.coeff_b(n, k).as_complex()
-        zn = z ** n
-        layer = r2 ** (k - 1) if k > 1 else 1.0
-        out = out + layer * (ca * zn + np.conj(cb * zn))
-    return complex(out[()]) if scalar else out
+    return _unwrap(_pointwise(_monomials(F), z))
 
 
 def theta_derivative(F: PolyharmonicMap, r, theta, order: int = 1):
     """Closed-form d^order/dtheta^order of F(r e^{i theta}), from the monomial table."""
     if order not in (1, 2):
         raise ParamError(f"derivative order must be 1 or 2, got {order}")
-    u = np.exp(1j * np.asarray(theta, dtype=float))
-    out = _sum_at(_d_theta(_monomials(F), order), np.asarray(r, dtype=float), u)
-    return complex(out[()]) if out.ndim == 0 else out
+    z = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
+    return _unwrap(_pointwise(_d_theta(_monomials(F), order), z))
 
 
-def _as_real(val):
-    arr = np.asarray(val)
-    return float(arr[()]) if arr.ndim == 0 else arr
+def _theta_rate(F: PolyharmonicMap, r, theta, order: int, error: Exception):
+    """Im(D^order F / D^(order-1) F) at z = r e^{i theta}, D = d/dtheta; ``error`` where
+    the denominator's modulus is at most EPS_ZERO |z|."""
+    z = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
+    table = _monomials(F)
+    den = _pointwise(_d_theta(table, order - 1) if order > 1 else table, z)
+    if np.any(np.abs(den) <= EPS_ZERO * np.abs(z)):
+        raise error
+    return _unwrap(np.imag(_pointwise(_d_theta(table, order), z) / den))
 
 
 def arg_derivative(F: PolyharmonicMap, r, theta):
     """d/dtheta of arg F(r e^{i theta}), computed as Im(F_theta / F)."""
-    z = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
-    w = evaluate(F, z)
-    if np.any(np.abs(w) <= EPS_ZERO * np.abs(z)):
-        raise ZeroValueError("map value vanishes at a sample point")
-    return _as_real(np.imag(theta_derivative(F, r, theta, 1) / w))
+    return _theta_rate(F, r, theta, 1, ZeroValueError("map value vanishes at a sample point"))
 
 
 def convexity_indicator(F: PolyharmonicMap, r, theta):
     """d/dtheta of arg F_theta, computed as Im(F_thetatheta / F_theta)."""
-    d1 = theta_derivative(F, r, theta, 1)
-    if np.any(np.abs(d1) <= EPS_ZERO * np.abs(np.asarray(r, dtype=float))):
-        raise ZeroDerivativeError("angular derivative vanishes at a sample point")
-    return _as_real(np.imag(theta_derivative(F, r, theta, 2) / d1))
+    return _theta_rate(F, r, theta, 2, ZeroDerivativeError("angular derivative vanishes at a sample point"))
 
 
 def wirtinger_derivatives(F: PolyharmonicMap, z):
     """(F_z, F_zbar) from the monomial table; 0^0 = 1 keeps k=2 layers finite at 0."""
-    z = np.asarray(z, dtype=complex)
-    fz, fzb = (_sum_at(table, 1.0, z) for table in _d_wirtinger(_monomials(F)))
-    return (complex(fz[()]), complex(fzb[()])) if z.ndim == 0 else (fz, fzb)
+    return tuple(_unwrap(_pointwise(table, z)) for table in _d_wirtinger(_monomials(F)))
 
 
 def jacobian(F: PolyharmonicMap, z):
     """|F_z|^2 - |F_zbar|^2; positive where F is sense-preserving."""
-    fz, fzb = wirtinger_derivatives(F, z)
-    val = np.abs(np.asarray(fz)) ** 2 - np.abs(np.asarray(fzb)) ** 2
-    return float(val[()]) if np.asarray(val).ndim == 0 else val
+    fz, fzb = (_pointwise(table, z) for table in _d_wirtinger(_monomials(F)))
+    return _unwrap(np.abs(fz) ** 2 - np.abs(fzb) ** 2)
 
 
 # --- grids and reports -------------------------------------------------------
@@ -594,13 +588,14 @@ def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0
     ``samples`` lies in [1, MAX_GRID_POINTS] (GridTooLargeError above, ParamError below).
     """
     r, z = _disk_samples(samples, seed)
-    env = distortion_envelope(F, lam)
-    c2 = (1.0 - env.b11) / (2.0 * (1.0 + env.lam))
-    for k in range(1, F.p + 1):  # G_k alone, without its |z|^(2(k-1)) factor, term by term
-        g = sum((c.as_complex() * z ** n for (n, kk), c in F.a.items() if kk == k), np.zeros(z.shape, dtype=complex))
-        g = np.abs(sum((np.conj(c.as_complex() * z ** n) for (n, kk), c in F.b.items() if kk == k), g))
+    lam = float(_hs_lambda_member(F, lam).params.lam)
+    c2 = (1.0 - float(F.coeff_b(1, 1).magnitude())) / (2.0 * (1.0 + lam))
+    alpha, beta, c = _monomials(F)
+    low = np.minimum(alpha, beta)
+    for k in range(1, F.p + 1):  # G_k: the rows with min(alpha, beta) = k-1, without |z|^(2(k-1))
+        row = low == k - 1
+        g = np.abs(_pointwise((alpha[row] - (k - 1), beta[row] - (k - 1), c[row]), z))
         lead = float(F.coeff_a(1, k).magnitude() + F.coeff_b(1, k).magnitude())
         if not np.all(g <= lead * r + c2 * r * r + tol):
             return False
     return True
-

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classes import hc, hs_lambda, membership, weight
+from .classes import MembershipReport, hc, hs_lambda, membership, weight
 from .errors import NotMemberError, ParamError, WeightError
 from .exact import EPS_STRICT, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, weighted_pair
 from .series import Coefficient, Key, PolyharmonicMap, ZERO
@@ -121,6 +121,14 @@ def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     return fold_sum(terms)
 
 
+def _hs_lambda_member(F: PolyharmonicMap, lam) -> MembershipReport:
+    """F's hs-lambda(lam) membership report; NotMemberError when F is not a member."""
+    report = membership(F, hs_lambda(lam))
+    if not report.member:
+        raise NotMemberError(f"map is not in hs-lambda({format_scalar(report.params.lam)})")
+    return report
+
+
 def delta_bound(F: PolyharmonicMap, lam) -> Scalar:
     """Neighborhood radius lambda/(p+lambda) * (2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|)).
 
@@ -129,10 +137,7 @@ def delta_bound(F: PolyharmonicMap, lam) -> Scalar:
     lam = as_scalar(lam)
     if not 0 < lam <= 1:
         raise ParamError(f"lambda must lie in (0,1], got {format_scalar(lam)}")
-    report = membership(F, hs_lambda(lam))
-    if not report.member:
-        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
-    return lam / (F.p + lam) * report.row1_rhs
+    return lam / (F.p + lam) * _hs_lambda_member(F, lam).row1_rhs
 
 
 @dataclass(frozen=True)
@@ -191,10 +196,8 @@ def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:
     over the support, the summed form <= 1, and the hc row-1 margin of the
     rescaled map. All three are exact for rational inputs.
     """
-    lam = as_scalar(lam)
-    r = as_scalar(r)
-    if not membership(F, hs_lambda(lam)).member:
-        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
+    lam, r = as_scalar(lam), as_scalar(r)
+    _hs_lambda_member(F, lam)
     if not 0 < r <= convexity_radius(lam):
         raise ParamError(
             f"radius {format_scalar(r)} outside (0, {format_scalar(convexity_radius(lam))}]"
@@ -225,13 +228,9 @@ class DistortionEnvelope:
     """Radius-dependent |F| bounds: lower(r) <= |F(z)| <= upper(r) at |z| = r.
 
     Coefficient tuples are (c1, c2, c3) for c1*r + c2*r^2 + c3*r^3. The cubic
-    terms appear only on the high branch (lambda > 1/2).
+    terms are nonzero only on the high branch (lambda > 1/2).
     """
 
-    lam: float
-    b11: float
-    a12: float
-    b12: float
     branch: str
     lower_coeffs: tuple[float, float, float]
     upper_coeffs: tuple[float, float, float]
@@ -244,25 +243,15 @@ class DistortionEnvelope:
 
 
 def distortion_envelope(F: PolyharmonicMap, lam) -> DistortionEnvelope:
-    """Two-sided |F| envelope for a class member, by branch of lambda."""
-    lam = as_scalar(lam)
-    if not membership(F, hs_lambda(lam)).member:
-        raise NotMemberError(f"map is not in hs-lambda({format_scalar(lam)})")
+    """Two-sided |F| envelope for a class member, by branch of lambda.
+
+    With d = |a[1,2]| + |b[1,2]| on the high branch and d = 0 on the low one,
+    c2 = (1 - |b11| - 3d) / (2(1+lambda)) and the bounds are
+    (1 -+ |b11|) r -+ c2 r^2 -+ d r^3.
+    """
+    lam = _hs_lambda_member(F, lam).params.lam
     b11 = float(F.coeff_b(1, 1).magnitude())
-    a12 = float(F.coeff_a(1, 2).magnitude())
-    b12 = float(F.coeff_b(1, 2).magnitude())
-    lamf = float(lam)
-    if lam <= Fraction(1, 2):
-        c2 = (1.0 - b11) / (2.0 * (1.0 + lamf))
-        return DistortionEnvelope(
-            lam=lamf, b11=b11, a12=a12, b12=b12, branch="low",
-            lower_coeffs=(1.0 - b11, -c2, 0.0),
-            upper_coeffs=(1.0 + b11, c2, 0.0),
-        )
-    d = a12 + b12
-    c2 = (1.0 - b11 - 3.0 * d) / (2.0 * (1.0 + lamf))
-    return DistortionEnvelope(
-        lam=lamf, b11=b11, a12=a12, b12=b12, branch="high",
-        lower_coeffs=(1.0 - b11, -c2, -d),
-        upper_coeffs=(1.0 + b11, c2, d),
-    )
+    high = lam > Fraction(1, 2)
+    d = float(F.coeff_a(1, 2).magnitude()) + float(F.coeff_b(1, 2).magnitude()) if high else 0.0
+    c2 = (1.0 - b11 - 3.0 * d) / (2.0 * (1.0 + float(lam)))
+    return DistortionEnvelope("high" if high else "low", (1.0 - b11, -c2, -d), (1.0 + b11, c2, d))

@@ -2,7 +2,8 @@
 
 These deliberately avoid the closed-form code paths they check: derivatives
 come from central finite differences on plain evaluation, or from per-term
-closed forms that do not use the library's monomial table; the polyline
+closed forms that do not use the library's monomial table, and evaluation
+itself from the loop over the support that fixes its bits; the polyline
 properties come from brute-force segment / ray-crossing geometry, and the
 injectivity collision count comes from comparing every pair of grid points.
 The exact core's sums and products are checked against the plain Fraction
@@ -44,6 +45,20 @@ def fd_wirtinger(F, z, step=1e-5):
     fx = (evaluate(F, z + step) - evaluate(F, z - step)) / (2 * step)
     fy = (evaluate(F, z + 1j * step) - evaluate(F, z - 1j * step)) / (2 * step)
     return (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
+
+
+def reference_evaluate(F, z):
+    """F(z) as a loop over the support, layer-major: the arithmetic that defines evaluate's bits."""
+    z = np.asarray(z, dtype=complex)
+    scalar = z.ndim == 0
+    r2 = z.real * z.real + z.imag * z.imag
+    out = np.zeros(np.broadcast(z, r2).shape, dtype=complex)
+    for n, k in F.support():
+        ca, cb = F.coeff_a(n, k).as_complex(), F.coeff_b(n, k).as_complex()
+        zn = z ** n
+        layer = r2 ** (k - 1) if k > 1 else 1.0
+        out = out + layer * (ca * zn + np.conj(cb * zn))
+    return complex(out[()]) if scalar else out
 
 
 def _terms(F):

@@ -44,6 +44,13 @@ def big(tmp_path):
     return str(path)
 
 
+def off_axis_phm(tmp_path, head: str) -> str:
+    """The map z + (head + i) z^2 for an integer literal ``head``."""
+    path = tmp_path / "off_axis.phm"
+    path.write_text(f"p 1\na 1 1 1 0\na 2 1 {head} 1\n")
+    return str(path)
+
+
 def single_error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -92,6 +99,21 @@ class TestCheck:
         out = kv(capsys)
         assert out["member"] == "false" and out["exact"] == "true"
         assert out["row1_lhs"] == str(2 * 10**400)
+
+    def test_off_axis_coefficient_beyond_float_gets_a_report(self, tmp_path, capsys):
+        # |10**250 + i|^2 = 10**500 + 1 is too large for a float, its root is not
+        path = off_axis_phm(tmp_path, "1" + "0" * 250)
+        assert main(["check", "--class", "hs", path]) == 1
+        out = kv(capsys)
+        assert out["member"] == "false" and out["exact"] == "false" and out["row1_lhs"] == repr(2e250)
+        assert main(["neighborhood", path, path, "--lambda", "1/2"]) == 1
+        assert capsys.readouterr().err.startswith("not a member: ")
+
+    def test_off_axis_root_beyond_float_exits_two(self, tmp_path, capsys):
+        path = off_axis_phm(tmp_path, "3" + "0" * 400)
+        for argv in (["check", "--class", "hs", path], ["neighborhood", path, path, "--lambda", "1/2"]):
+            assert main(argv) == 2
+            assert "overflows float64" in single_error_line(capsys)
 
     def test_float_lambda_is_not_exact(self, f1, capsys):
         # exact magnitudes, but the float lambda rounds the row-1 weights

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phmaps.errors import NonFiniteError
 from phmaps.exact import (
     EPS_STRICT,
     MAX_SCALAR_DIGITS,
@@ -51,6 +53,31 @@ def test_exact_sqrt():
     assert exact_sqrt(Fraction(2)) is None
     assert sqrt_scalar(Fraction(1, 4)) == Fraction(1, 2)
     assert sqrt_scalar(Fraction(2)) == pytest.approx(2**0.5)
+
+
+def within_an_ulp(root: float, q: Fraction) -> bool:
+    """|root - sqrt(q)| <= ulp(root), decided exactly."""
+    ulp = Fraction(math.ulp(root))
+    return (Fraction(root) - ulp) ** 2 <= q <= (Fraction(root) + ulp) ** 2
+
+
+@given(st.integers(1045, 2047), st.integers(1, 10**30), st.integers(1, 2**20))
+def test_sqrt_of_a_rational_beyond_float_range(bits, low, den):
+    q = Fraction(2**bits + low, den)  # at least 2**1025, so float(q) overflows; its root does not
+    root = sqrt_scalar(q)
+    assert isinstance(root, float) and within_an_ulp(root, q)
+
+
+def test_sqrt_keeps_the_float_root_where_the_argument_fits():
+    for q in (Fraction(2), Fraction(2**1023 + 1), Fraction(10**300 + 1, 3), 1e300):
+        assert sqrt_scalar(q) == math.sqrt(float(q))
+
+
+def test_sqrt_raises_only_where_the_root_overflows():
+    assert within_an_ulp(sqrt_scalar(Fraction(2**2047 + 1)), Fraction(2**2047 + 1))
+    for q in (Fraction(9 * 10**800 + 1), Fraction(2**2048 - 1)):  # the second root rounds to 2**1024
+        with pytest.raises(NonFiniteError, match="overflows float64"):
+            sqrt_scalar(q)
 
 
 def test_strict_less_exact_never_uses_epsilon():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 import warnings
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from phmaps import (
@@ -41,6 +44,7 @@ from phmaps import (
 )
 from phmaps.geometry import EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger, _monomials, _on_grid
 from phmaps.sampling import random_member, random_valid_map
+from phmaps.series import Coefficient, PolyharmonicMap
 
 
 def random_interior_points(npr, count):
@@ -442,6 +446,16 @@ class TestDistortionExtremal:
             for r in np.arange(0.1, 1.0, 0.1):
                 assert abs(abs(evaluate(E, r)) - env.upper(r)) <= 1e-12
 
+    def test_phases_per_branch(self):
+        # b11 takes -phases[0], z^2 phases[1] and the z|z|^2 slot phases[2]
+        low = distortion_extremal(Fraction(1, 4), Fraction(1, 4), phases=(0.0, math.pi / 2))
+        assert low == make_map(1, a={(2, 1): (0, Fraction(3, 10))}, b={(1, 1): Fraction(1, 4)})
+        high = distortion_extremal(1, Fraction(1, 8), Fraction(1, 10), phases=(-math.pi / 2, 0.0, math.pi))
+        assert high == make_map(2, a={(2, 1): Fraction(23, 160), (1, 2): Fraction(-1, 10)}, b={(1, 1): (0, Fraction(1, 8))})
+        for lam, phases in ((Fraction(1, 4), (0.0, 0.0, 0.0)), (0, ()), (1, (0.0, 0.0))):
+            with pytest.raises(ValueError, match="phases"):
+                distortion_extremal(lam, 0, phases=phases)
+
     def test_branch_consistency_enforced(self):
         with pytest.raises(ParamError):
             distortion_extremal(Fraction(1, 4), 0, Fraction(1, 10), 0)
@@ -615,6 +629,59 @@ class TestGridKernel:
                 # an argmin may move between tied points, but the old one is as low to rounding
                 at_old = values.flat[np.argmin(ref)]
                 assert at_old == ext.value or at_old - ext.value <= 1e-9 * max(1.0, abs(ext.value)), name
+
+
+# --- the pointwise kernel --------------------------------------------------------
+
+signed_parts = st.floats(min_value=-1, max_value=1) | st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def signed_zero_maps(draw):
+    """A map of up to three layers with float parts, +0.0 and -0.0 among them."""
+    p = draw(st.integers(1, 3))
+    keys = st.tuples(st.integers(1, 6), st.integers(1, p)).filter(lambda nk: nk != (1, 1))
+    entry = st.builds(Coefficient, signed_parts, signed_parts)
+    a = draw(st.dictionaries(keys, entry, max_size=8))
+    b = draw(st.dictionaries(keys, entry, max_size=8))
+    if draw(st.booleans()):
+        b11 = draw(entry)
+        b[(1, 1)] = Coefficient(b11.re / 2, b11.im / 2)  # |b11| <= 1/sqrt(2)
+    return PolyharmonicMap(p, {(1, 1): Coefficient(1, 0), **a}, b)
+
+
+def bits(values) -> np.ndarray:
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+@given(signed_zero_maps())
+def test_evaluate_matches_the_reference_loop_bit_for_bit(F):
+    z = DiskGrid(4, 16, 0.9).points()
+    for points in (z, z[1], np.asarray(z[2, 5]), complex(z[3, 7]), 0j, complex(-0.0, -0.0), np.asarray(0j)):
+        got, want = evaluate(F, points), helpers.reference_evaluate(F, points)
+        assert type(got) is type(want)
+        assert np.array_equal(bits(got), bits(want))
+
+
+def term_scale(F, r, weight, drop=0):
+    """The sum over the series' terms of (|a|+|b|) weight(n, k) r^(n+2(k-1)-drop):
+    the size that a rounding error in a term-by-term sum is relative to."""
+    return sum((abs(F.coeff_a(n, k).as_complex()) + abs(F.coeff_b(n, k).as_complex()))
+               * weight(n, k) * r ** (n + 2 * (k - 1) - drop) for n, k in F.support())
+
+
+def test_pointwise_derivatives_match_term_loops_off_the_grid():
+    npr = np.random.default_rng(0x9017)
+    r, theta = npr.uniform(0.0, 0.995, 257), npr.uniform(-np.pi, 3 * np.pi, 257)
+    z = r * np.exp(1j * theta)
+    for name, F in KERNEL_MAPS + [("half-plane-64", half_plane_map(64))]:
+        for order in (1, 2):
+            got = theta_derivative(F, r, theta, order)
+            err = np.abs(got - helpers.term_loop_theta_derivative(F, r, theta, order))
+            assert np.all(err <= 1e-12 * term_scale(F, r, lambda n, k: n ** order)), (name, order)
+        err = np.abs(jacobian(F, z) - helpers.term_loop_jacobian(F, z))
+        # F_z and F_zbar carry the terms' degrees n + 2(k-1) and one power of r less
+        assert np.all(err <= 1e-12 * term_scale(F, r, lambda n, k: n + 2 * (k - 1), drop=1) ** 2), name
 
 
 def serialiser_maps():
