@@ -16,7 +16,7 @@ import sys
 from . import catalog
 from .classes import ClassParams, Family, membership
 from .errors import MAX_GRID_POINTS, NotMemberError, PhmapsError
-from .exact import parse_scalar
+from .exact import format_scalar, parse_scalar
 from .operators import convolve, integral_convolve, neighborhood_report
 from .phmio import load_map, save_map, serialize_map
 from .series import PolyharmonicMap
@@ -172,10 +172,11 @@ def _cmd_verify(args) -> int:
     rings, rays = args.grid if args.grid else (32, 256)
     if args.grid is None and suite == "convex":
         rings, rays = 8, 4096  # dense boundary sweep
-    r_max = float(args.radius) if args.radius is not None else 0.995
-    if not 0 < r_max < 1:
-        print(f"error: --r must lie in (0,1), got {r_max}", file=sys.stderr)
+    radius = args.radius if args.radius is not None else 0.995
+    if not 0 < radius < 1:  # compared exactly: an exact radius may not convert to float
+        print(f"error: --r must lie in (0,1), got {format_scalar(radius)}", file=sys.stderr)
         return EXIT_USAGE
+    r_max = float(radius)
     distortion = suite == "distortion" or (suite == "all" and args.lam is not None)
     if distortion and args.lam is None:
         print("error: --lambda is required for the distortion suite", file=sys.stderr)

@@ -38,7 +38,8 @@ class GridTooLargeError(PhmapsError):
 
 
 class NonFiniteError(PhmapsError):
-    """A coefficient, grid value or image extent does not fit float64 (NaN or infinite)."""
+    """A coefficient, grid value or image extent does not fit float64 (NaN or infinite),
+    or a monomial degree does not fit int64."""
 
 
 class ZeroValueError(PhmapsError):

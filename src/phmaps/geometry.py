@@ -59,7 +59,10 @@ COLLISION_FACTOR = 0.1
 
 def _monomials(F: PolyharmonicMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The support as a monomial table (alpha, beta, c), F(z) = sum c z^alpha conj(z)^beta:
-    a[n,k] |z|^(2(k-1)) z^n is (n+k-1, k-1, a), |z|^(2(k-1)) conj(b[n,k] z^n) is (k-1, n+k-1, conj b)."""
+    a[n,k] |z|^(2(k-1)) z^n is (n+k-1, k-1, a), |z|^(2(k-1)) conj(b[n,k] z^n) is (k-1, n+k-1, conj b).
+    A total degree alpha + beta = n + 2k - 2 of 2**63 or more raises NonFiniteError."""
+    if max(n + 2 * k for n, k in (*F.a, *F.b)) - 2 >= 2 ** 63:
+        raise NonFiniteError("a monomial degree n + 2k - 2 reaches 2**63 and does not fit int64")
     rows = [(n + k - 1, k - 1, c.as_complex()) for (n, k), c in F.a.items()]
     rows += [(k - 1, n + k - 1, c.as_complex().conjugate()) for (n, k), c in F.b.items()]
     return tuple(np.array(col) for col in zip(*rows))  # never empty: a[1,1] = 1
@@ -174,7 +177,10 @@ class DiskGrid:
             raise ParamError(f"rays must be >= 3, got {self.rays}")
         if not 0 < self.r_max < 1:
             raise ParamError(f"r_max must lie in (0,1), got {self.r_max}")
-        gap = self.r_max * self._first_ring / self.rings * 2 * np.sin(np.pi / self.rays)
+        try:
+            gap = self.r_max * self._first_ring / self.rings * 2 * np.sin(np.pi / self.rays)
+        except OverflowError:
+            raise ParamError("rings and rays must convert to float64") from None
         if gap < 2.0 ** -1000:
             raise ParamError(f"r_max={self.r_max!r} is too small for float64: neighbouring points of the "
                              f"innermost ring lie {gap:.3g} apart, below 2**-1000")
@@ -585,17 +591,19 @@ def distortion_check(F: PolyharmonicMap, lam, samples: int = 1000, seed: int = 0
 def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0, tol: float = 1e-12) -> bool:
     """Sampled per-layer bound |G_k(z)| <= (|a[1,k]|+|b[1,k]|)|z| + (1-|b11|)/(2(1+lambda))|z|^2.
 
-    ``samples`` lies in [1, MAX_GRID_POINTS] (GridTooLargeError above, ParamError below).
+    Only the layers that carry a coefficient are checked: an absent layer has
+    G_k = 0, which meets its bound for any tol >= 0. ``samples`` lies in
+    [1, MAX_GRID_POINTS] (GridTooLargeError above, ParamError below).
     """
     r, z = _disk_samples(samples, seed)
     lam = float(_hs_lambda_member(F, lam).params.lam)
     c2 = (1.0 - float(F.coeff_b(1, 1).magnitude())) / (2.0 * (1.0 + lam))
     alpha, beta, c = _monomials(F)
     low = np.minimum(alpha, beta)
-    for k in range(1, F.p + 1):  # G_k: the rows with min(alpha, beta) = k-1, without |z|^(2(k-1))
-        row = low == k - 1
-        g = np.abs(_pointwise((alpha[row] - (k - 1), beta[row] - (k - 1), c[row]), z))
-        lead = float(F.coeff_a(1, k).magnitude() + F.coeff_b(1, k).magnitude())
+    for m in sorted(set(low.tolist())):  # G_k: the rows with min(alpha, beta) = m = k-1, without |z|^(2m)
+        row = low == m
+        g = np.abs(_pointwise((alpha[row] - m, beta[row] - m, c[row]), z))
+        lead = float(F.coeff_a(1, m + 1).magnitude() + F.coeff_b(1, m + 1).magnitude())
         if not np.all(g <= lead * r + c2 * r * r + tol):
             return False
     return True

@@ -4,8 +4,9 @@ Convolution and integral convolution multiply coefficient tables entrywise
 (the latter dividing degree-n terms by n), convex combinations average them,
 and rescaling r^{-1} F(r z) multiplies entry (n, k) by r^(2k+n-3). The
 neighborhood distance is the weighted l1 metric used by the inclusion bound
-``delta_bound``. Maps of different depth are zero-padded, matching the series
-semantics. Everything here is pure and exactness-preserving.
+``delta_bound``. Absent entries are zero, matching the series semantics, so
+maps of different depth need no padding. Everything here is pure and
+exactness-preserving.
 
 The paper's coefficient results for members of hs-lambda live here too: the
 convexity radius with its exact rescaling certificate, and the distortion
@@ -18,23 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classes import MembershipReport, hc, hs_lambda, membership, weight
+from .classes import MembershipReport, hc, hs_lambda, membership
 from .errors import NotMemberError, ParamError, WeightError
 from .exact import EPS_STRICT, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, weighted_pair
 from .series import Coefficient, Key, PolyharmonicMap, ZERO
 
 
-def _padded_pair(F: PolyharmonicMap, G: PolyharmonicMap) -> tuple[PolyharmonicMap, PolyharmonicMap]:
-    p = max(F.p, G.p)
-    return F.padded(p), G.padded(p)
-
-
 def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
     """Entrywise product of coefficient tables; support is the intersection."""
-    F, G = _padded_pair(F, G)
     a = {key: F.a[key] * G.a[key] for key in F.a.keys() & G.a.keys()}
     b = {key: F.b[key] * G.b[key] for key in F.b.keys() & G.b.keys()}
-    return PolyharmonicMap(F.p, a, b)
+    return PolyharmonicMap(max(F.p, G.p), a, b)
 
 
 def _over(c: Coefficient, n: int) -> Coefficient:
@@ -47,10 +42,9 @@ def _over(c: Coefficient, n: int) -> Coefficient:
 
 def integral_convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
     """Entrywise product with each degree-n term divided by n."""
-    F, G = _padded_pair(F, G)
     a = {(n, k): _over(F.a[(n, k)] * G.a[(n, k)], n) for n, k in F.a.keys() & G.a.keys()}
     b = {(n, k): _over(F.b[(n, k)] * G.b[(n, k)], n) for n, k in F.b.keys() & G.b.keys()}
-    return PolyharmonicMap(F.p, a, b)
+    return PolyharmonicMap(max(F.p, G.p), a, b)
 
 
 @dataclass(frozen=True)
@@ -106,17 +100,16 @@ def rescale(F: PolyharmonicMap, r) -> PolyharmonicMap:
 def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     """Weighted l1 distance between coefficient tables.
 
-    Weights: (2(k-1)+n) for n >= 2; (2k-1) for the first-degree coefficients of
-    layers k >= 2; plain |b11 - B11| for the k=1 antianalytic leader.
+    Weights: the lambda = 0 row-1 weight 2(k-1)+n, which is 2k-1 for the
+    first-degree coefficients of layers k >= 2 and 1 for the k=1 antianalytic
+    leader, whose plain |b11 - B11| is added last.
     """
-    F, G = _padded_pair(F, G)
     terms = []
     keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
     for n, k in sorted(keys, key=lambda nk: (nk[1], nk[0])):
         da = (F.coeff_a(n, k) - G.coeff_a(n, k)).magnitude()
         db = (F.coeff_b(n, k) - G.coeff_b(n, k)).magnitude()
-        w = (2 * (k - 1) + n) if n >= 2 else (2 * k - 1)
-        terms.append(weighted_pair((w, 1), da, db))
+        terms.append(weighted_pair((2 * (k - 1) + n, 1), da, db))
     terms.append((F.coeff_b(1, 1) - G.coeff_b(1, 1)).magnitude())
     return fold_sum(terms)
 
@@ -192,28 +185,19 @@ def convexity_radius(lam) -> Scalar:
 def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:
     """Exact certificate that rescale(F, r) satisfies the hc row-1 condition.
 
-    Checks the per-term inequality (2(k-1)+n^2) r^(2k+n-3) <= weight(n,k,lambda)
-    over the support, the summed form <= 1, and the hc row-1 margin of the
-    rescaled map. All three are exact for rational inputs.
+    F must lie in hs-lambda (NotMemberError) and r in (0, convexity_radius(lam)]
+    (ParamError). The certificate is then the hc row-1 margin of rescale(F, r),
+    exact for rational inputs. The paper's two further conditions follow from it:
+    the per-term bound (2(k-1)+n^2) r^(2k+n-3) <= weight(n, k, lambda) holds for
+    every n >= 2, k >= 1 and such r, and the summed form
+    sum (2(k-1)+n^2) r^(2k+n-3) (|a|+|b|) <= 1 is the rescaled map's hc row-1
+    left side, which a nonnegative margin bounds by a right side of at most 1.
     """
     lam, r = as_scalar(lam), as_scalar(r)
     _hs_lambda_member(F, lam)
-    if not 0 < r <= convexity_radius(lam):
-        raise ParamError(
-            f"radius {format_scalar(r)} outside (0, {format_scalar(convexity_radius(lam))}]"
-        )
-    total: Scalar = Fraction(0)
-    for n, k in F.support():
-        if n < 2:
-            continue
-        hc_weight = 2 * (k - 1) + n * n
-        scale = r ** (2 * k + n - 3)
-        if not hc_weight * scale <= weight(n, k, lam):
-            return False
-        pair = F.coeff_a(n, k).magnitude() + F.coeff_b(n, k).magnitude()
-        total = total + hc_weight * pair * scale
-    if not total <= 1:
-        return False
+    radius = convexity_radius(lam)
+    if not 0 < r <= radius:
+        raise ParamError(f"radius {format_scalar(r)} outside (0, {format_scalar(radius)}]")
     return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
 
 

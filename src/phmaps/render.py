@@ -40,6 +40,12 @@ class RenderSpec:
             raise ParamError(f"samples_per_curve must be >= 64, got {self.samples_per_curve}")
         if self.width < 100 or self.height < 100:
             raise ParamError("canvas must be at least 100x100")
+        try:
+            finite = np.isfinite([float(self.width), float(self.height)]).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParamError("canvas width and height must be finite float64 numbers")
         if not 0 <= self.margin < 0.5:
             raise ParamError(f"margin fraction must lie in [0, 0.5), got {self.margin}")
         vertices = (self.grid.rings + self.grid.rays) * (self.samples_per_curve + 1)

@@ -189,13 +189,7 @@ def random_perturbation(rng: random.Random, F: PolyharmonicMap, budget) -> Polyh
         k = rng.randint(1, F.p)
         if letter == "a" and n == 1 and k == 1:
             letter = "b"
-        if n >= 2:
-            w = 2 * (k - 1) + n
-        elif k >= 2:
-            w = 2 * k - 1
-        else:
-            w = 1  # the |b11 - B11| term
-        mag = fill * budget * share / w
+        mag = fill * budget * share / (2 * (k - 1) + n)  # the neighborhood weight, 1 for b11
         if not mag:
             continue
         table = a if letter == "a" else b

@@ -23,8 +23,10 @@ import numpy as np
 from hypothesis import strategies as st
 
 from phmaps import evaluate, theta_derivative
-from phmaps.classes import Family, MembershipReport, weight
-from phmaps.exact import is_exact, strict_less
+from phmaps.classes import Family, MembershipReport, hc, membership, weight
+from phmaps.errors import ParamError
+from phmaps.exact import as_scalar, is_exact, strict_less
+from phmaps.operators import _hs_lambda_member, convexity_radius, rescale
 from phmaps.series import Coefficient, PolyharmonicMap
 from phmaps.geometry import COLLISION_FACTOR
 
@@ -220,6 +222,15 @@ def reference_product(x: Coefficient, y: Coefficient) -> Coefficient:
     return Coefficient(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
 
 
+def reference_convolve(F, G) -> PolyharmonicMap:
+    """Entrywise four-product form over both maps padded to the larger depth."""
+    p = max(F.p, G.p)
+    F, G = F.padded(p), G.padded(p)
+    a = {key: reference_product(F.a[key], G.a[key]) for key in F.a.keys() & G.a.keys()}
+    b = {key: reference_product(F.b[key], G.b[key]) for key in F.b.keys() & G.b.keys()}
+    return PolyharmonicMap(p, a, b)
+
+
 def reference_integral_convolve(F, G) -> PolyharmonicMap:
     """Entrywise four-product form, each part multiplied by a newly built Fraction(1, n)."""
     p = max(F.p, G.p)
@@ -232,6 +243,28 @@ def reference_integral_convolve(F, G) -> PolyharmonicMap:
     a = {(n, k): entry(F.a[(n, k)], G.a[(n, k)], n) for n, k in F.a.keys() & G.a.keys()}
     b = {(n, k): entry(F.b[(n, k)], G.b[(n, k)], n) for n, k in F.b.keys() & G.b.keys()}
     return PolyharmonicMap(p, a, b)
+
+
+def reference_rescale_convexity_certificate(F, lam, r) -> bool:
+    """The certificate as three checks over the support: the per-term inequality
+    (2(k-1)+n^2) r^(2k+n-3) <= weight(n,k,lambda), the summed form <= 1, and the
+    hc row-1 margin of rescale(F, r)."""
+    lam, r = as_scalar(lam), as_scalar(r)
+    _hs_lambda_member(F, lam)
+    if not 0 < r <= convexity_radius(lam):
+        raise ParamError(f"radius {r} outside (0, {convexity_radius(lam)}]")
+    total = Fraction(0)
+    for n, k in F.support():
+        if n < 2:
+            continue
+        hc_weight = 2 * (k - 1) + n * n
+        scale = r ** (2 * k + n - 3)
+        if not hc_weight * scale <= weight(n, k, lam):
+            return False
+        total = total + hc_weight * (F.coeff_a(n, k).magnitude() + F.coeff_b(n, k).magnitude()) * scale
+    if not total <= 1:
+        return False
+    return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
 
 
 def reference_membership(F, params) -> MembershipReport:

@@ -44,6 +44,17 @@ def big(tmp_path):
     return str(path)
 
 
+BEYOND_FLOAT = str(10**400)  # an exact integer that float64 cannot hold
+
+
+@pytest.fixture(params=[10**20, 10**400], ids=["n=1e20", "n=1e400"])
+def huge_degree(request, tmp_path):
+    """z + z^n / 2, with a degree n that int64 cannot hold."""
+    path = tmp_path / "huge_degree.phm"
+    path.write_text(f"p 1\na 1 1 1 0\na {request.param} 1 1/2 0\n")
+    return str(path)
+
+
 def off_axis_phm(tmp_path, head: str) -> str:
     """The map z + (head + i) z^2 for an integer literal ``head``."""
     path = tmp_path / "off_axis.phm"
@@ -114,6 +125,11 @@ class TestCheck:
         for argv in (["check", "--class", "hs", path], ["neighborhood", path, path, "--lambda", "1/2"]):
             assert main(argv) == 2
             assert "overflows float64" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("family", ["hs", "hc"])
+    def test_degree_beyond_int64_keeps_an_exact_report(self, huge_degree, capsys, family):
+        assert main(["check", "--class", family, huge_degree]) == 1
+        assert kv(capsys)["exact"] == "true"
 
     def test_float_lambda_is_not_exact(self, f1, capsys):
         # exact magnitudes, but the float lambda rounds the row-1 weights
@@ -279,6 +295,20 @@ class TestVerify:
             assert main(["verify", str(path), "--suite", "injective"]) == 2
         assert "too wide for float64" in single_error_line(capsys)
 
+    def test_radius_beyond_float_exits_two(self, f1, capsys):
+        assert main(["verify", f1, "--r", BEYOND_FLOAT]) == 2
+        assert "--r must lie in (0,1)" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("grid", [f"4x{BEYOND_FLOAT}", f"{BEYOND_FLOAT}x4"], ids=["rays", "rings"])
+    def test_grid_beyond_float_exits_two(self, f1, capsys, grid):
+        assert main(["verify", f1, "--grid", grid]) == 2
+        assert "rings and rays" in single_error_line(capsys)
+
+    @pytest.mark.parametrize("suite", ["jacobian", "all"])
+    def test_degree_beyond_int64_exits_two(self, huge_degree, capsys, suite):
+        assert main(["verify", huge_degree, "--suite", suite]) == 2
+        assert "does not fit int64" in single_error_line(capsys)
+
     def test_distortion_sample_budget_checked_before_grid(self, f1, capsys):
         assert main(["verify", f1, "--suite", "all", "--lambda", "2/3", "--samples", str(10**12)]) == 2
         single_error_line(capsys)
@@ -315,6 +345,26 @@ class TestRender:
             warnings.simplefilter("error")
             assert main(["render", big, "-o", str(svg)]) == 2
         assert "overflows float64" in single_error_line(capsys)
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_canvas_beyond_float_exits_two(self, f1, tmp_path, capsys, flag):
+        svg = tmp_path / "wide.svg"
+        assert main(["render", f1, "-o", str(svg), flag, BEYOND_FLOAT]) == 2
+        assert "canvas width and height" in single_error_line(capsys)
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("flag", ["--rings", "--rays"])
+    def test_curves_beyond_float_exit_two(self, f1, tmp_path, capsys, flag):
+        svg = tmp_path / "dense.svg"
+        assert main(["render", f1, "-o", str(svg), flag, BEYOND_FLOAT]) == 2
+        assert "rings and rays" in single_error_line(capsys)
+        assert not svg.exists()
+
+    def test_degree_beyond_int64_exits_two(self, huge_degree, tmp_path, capsys):
+        svg = tmp_path / "huge.svg"
+        assert main(["render", huge_degree, "-o", str(svg)]) == 2
+        assert "does not fit int64" in single_error_line(capsys)
         assert not svg.exists()
 
     def test_csv_render_evaluates_once_per_curve_family(self, f2, tmp_path, monkeypatch):
@@ -393,8 +443,8 @@ class TestExtremalAndCatalog:
 
 
 # Values for the numeric flags: valid, out of range, huge, non-finite and unparseable.
-TOKENS = st.sampled_from(["2", "3", "1/2", "0.9", "0", "-1", str(10**12), "inf", "-inf", "nan", "1e400", "1e-400",
-                          "10**12", "x", "", "1/0", "2/x"])
+TOKENS = st.sampled_from(["2", "3", "1/2", "0.9", "0", "-1", str(10**12), str(10**400), "inf", "-inf", "nan", "1e400",
+                          "1e-400", "10**12", "x", "", "1/0", "2/x"])
 
 # Per command: a valid argv, its choice-valued options, and the numeric flags a draw overrides.
 # `{f1}` and `{out}` stand for an input map and an output path.

@@ -16,6 +16,7 @@ from helpers import (
     assert_same_report,
     coefficients,
     maps,
+    reference_convolve,
     reference_integral_convolve,
     reference_membership,
     reference_neighborhood_distance,
@@ -24,7 +25,7 @@ from helpers import (
 )
 from phmaps import Coefficient, example_F1, example_F2, half_plane_map, hc, hs, hs_lambda, make_map, membership
 from phmaps.exact import fold_sum, weighted_pair
-from phmaps.operators import integral_convolve, neighborhood_distance
+from phmaps.operators import convolve, integral_convolve, neighborhood_distance
 
 lams = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=30), st.floats(min_value=0, max_value=1))
 scalars = st.one_of(st.fractions(max_denominator=10**6), st.floats(min_value=-1e6, max_value=1e6),
@@ -89,14 +90,33 @@ def test_neighborhood_distance_matches_the_fraction_loop(F, G):
     assert same(neighborhood_distance(F, F), reference_neighborhood_distance(F, F))
 
 
-@given(maps(), maps())
-def test_integral_convolve_matches_the_fraction_loop(F, G):
-    got, want = integral_convolve(F, G), reference_integral_convolve(F, G)
+def assert_same_map(got, want) -> None:
     assert got.p == want.p
     for table, expected in ((got.a, want.a), (got.b, want.b)):
         assert table.keys() == expected.keys()
         for key, c in table.items():
             assert same(c.re, expected[key].re) and same(c.im, expected[key].im), key
+
+
+@given(maps(), maps())
+def test_integral_convolve_matches_the_fraction_loop(F, G):
+    assert_same_map(integral_convolve(F, G), reference_integral_convolve(F, G))
+
+
+@given(maps(), maps())
+def test_convolve_matches_the_fraction_loop(F, G):
+    assert_same_map(convolve(F, G), reference_convolve(F, G))
+
+
+@pytest.mark.parametrize("shallow, deep", [("f1", "pythagorean"), ("h8", "irrational"), ("decimal_f1", "mixed")])
+def test_maps_of_different_depth_match_the_padded_loops(shallow, deep):
+    """Absent layers are zero: no operand is padded, yet both orders agree with the padded references."""
+    F, G = NAMED[shallow], NAMED[deep]
+    assert F.p < G.p
+    for x, y in ((F, G), (G, F)):
+        assert same(neighborhood_distance(x, y), reference_neighborhood_distance(x, y))
+        assert_same_map(convolve(x, y), reference_convolve(x, y))
+        assert_same_map(integral_convolve(x, y), reference_integral_convolve(x, y))
 
 
 @given(coefficients(), coefficients(), st.one_of(st.fractions(max_denominator=100), st.floats(-4, 4)))

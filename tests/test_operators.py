@@ -1,15 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from helpers import reference_rescale_convexity_certificate
 from phmaps import (
+    Coefficient,
+    ExtremalSpec,
     NotMemberError,
     ParamError,
+    PolyharmonicMap,
     WeightError,
     ch0_certificate,
     combine,
+    convexity_radius,
     convolve,
     delta_bound,
+    extremal_point,
     example_F1,
     example_F2,
     half_plane_map,
@@ -23,6 +32,7 @@ from phmaps import (
     neighborhood_distance,
     neighborhood_report,
     rescale,
+    rescale_convexity_certificate,
 )
 from phmaps.sampling import (
     random_certified_map,
@@ -221,3 +231,66 @@ class TestCh0Certificate:
             assert ch0_certificate(H)
             assert membership(convolve(F, H), hs(normalized=True)).member
             assert membership(integral_convolve(F, H), hc(normalized=True)).member
+
+
+def certificate_outcome(certificate, F, lam, r):
+    """The certificate's value, or the class of the exception it raises."""
+    try:
+        return certificate(F, lam, r)
+    except Exception as e:
+        return type(e)
+
+
+def off_axis(F: PolyharmonicMap, turn: Coefficient) -> PolyharmonicMap:
+    """F with every coefficient but a[1,1] multiplied by ``turn``."""
+    a = {key: c if key == (1, 1) else c * turn for key, c in F.a.items()}
+    return PolyharmonicMap(F.p, a, {key: c * turn for key, c in F.b.items()})
+
+
+# (2 + i)/3 turns an axis coefficient off the axes, with the irrational magnitude sqrt(5)/3.
+IRRATIONAL_TURN = Coefficient(Fraction(2, 3), Fraction(1, 3))
+
+
+@st.composite
+def certificate_cases(draw):
+    """An exact member of hs-lambda (tight or not, p <= 3, lambda on a 1/100 grid),
+    possibly turned off-axis; a certificate lambda, mostly the member's own; and a
+    radius that is convexity_radius(lambda) times j/8, j = 1..9, so j = 9 lies outside."""
+    lam = Fraction(draw(st.integers(0, 100)), 100)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    F = random_member(rng, draw(st.integers(1, 3)), lam, normalized=draw(st.booleans()), tight=draw(st.booleans()))
+    if draw(st.booleans()):
+        F = off_axis(F, IRRATIONAL_TURN)
+    if draw(st.integers(0, 4)) == 0:
+        lam = Fraction(draw(st.integers(0, 100)), 100)
+    r = convexity_radius(lam) * Fraction(draw(st.sampled_from((8, 8, 1, 2, 3, 4, 5, 6, 7, 9))), 8)
+    return F, lam, r
+
+
+class TestRescaleConvexityCertificate:
+    @given(certificate_cases())
+    def test_hc_membership_decides_on_exact_input(self, case):
+        assert (certificate_outcome(rescale_convexity_certificate, *case)
+                == certificate_outcome(reference_rescale_convexity_certificate, *case))
+
+    def test_hc_membership_decides_on_float_input(self):
+        """Float coefficients (some perturbed in the last bits), float lambda and r, fixed seeds."""
+        rng = random.Random(20131)
+        for _ in range(300):
+            lam = Fraction(rng.randint(0, 100), 100)
+            F = random_member(rng, rng.randint(1, 3), lam, normalized=rng.random() < 0.5, tight=rng.random() < 0.5)
+            wobble = rng.choice((0.0, 1e-15))
+            a = {key: (float(c.re) * (1 + rng.uniform(-wobble, wobble)), float(c.im)) for key, c in F.a.items()
+                 if key != (1, 1)}
+            F = make_map(F.p, a=a, b={key: (float(c.re), float(c.im)) for key, c in F.b.items()})
+            r = convexity_radius(lam) * Fraction(rng.choice((8, 8, 1, 4, 7, 9)), 8)
+            for case in ((F, lam, r), (F, float(lam), float(r))):
+                assert (certificate_outcome(rescale_convexity_certificate, *case)
+                        == certificate_outcome(reference_rescale_convexity_certificate, *case))
+
+    @pytest.mark.parametrize("n, lam, r", [(2, Fraction(0), Fraction(1, 2)), (3, Fraction(1), Fraction(1))])
+    def test_exact_at_a_zero_hc_margin(self, n, lam, r):
+        """Tight extremal maps where every per-term bound is an equality: the hc margin is exactly 0."""
+        F = extremal_point(ExtremalSpec(n=n, k=1, lam=lam))
+        assert membership(rescale(F, r), hc()).row1_margin == 0
+        assert rescale_convexity_certificate(F, lam, r)
