@@ -54,6 +54,7 @@ from .operators import (
     delta_bound,
     distortion_envelope,
     integral_convolve,
+    layer_bound_check,
     neighborhood_distance,
     neighborhood_report,
     rescale,
@@ -78,7 +79,6 @@ _LAZY = {
             "distortion_check",
             "evaluate",
             "jacobian",
-            "layer_bound_check",
             "theta_derivative",
             "verify_geometry",
             "wirtinger_derivatives",

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import catalog
-from .classes import ClassParams, Family, membership
+from .classes import ClassParams, Family, hs_lambda, membership
 from .errors import MAX_GRID_POINTS, NotMemberError, PhmapsError
 from .exact import format_scalar, parse_scalar
 from .operators import convolve, integral_convolve, neighborhood_report
@@ -181,9 +181,14 @@ def _cmd_verify(args) -> int:
     if distortion and args.lam is None:
         print("error: --lambda is required for the distortion suite", file=sys.stderr)
         return EXIT_USAGE
-    if distortion and args.samples > MAX_GRID_POINTS:
-        print(f"error: --samples {args.samples} exceeds {MAX_GRID_POINTS}", file=sys.stderr)
-        return EXIT_USAGE
+    if distortion:  # every distortion flag is checked before the first report line
+        hs_lambda(args.lam)  # ParamError for lambda outside [0, 1]
+        for bad, message in ((args.samples > MAX_GRID_POINTS, f"--samples {args.samples} exceeds {MAX_GRID_POINTS}"),
+                             (args.samples < 1, f"samples must be >= 1, got {args.samples}"),
+                             (args.seed < 0, f"--seed must be >= 0, got {args.seed}")):
+            if bad:
+                print(f"error: {message}", file=sys.stderr)
+                return EXIT_USAGE
 
     ok = True
     if grid_checks:

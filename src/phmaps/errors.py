@@ -33,8 +33,8 @@ class ParamError(PhmapsError):
 
 class GridTooLargeError(PhmapsError):
     """A size knob exceeds MAX_GRID_POINTS: verify grid points, render vertices,
-    distortion or layer samples, or the half-plane truncation degree. Each is
-    checked before anything is allocated."""
+    distortion samples, or the half-plane truncation degree. Each is checked
+    before anything is allocated."""
 
 
 class NonFiniteError(PhmapsError):

@@ -42,7 +42,7 @@ from .errors import (
     ZeroValueError,
 )
 from .exact import kv_lines
-from .operators import _hs_lambda_member, distortion_envelope
+from .operators import distortion_envelope
 from .series import PolyharmonicMap
 
 EPS_ZERO = 1e-12          # nondegeneracy threshold for denominators, relative to |z|
@@ -547,22 +547,6 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
 # --- distortion --------------------------------------------------------------
 
 
-def _disk_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(r, z): ``samples`` seeded points z = r e^{i theta} with r in [0, 0.999).
-
-    A count above MAX_GRID_POINTS raises GridTooLargeError before anything is
-    drawn, and one below 1 ParamError: no sample would pass vacuously.
-    """
-    if samples > MAX_GRID_POINTS:
-        raise GridTooLargeError(f"{samples} samples exceed {MAX_GRID_POINTS}")
-    if samples < 1:
-        raise ParamError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    r = rng.uniform(0.0, 0.999, samples)
-    theta = rng.uniform(0.0, 2.0 * np.pi, samples)
-    return r, r * np.exp(1j * theta)
-
-
 @dataclass(frozen=True)
 class DistortionReport:
     """Least margins of sampled |F| inside its distortion envelope (negative: outside)."""
@@ -581,29 +565,15 @@ class DistortionReport:
 
 
 def distortion_check(F: PolyharmonicMap, lam, samples: int = 1000, seed: int = 0) -> DistortionReport:
-    """|F| against distortion_envelope(F, lam) at ``samples`` seeded points with |z| < 0.999."""
-    r, z = _disk_samples(samples, seed)
+    """|F| against distortion_envelope(F, lam) at ``samples`` seeded points with |z| < 0.999;
+    GridTooLargeError above MAX_GRID_POINTS before any is drawn, ParamError below 1."""
+    if samples > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"{samples} samples exceed {MAX_GRID_POINTS}")
+    if samples < 1:
+        raise ParamError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, 0.999, samples)
+    z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, samples))
     env = distortion_envelope(F, lam)
     mags = np.abs(evaluate(F, z))
     return DistortionReport(env.branch, float(np.min(mags - env.lower(r))), float(np.min(env.upper(r) - mags)))
-
-
-def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0, tol: float = 1e-12) -> bool:
-    """Sampled per-layer bound |G_k(z)| <= (|a[1,k]|+|b[1,k]|)|z| + (1-|b11|)/(2(1+lambda))|z|^2.
-
-    Only the layers that carry a coefficient are checked: an absent layer has
-    G_k = 0, which meets its bound for any tol >= 0. ``samples`` lies in
-    [1, MAX_GRID_POINTS] (GridTooLargeError above, ParamError below).
-    """
-    r, z = _disk_samples(samples, seed)
-    lam = float(_hs_lambda_member(F, lam).params.lam)
-    c2 = (1.0 - float(F.coeff_b(1, 1).magnitude())) / (2.0 * (1.0 + lam))
-    alpha, beta, c = _monomials(F)
-    low = np.minimum(alpha, beta)
-    for m in sorted(set(low.tolist())):  # G_k: the rows with min(alpha, beta) = m = k-1, without |z|^(2m)
-        row = low == m
-        g = np.abs(_pointwise((alpha[row] - m, beta[row] - m, c[row]), z))
-        lead = float(F.coeff_a(1, m + 1).magnitude() + F.coeff_b(1, m + 1).magnitude())
-        if not np.all(g <= lead * r + c2 * r * r + tol):
-            return False
-    return True

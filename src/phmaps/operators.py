@@ -9,8 +9,9 @@ maps of different depth need no padding. Everything here is pure and
 exactness-preserving.
 
 The paper's coefficient results for members of hs-lambda live here too: the
-convexity radius with its exact rescaling certificate, and the distortion
-envelope, whose float coefficients `geometry.distortion_check` samples.
+convexity radius with its exact rescaling certificate, the per-layer bound,
+and the distortion envelope, whose float coefficients
+`geometry.distortion_check` samples.
 """
 
 from __future__ import annotations
@@ -199,6 +200,28 @@ def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:
     if not 0 < r <= radius:
         raise ParamError(f"radius {format_scalar(r)} outside (0, {format_scalar(radius)}]")
     return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
+
+
+def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0, tol: float = 1e-12) -> bool:
+    """Per-layer bound |G_k(z)| <= (|a[1,k]|+|b[1,k]|)|z| + c2 |z|^2 on |z| <= 1, from the coefficients.
+
+    F must lie in hs-lambda (NotMemberError). Then each layer F has must keep
+    tail_k = sum_{n>=2} (|a[n,k]|+|b[n,k]|) <= c2 + tol, c2 = (1-|b11|)/(2(1+lambda)),
+    compared exactly for exact input. Members pass at tol = 0 for every lambda in
+    [0, 1]: each n >= 2 entry has row-1 weight 2(k-1) + n(lambda n + 1 - lambda) >=
+    2(1+lambda), and row 1 bounds the weighted sum by 2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|)
+    <= 1 - |b11|, so sum_k tail_k <= c2 and |G_k(z)| <= lead_k |z| + tail_k |z|^2.
+
+    ``samples`` and ``seed`` are unused, kept for callers of the sampled check this replaced.
+    """
+    lam = _hs_lambda_member(F, lam).params.lam
+    c2 = (1 - F.coeff_b(1, 1).magnitude()) / (2 * (1 + lam))
+    tails: dict[int, list] = {}
+    for n, k in F.support():
+        tail = tails.setdefault(k, [])
+        if n >= 2:
+            tail.append(weighted_pair((1, 1), F.coeff_a(n, k).magnitude(), F.coeff_b(n, k).magnitude()))
+    return all(fold_sum(tail) - c2 <= tol for tail in tails.values())
 
 
 def _cubic(coeffs: tuple[float, float, float], r):

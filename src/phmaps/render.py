@@ -38,14 +38,8 @@ class RenderSpec:
     def __post_init__(self):
         if self.samples_per_curve < 64:
             raise ParamError(f"samples_per_curve must be >= 64, got {self.samples_per_curve}")
-        if self.width < 100 or self.height < 100:
-            raise ParamError("canvas must be at least 100x100")
-        try:
-            finite = np.isfinite([float(self.width), float(self.height)]).all()
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ParamError("canvas width and height must be finite float64 numbers")
+        if not (100 <= self.width <= MAX_GRID_POINTS and 100 <= self.height <= MAX_GRID_POINTS):  # NaN fails too
+            raise ParamError(f"canvas width and height must lie in [100, {MAX_GRID_POINTS}]")
         if not 0 <= self.margin < 0.5:
             raise ParamError(f"margin fraction must lie in [0, 0.5), got {self.margin}")
         vertices = (self.grid.rings + self.grid.rays) * (self.samples_per_curve + 1)

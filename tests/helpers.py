@@ -11,7 +11,8 @@ loops they replaced, which define the results bit for bit, and the batched
 renderer against the per-curve evaluation and per-vertex formatting it
 replaced, which define the SVG and CSV bytes. The grid report's hand-rolled
 serialisers and the numpy envelope cubic define the `verify` report bytes
-the same way.
+the same way, and the sampled per-layer loop is the witness for the
+coefficient form of the per-layer bound.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from hypothesis import strategies as st
 
 from phmaps import evaluate, theta_derivative
 from phmaps.classes import Family, MembershipReport, hc, membership, weight
-from phmaps.errors import ParamError
+from phmaps.errors import MAX_GRID_POINTS, GridTooLargeError, ParamError
 from phmaps.exact import as_scalar, is_exact, strict_less
 from phmaps.operators import _hs_lambda_member, convexity_radius, rescale
 from phmaps.series import Coefficient, PolyharmonicMap
-from phmaps.geometry import COLLISION_FACTOR
+from phmaps.geometry import COLLISION_FACTOR, _monomials, _pointwise
 
 
 def fd_theta_derivative(F, r, theta, order, step=1e-5):
@@ -267,6 +268,16 @@ def reference_rescale_convexity_certificate(F, lam, r) -> bool:
     return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
 
 
+def off_axis(F: PolyharmonicMap, turn: Coefficient) -> PolyharmonicMap:
+    """F with every coefficient but a[1,1] multiplied by ``turn``."""
+    a = {key: c if key == (1, 1) else c * turn for key, c in F.a.items()}
+    return PolyharmonicMap(F.p, a, {key: c * turn for key, c in F.b.items()})
+
+
+# (2 + i)/3 turns an axis coefficient off the axes, with the irrational magnitude sqrt(5)/3.
+IRRATIONAL_TURN = Coefficient(Fraction(2, 3), Fraction(1, 3))
+
+
 def reference_membership(F, params) -> MembershipReport:
     """Both inequality rows as left folds of Fraction/float terms, one weight() per term."""
     lam = {Family.HS_LAMBDA: params.lam, Family.HS: Fraction(0), Family.HC: Fraction(1)}[params.family]
@@ -362,6 +373,30 @@ def reference_cubic(coeffs, r):
     r = np.asarray(r, dtype=float)
     val = r * (c1 + r * (c2 + r * c3))
     return float(val[()]) if val.ndim == 0 else val
+
+
+def reference_layer_bound_check(F, lam, samples=500, seed=0, tol=1e-12) -> bool:
+    """The per-layer bound |G_k(z)| <= (|a[1,k]|+|b[1,k]|)|z| + (1-|b11|)/(2(1+lambda))|z|^2
+    at ``samples`` seeded points z = r e^{i theta}, r in [0, 0.999), for each layer that
+    carries a coefficient: the sampled check the coefficient test replaced."""
+    if samples > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"{samples} samples exceed {MAX_GRID_POINTS}")
+    if samples < 1:
+        raise ParamError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, 0.999, samples)
+    z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, samples))
+    lam = float(_hs_lambda_member(F, lam).params.lam)
+    c2 = (1.0 - float(F.coeff_b(1, 1).magnitude())) / (2.0 * (1.0 + lam))
+    alpha, beta, c = _monomials(F)
+    low = np.minimum(alpha, beta)
+    for m in sorted(set(low.tolist())):  # G_k: the rows with min(alpha, beta) = m = k-1, without |z|^(2m)
+        row = low == m
+        g = np.abs(_pointwise((alpha[row] - m, beta[row] - m, c[row]), z))
+        lead = float(F.coeff_a(1, m + 1).magnitude() + F.coeff_b(1, m + 1).magnitude())
+        if not np.all(g <= lead * r + c2 * r * r + tol):
+            return False
+    return True
 
 
 def reference_curves(F, spec) -> list[tuple[str, np.ndarray, np.ndarray]]:

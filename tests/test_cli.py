@@ -1,3 +1,5 @@
+import contextlib
+import io
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -323,6 +325,16 @@ class TestVerify:
         assert main(["verify", f1, "--suite", "distortion", "--lambda", "2/3", "--samples", str(10**12)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: --samples {10**12} exceeds {MAX_GRID_POINTS}"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--samples", "0"], "samples must be >= 1, got 0"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["--lambda", "2"], "lambda must lie in [0,1], got 2"),
+    ], ids=["samples", "seed", "lambda"])
+    def test_bad_distortion_flag_prints_no_report(self, f1, capsys, flags, message):
+        # checked before the grid checks, so no report line reaches stdout
+        assert main(["verify", f1, "--grid", "4x16", "--lambda", "2/3", *flags]) == 2
+        assert single_error_line(capsys) == f"error: {message}\n"
+
 
 class TestRender:
     def test_svg_and_csv_outputs(self, f1, tmp_path):
@@ -352,6 +364,14 @@ class TestRender:
         svg = tmp_path / "wide.svg"
         assert main(["render", f1, "-o", str(svg), flag, BEYOND_FLOAT]) == 2
         assert "canvas width and height" in single_error_line(capsys)
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("side", [MAX_GRID_POINTS + 1, 10**300], ids=["32769", "1e300"])
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_canvas_budget(self, f1, tmp_path, capsys, flag, side):
+        svg = tmp_path / "wide.svg"
+        assert main(["render", f1, "-o", str(svg), flag, str(side)]) == 2
+        assert single_error_line(capsys) == f"error: canvas width and height must lie in [100, {MAX_GRID_POINTS}]\n"
         assert not svg.exists()
 
     @pytest.mark.parametrize("flag", ["--rings", "--rays"])
@@ -488,11 +508,15 @@ def contract_dir(tmp_path_factory):
 @settings(max_examples=300)
 @given(argv=cli_argv())
 def test_cli_exits_0_1_2_on_any_numeric_token(argv, contract_dir):
-    """The CLI contract: exit 0, 1 or 2 (argparse's own usage errors exit 2), never a traceback."""
+    """The CLI contract: exit 0, 1 or 2 (argparse's own usage errors exit 2), never a traceback,
+    and an exit of 2 writes nothing to stdout."""
     argv = [arg.format(f1=contract_dir / "f1.phm", out=contract_dir / "out") for arg in argv]
+    stdout = io.StringIO()
     try:
-        code = main(argv)
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
     except SystemExit as e:
         code = e.code
         assert code == 2, argv
     assert code in (0, 1, 2), argv
+    assert code != 2 or stdout.getvalue() == "", argv

@@ -33,16 +33,19 @@ from phmaps import (
     example_F2,
     extremal_point,
     half_plane_map,
+    hs_lambda,
     identity_map,
     jacobian,
     layer_bound_check,
     make_map,
+    membership,
     rescale,
     rescale_convexity_certificate,
     theta_derivative,
     verify_geometry,
     wirtinger_derivatives,
 )
+from phmaps.exact import as_scalar
 from phmaps.geometry import EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger, _monomials, _on_grid
 from phmaps.sampling import random_member, random_valid_map
 from phmaps.series import Coefficient, PolyharmonicMap
@@ -413,7 +416,7 @@ class TestDistortionCheck:
             distortion_check(make_map(1, a={(2, 1): 1}), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("check", [distortion_check, layer_bound_check])
+@pytest.mark.parametrize("check", [distortion_check])
 def test_sample_budget(check):
     # rejected before any sample is drawn, so the huge count allocates nothing
     with pytest.raises(GridTooLargeError, match=f"^{10**12} samples exceed {MAX_GRID_POINTS}$"):
@@ -466,6 +469,31 @@ class TestDistortionExtremal:
             distortion_extremal(0, 1)
 
 
+def layer_slack(F, lam):
+    """c2 - max_k tail_k over the layers F has, in plain arithmetic on F's entries."""
+    c2 = (1 - F.coeff_b(1, 1).magnitude()) / (2 * (1 + as_scalar(lam)))
+    tails = {k: 0 for _, k in (*F.a, *F.b)}
+    for n, k in F.a.keys() | F.b.keys():
+        if n >= 2:
+            tails[k] += F.coeff_a(n, k).magnitude() + F.coeff_b(n, k).magnitude()
+    return c2 - max(tails.values())
+
+
+@st.composite
+def layer_cases(draw):
+    """An exact member of hs-lambda (tight or not, normalized or not, p <= 3, lambda on a
+    1/100 grid), possibly turned off-axis to irrational magnitudes, and a check lambda,
+    mostly the member's own; a larger one can make it a non-member."""
+    lam = Fraction(draw(st.integers(0, 100)), 100)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    F = random_member(rng, draw(st.integers(1, 3)), lam, normalized=draw(st.booleans()), tight=draw(st.booleans()))
+    if draw(st.booleans()):
+        F = helpers.off_axis(F, helpers.IRRATIONAL_TURN)
+    if draw(st.integers(0, 4)) == 0:
+        lam = Fraction(draw(st.integers(0, 100)), 100)
+    return F, lam
+
+
 class TestLayerBound:
     def test_identity(self):
         assert layer_bound_check(identity_map(), 0)
@@ -480,9 +508,9 @@ class TestLayerBound:
             assert layer_bound_check(F, lam, samples=200, seed=1)
 
     def test_high_lambda_runs_without_assertion(self, rng):
-        # above lambda = 1/2 the bound is only reported, not claimed
+        # the coefficient proof covers lambda > 1/2 as well
         F = random_member(rng, 2, Fraction(9, 10), normalized=False)
-        assert isinstance(layer_bound_check(F, Fraction(9, 10), samples=100, seed=2), bool)
+        assert layer_bound_check(F, Fraction(9, 10), samples=100, seed=2)
 
     def test_requires_membership(self):
         with pytest.raises(NotMemberError):
@@ -495,25 +523,51 @@ class TestLayerBound:
         assert time.perf_counter() - start < 1.0
 
     def test_verdict_flips_at_the_layer_excess(self, rng):
-        # one sample per seed, so the verdict flips where tol crosses that point's largest
-        # excess of |G_k| over its bound; G_k alone is summed in Python complex arithmetic
-        def layer(F, k, w):
-            return (sum(c.as_complex() * w ** n for (n, kk), c in F.a.items() if kk == k)
-                    + sum((c.as_complex() * w ** n).conjugate() for (n, kk), c in F.b.items() if kk == k))
-
+        # the verdict flips where tol crosses the coefficient slack c2 - max_k tail_k
         for _ in range(6):
             lam = Fraction(rng.randint(0, 10), 10)
-            F = random_member(rng, rng.randint(2, 3), lam)
-            c2 = (1 - float(F.coeff_b(1, 1).magnitude())) / (2 * (1 + float(lam)))
-            for seed in range(4):
-                npr = np.random.default_rng(seed)
-                x = float(npr.uniform(0.0, 0.999))
-                w = x * complex(np.exp(1j * npr.uniform(0.0, 2.0 * np.pi)))
-                excess = max(abs(layer(F, k, w)) - c2 * x * x
-                             - float(F.coeff_a(1, k).magnitude() + F.coeff_b(1, k).magnitude()) * x
-                             for k in {k for _, k in (*F.a, *F.b)})  # the layers the map has
-                assert layer_bound_check(F, lam, samples=1, seed=seed, tol=excess + 1e-9)
-                assert not layer_bound_check(F, lam, samples=1, seed=seed, tol=excess - 1e-9)
+            F = random_member(rng, rng.randint(2, 3), lam, tight=rng.random() < 0.5)
+            slack = layer_slack(F, lam)
+            assert layer_bound_check(F, lam, tol=-slack + 1e-9)
+            assert not layer_bound_check(F, lam, tol=-slack - 1e-9)
+
+    @given(layer_cases())
+    def test_coefficients_decide_as_the_sampled_loop(self, case):
+        F, lam = case
+        if not membership(F, hs_lambda(lam)).member:
+            for check in (layer_bound_check, helpers.reference_layer_bound_check):
+                with pytest.raises(NotMemberError):
+                    check(F, lam)
+            return
+        assert layer_slack(F, lam) >= 0
+        assert layer_bound_check(F, lam)
+        assert helpers.reference_layer_bound_check(F, lam, samples=1000)
+
+    def test_exact_at_a_zero_slack(self):
+        # z + z^2/4 at lambda = 1: tail = c2 = 1/4, decided without rounding
+        F = extremal_point(ExtremalSpec(n=2, k=1, lam=1))
+        assert layer_slack(F, 1) == 0
+        assert layer_bound_check(F, Fraction(1), tol=0)
+        assert not layer_bound_check(F, Fraction(1), tol=-1e-300)
+
+    def test_float_maps_decide_as_the_sampled_loop(self):
+        """Float coefficients (some perturbed in the last bits) and float lambda, fixed seeds."""
+        rng = random.Random(20132)
+        for _ in range(200):
+            lam = Fraction(rng.randint(0, 100), 100)
+            F = random_member(rng, rng.randint(1, 3), lam, normalized=rng.random() < 0.5, tight=rng.random() < 0.5)
+            wobble = rng.choice((0.0, 1e-15))
+            a = {key: (float(c.re) * (1 + rng.uniform(-wobble, wobble)), float(c.im)) for key, c in F.a.items()
+                 if key != (1, 1)}
+            F = make_map(F.p, a=a, b={key: (float(c.re), float(c.im)) for key, c in F.b.items()})
+            for check_lam in (lam, float(lam)):
+                outcomes = []
+                for check in (layer_bound_check, helpers.reference_layer_bound_check):
+                    try:
+                        outcomes.append(check(F, check_lam))
+                    except NotMemberError:
+                        outcomes.append(NotMemberError)
+                assert outcomes[0] == outcomes[1], (F, check_lam)
 
 
 class TestConvexityRadius:

@@ -28,10 +28,10 @@ EXPORTS = {
                "ParamError", "PhmapsError", "WeightError", "ZeroDerivativeError", "ZeroValueError"],
     "exact": ["EPS_STRICT", "Scalar", "format_scalar", "parse_scalar"],
     "geometry": ["DiskGrid", "GeometryReport", "arg_derivative", "convexity_indicator", "evaluate", "jacobian",
-                 "layer_bound_check", "theta_derivative", "verify_geometry", "wirtinger_derivatives"],
+                 "theta_derivative", "verify_geometry", "wirtinger_derivatives"],
     "operators": ["ConvexCombination", "DistortionEnvelope", "NeighborhoodReport", "ch0_certificate", "combine",
                   "convex_combine", "convexity_radius", "convolve", "delta_bound", "distortion_envelope",
-                  "integral_convolve", "neighborhood_distance", "neighborhood_report", "rescale",
+                  "integral_convolve", "layer_bound_check", "neighborhood_distance", "neighborhood_report", "rescale",
                   "rescale_convexity_certificate"],
     "phmio": ["load_map", "parse_map", "save_map", "serialize_map"],
     "render": ["RenderSpec", "render_csv", "render_svg"],
@@ -119,6 +119,7 @@ import phmaps
 F = phmaps.example_F1()
 assert phmaps.convexity_radius(Q(1, 3)) == Q(1, 2)
 assert phmaps.rescale_convexity_certificate(F, Q(2, 3), Q(2, 3))
+assert phmaps.layer_bound_check(F, Q(2, 3))
 assert phmaps.distortion_envelope(F, Q(2, 3)).upper(0.5) == 0.5 * (1.0 + 0.5 * (0.3 + 0.5 * 0.0))
 assert phmaps.distortion_extremal(Q(1, 4), Q(1, 4)).coeff_a(2, 1).re == Q(3, 10)
 assert phmaps.identity_map(2) == phmaps.make_map(2)

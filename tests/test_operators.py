@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import reference_rescale_convexity_certificate
+from helpers import IRRATIONAL_TURN, off_axis, reference_rescale_convexity_certificate
 from phmaps import (
-    Coefficient,
     ExtremalSpec,
     NotMemberError,
     ParamError,
-    PolyharmonicMap,
     WeightError,
     ch0_certificate,
     combine,
@@ -239,16 +237,6 @@ def certificate_outcome(certificate, F, lam, r):
         return certificate(F, lam, r)
     except Exception as e:
         return type(e)
-
-
-def off_axis(F: PolyharmonicMap, turn: Coefficient) -> PolyharmonicMap:
-    """F with every coefficient but a[1,1] multiplied by ``turn``."""
-    a = {key: c if key == (1, 1) else c * turn for key, c in F.a.items()}
-    return PolyharmonicMap(F.p, a, {key: c * turn for key, c in F.b.items()})
-
-
-# (2 + i)/3 turns an axis coefficient off the axes, with the irrational magnitude sqrt(5)/3.
-IRRATIONAL_TURN = Coefficient(Fraction(2, 3), Fraction(1, 3))
 
 
 @st.composite

@@ -224,6 +224,13 @@ class TestSpecValidation:
         with pytest.raises(ParamError):
             RenderSpec(width=50)
 
+    def test_canvas_ceiling(self):
+        RenderSpec(width=MAX_GRID_POINTS, height=MAX_GRID_POINTS)
+        for side in (MAX_GRID_POINTS + 1, 10**400, float("inf"), float("nan")):
+            for spec in ({"width": side}, {"height": side}):
+                with pytest.raises(ParamError, match="canvas width and height"):
+                    RenderSpec(**spec)
+
     def test_margin_range(self):
         with pytest.raises(ParamError):
             RenderSpec(margin=0.5)
