@@ -29,7 +29,21 @@ from phmaps.errors import MAX_GRID_POINTS, GridTooLargeError, ParamError
 from phmaps.exact import as_scalar, is_exact, strict_less
 from phmaps.operators import _hs_lambda_member, convexity_radius, rescale
 from phmaps.series import Coefficient, PolyharmonicMap
-from phmaps.geometry import COLLISION_FACTOR, _monomials, _pointwise
+from phmaps.geometry import (
+    ALL_CHECKS,
+    COLLISION_FACTOR,
+    EPS_ZERO,
+    GeometryReport,
+    _collision_count,
+    _d_theta,
+    _d_wirtinger,
+    _finite,
+    _injectivity_certified,
+    _minimum,
+    _monomials,
+    _on_grid,
+    _pointwise,
+)
 
 
 def fd_theta_derivative(F, r, theta, order, step=1e-5):
@@ -330,6 +344,57 @@ def assert_same_report(got, want) -> None:
     for field in dataclasses.fields(want):
         assert same(getattr(got, field.name), getattr(want, field.name)), field.name
     assert got.to_kv() == want.to_kv()
+
+
+def reference_verify_geometry(F, grid, checks=ALL_CHECKS) -> GeometryReport:
+    """verify_geometry with F, F_theta, F_thetatheta, F_z and F_zbar all held until it returns."""
+    checks = tuple(c for c in ALL_CHECKS if c in set(checks))
+    if not checks:
+        raise ParamError("no recognized checks requested")
+    rings = grid.rings - grid._first_ring + 1  # counted before any array is built
+    if rings * grid.rays > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"{rings}x{grid.rays} grid exceeds {MAX_GRID_POINTS} points")
+    radii = grid.radii()
+    angles = grid.angles()
+    table = _monomials(F)
+
+    def values(name, tab):
+        return _finite(name, _on_grid(tab, radii, angles.size))
+
+    min_jac = min_arg = min_conv = None
+    collisions = certified = None
+    degenerate = EPS_ZERO * radii[:, None]
+    with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
+        if "jacobian" in checks:
+            fz, fzb = (_on_grid(tab, radii, angles.size) for tab in _d_wirtinger(table))
+            jac = _finite("Jacobian", np.abs(fz) ** 2 - np.abs(fzb) ** 2)
+            min_jac = _minimum(jac, radii, angles)
+        if "injective" in checks:
+            certified = _injectivity_certified(table, grid)
+        w = d1 = None  # F and F_theta, each computed once for the checks sharing it
+        if "starlike" in checks or certified is False:
+            w = values("F", table)
+        if "starlike" in checks or "convex" in checks:
+            d1 = values("F_theta", _d_theta(table, 1))
+        if "starlike" in checks:
+            bad = np.abs(w) <= degenerate
+            min_arg = _minimum(np.where(bad, -np.inf, np.imag(d1 / np.where(bad, 1.0, w))), radii, angles)
+        if "convex" in checks:
+            d2 = values("F_thetatheta", _d_theta(table, 2))
+            bad = np.abs(d1) <= degenerate
+            min_conv = _minimum(np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1))), radii, angles)
+        if "injective" in checks:
+            collisions = 0 if certified else _collision_count(w)
+
+    return GeometryReport(
+        grid=grid,
+        checks=checks,
+        min_jacobian=min_jac,
+        min_arg_derivative=min_arg,
+        min_convexity_indicator=min_conv,
+        injectivity_collisions=collisions,
+        injectivity_certified=certified,
+    )
 
 
 # --- Per-curve render reference ------------------------------------------------

@@ -45,6 +45,7 @@ from phmaps import (
     verify_geometry,
     wirtinger_derivatives,
 )
+from phmaps import geometry
 from phmaps.exact import as_scalar
 from phmaps.geometry import EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger, _monomials, _on_grid
 from phmaps.sampling import random_member, random_valid_map
@@ -765,3 +766,58 @@ def test_report_serialisers_match_the_line_by_line_reference(grid):
             rep = verify_geometry(F, grid, checks)
             assert rep.to_kv() == helpers.reference_geometry_kv(rep), checks
             assert rep.to_csv() == helpers.reference_geometry_csv(rep), checks
+
+
+def reference_maps():
+    """(fixed maps, seeded members) for comparing verify_geometry with its reference. The fixed
+    maps are the kernel maps, half-plane truncations, float coefficients and coefficients that
+    overflow float64; the members are 200 exact random members of hs-lambda."""
+    floats = [make_map(1, a={(2, 1): 0.1, (3, 1): (0.02, -0.05)}, b={(2, 1): (-0.03, 0.07)}),
+              make_map(2, a={(1, 2): (0.11, 0.2), (4, 1): -0.01}, b={(1, 1): 0.3, (2, 2): (0.0, -0.04)}),
+              make_map(1, a={(2, 1): 0.5}),  # F_theta vanishes inside the grid
+              make_map(1, b={(1, 1): 0.999})]
+    overflow = [make_map(1, a={(2, 1): 1e308}), make_map(1, b={(2, 1): 1e308}), make_map(1, a={(3, 1): 1e308}),
+                OVERFLOW]
+    fixed = [F for _, F in KERNEL_MAPS] + [half_plane_map(n) for n in (2, 3, 4, 5, 64)] + floats + overflow
+    rng = random.Random(0x4EF)
+    members = [random_member(rng, rng.randint(1, 3), Fraction(rng.randint(0, 100), 100), normalized=rng.random() < 0.5,
+                             tight=rng.random() < 0.25) for _ in range(200)]
+    return fixed, members
+
+
+def outcome(verify, F, grid, checks):
+    """A report's kv and CSV text, or the class and message of the error it raised."""
+    try:
+        rep = verify(F, grid, checks)
+    except Exception as e:
+        return type(e), str(e)
+    return rep.to_kv(), rep.to_csv()
+
+
+FIXED_MAPS, MEMBERS = reference_maps()
+
+
+# The members run on the benchmark's grid and the smallest one; the dense grids take
+# the fixed maps only, which keeps the test's run time down.
+@pytest.mark.parametrize("grid,maps", [(DiskGrid(32, 256, 0.995), FIXED_MAPS + MEMBERS),
+                                       (DiskGrid(7, 13, 0.9), FIXED_MAPS + MEMBERS),
+                                       (DiskGrid(32, 1024, 0.995), FIXED_MAPS),
+                                       (DiskGrid(8, 4096, 0.995), FIXED_MAPS),
+                                       (DiskGrid(16, 256, 0.99, include_origin_ring=False), FIXED_MAPS)],
+                         ids=lambda v: grid_id(v) if isinstance(v, DiskGrid) else str(len(v)))
+def test_reports_and_errors_match_the_reference_verifier(grid, maps, monkeypatch):
+    # against a reference run here, not a committed golden: FFT bits may differ between numpy builds
+    counts = {}
+
+    def collision_count(w):  # both verifiers run the same pass: search each distinct image once
+        key = (w.shape, w.tobytes())
+        if key not in counts:
+            counts[key] = _collision_count(w)
+        return counts[key]
+
+    monkeypatch.setattr(geometry, "_collision_count", collision_count)
+    monkeypatch.setattr(helpers, "_collision_count", collision_count)
+    for F in maps:
+        for checks in CHECK_SUBSETS:
+            want = outcome(helpers.reference_verify_geometry, F, grid, checks)
+            assert outcome(verify_geometry, F, grid, checks) == want, (F, checks)
