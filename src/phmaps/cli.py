@@ -181,14 +181,15 @@ def _cmd_verify(args) -> int:
     if distortion and args.lam is None:
         print("error: --lambda is required for the distortion suite", file=sys.stderr)
         return EXIT_USAGE
-    if distortion:  # every distortion flag is checked before the first report line
+    # every flag is checked before the first report line, whether or not its suite runs
+    if args.lam is not None:
         hs_lambda(args.lam)  # ParamError for lambda outside [0, 1]
-        for bad, message in ((args.samples > MAX_GRID_POINTS, f"--samples {args.samples} exceeds {MAX_GRID_POINTS}"),
-                             (args.samples < 1, f"samples must be >= 1, got {args.samples}"),
-                             (args.seed < 0, f"--seed must be >= 0, got {args.seed}")):
-            if bad:
-                print(f"error: {message}", file=sys.stderr)
-                return EXIT_USAGE
+    for bad, message in ((args.samples > MAX_GRID_POINTS, f"--samples {args.samples} exceeds {MAX_GRID_POINTS}"),
+                         (args.samples < 1, f"samples must be >= 1, got {args.samples}"),
+                         (args.seed < 0, f"--seed must be >= 0, got {args.seed}")):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_USAGE
 
     ok = True
     if grid_checks:

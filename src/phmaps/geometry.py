@@ -478,6 +478,15 @@ def _finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _angular_rate(num: np.ndarray, den: np.ndarray, degenerate: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Im(num / den), -inf where |den| <= degenerate. The quotient is taken only at the
+    other points and written into ``out``, whose imaginary part is returned as a view."""
+    bad = np.abs(den) <= degenerate
+    rate = np.divide(num, den, out=out, where=~bad).imag
+    rate[bad] = -np.inf
+    return rate
+
+
 ALL_CHECKS = ("jacobian", "starlike", "convex", "injective")
 
 
@@ -491,6 +500,13 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     instead of raising, so such a map still gets a report, which fails its
     thresholds. A NaN or infinite grid value, or an image too wide for float64
     distances (coefficients that overflow it), raises NonFiniteError instead.
+
+    Each full-grid array lives only while a check needs it: F_z and F_zbar are
+    dropped once their moduli are taken, each angular rate divides into an
+    existing buffer, and F is dropped before F_thetatheta is built unless the
+    collision pass still needs it. So a call holds at most three complex grids
+    at once (an inverse FFT's spectrum and output next to F or F_theta), plus a
+    real grid of moduli; the collision pass, when it searches, holds more.
 
     The injective check first tries the coefficient certificate
     (`_injectivity_certified`); when it holds, the count is 0 without a search.
@@ -513,9 +529,11 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     degenerate = EPS_ZERO * radii[:, None]
     with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
         if "jacobian" in checks:
-            fz, fzb = (_on_grid(tab, radii, angles.size) for tab in _d_wirtinger(table))
-            jac = _finite("Jacobian", np.abs(fz) ** 2 - np.abs(fzb) ** 2)
-            min_jac = _minimum(jac, radii, angles)
+            jac, fzb = (np.abs(_on_grid(tab, radii, angles.size)) for tab in _d_wirtinger(table))
+            np.square(jac, out=jac)
+            jac -= np.square(fzb, out=fzb)
+            min_jac = _minimum(_finite("Jacobian", jac), radii, angles)
+            del jac, fzb
         if "injective" in checks:
             certified = _injectivity_certified(table, grid)
         w = d1 = None  # F and F_theta, each computed once for the checks sharing it
@@ -523,13 +541,17 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
             w = values("F", table)
         if "starlike" in checks or "convex" in checks:
             d1 = values("F_theta", _d_theta(table, 1))
-        if "starlike" in checks:
-            bad = np.abs(w) <= degenerate
-            min_arg = _minimum(np.where(bad, -np.inf, np.imag(d1 / np.where(bad, 1.0, w))), radii, angles)
+        if "starlike" in checks:  # the quotient overwrites F unless the collision pass needs F
+            quotient = np.empty_like(w) if certified is False else w
+            min_arg = _minimum(_angular_rate(d1, w, degenerate, quotient), radii, angles)
+            del quotient
+        if certified is not False:
+            w = None  # before F_thetatheta is built
         if "convex" in checks:
             d2 = values("F_thetatheta", _d_theta(table, 2))
-            bad = np.abs(d1) <= degenerate
-            min_conv = _minimum(np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1))), radii, angles)
+            min_conv = _minimum(_angular_rate(d2, d1, degenerate, d2), radii, angles)
+            del d2
+        d1 = None
         if "injective" in checks:
             collisions = 0 if certified else _collision_count(w)
 

@@ -336,6 +336,21 @@ class TestVerify:
         assert single_error_line(capsys) == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--suite", "starlike", "--lambda", "2", "--samples", "0", "--seed", "-1"], "lambda must lie in [0,1], got 2"),
+        (["--suite", "all", "--samples", "0"], "samples must be >= 1, got 0"),
+    ], ids=["starlike", "all-without-lambda"])
+    def test_bad_flag_is_checked_when_no_distortion_runs(self, f1, capsys, flags, message):
+        assert main(["verify", f1, "--grid", "4x16", *flags]) == 2
+        assert single_error_line(capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("suite", ["starlike", "convex", "jacobian", "injective", "distortion", "all"])
+    def test_default_flags_pass_the_flag_checks(self, f1, capsys, suite):
+        lam = ["--lambda", "2/3"] if suite == "distortion" else []
+        assert main(["verify", f1, "--grid", "4x16", "--suite", suite, *lam]) in (0, 1)
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.endswith("\n") and "suite_passed=" in captured.out
+
 class TestRender:
     def test_svg_and_csv_outputs(self, f1, tmp_path):
         svg = tmp_path / "f1.svg"

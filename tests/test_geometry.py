@@ -47,7 +47,8 @@ from phmaps import (
 )
 from phmaps import geometry
 from phmaps.exact import as_scalar
-from phmaps.geometry import EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger, _monomials, _on_grid
+from phmaps.geometry import (EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger,
+                             _injectivity_certified, _monomials, _on_grid)
 from phmaps.sampling import random_member, random_valid_map
 from phmaps.series import Coefficient, PolyharmonicMap
 
@@ -266,6 +267,24 @@ class TestVerifyGeometry:
         with pytest.raises(GridTooLargeError, match="^5x8192 grid exceeds"):
             verify_geometry(identity_map(), DiskGrid(5, 8192))
         verify_geometry(identity_map(), DiskGrid(5, 8192, include_origin_ring=False), ("jacobian",))
+
+    @pytest.mark.parametrize("F,grid,checks", [
+        (random_member(random.Random(3), 2, Fraction(1, 2)), DiskGrid(32, 256, 0.995),
+         ("jacobian", "starlike", "convex", "injective")),
+        (example_F1(), DiskGrid(32, 1024, 0.995), ("jacobian", "starlike", "convex")),
+    ], ids=["certified-member-all-32x256", "f1-grid-checks-32x1024"])
+    def test_working_memory_stays_under_four_grids(self, F, grid, checks):
+        # numpy reports its buffers to tracemalloc; holding every quantity to the end peaks at 7.6 grids
+        if "injective" in checks:
+            assert _injectivity_certified(_monomials(F), grid)
+        verify_geometry(F, grid, checks)  # warm: one-time allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            verify_geometry(F, grid, checks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * grid.rings * grid.rays * 16
 
     def test_grid_validation(self):
         with pytest.raises(ParamError):
@@ -777,7 +796,9 @@ def reference_maps():
               make_map(1, a={(2, 1): 0.5}),  # F_theta vanishes inside the grid
               make_map(1, b={(1, 1): 0.999})]
     overflow = [make_map(1, a={(2, 1): 1e308}), make_map(1, b={(2, 1): 1e308}), make_map(1, a={(3, 1): 1e308}),
-                OVERFLOW]
+                OVERFLOW,
+                # F too wide for distances and F_thetatheta infinite: the error order decides the message
+                make_map(2, a={(1, 2): 1e308, (3, 1): 2e307})]
     fixed = [F for _, F in KERNEL_MAPS] + [half_plane_map(n) for n in (2, 3, 4, 5, 64)] + floats + overflow
     rng = random.Random(0x4EF)
     members = [random_member(rng, rng.randint(1, 3), Fraction(rng.randint(0, 100), 100), normalized=rng.random() < 0.5,
