@@ -529,6 +529,7 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     degenerate = EPS_ZERO * radii[:, None]
     with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
         if "jacobian" in checks:
+            # |F_z| and |F_zbar|: each complex grid is dropped as soon as its modulus is taken
             jac, fzb = (np.abs(_on_grid(tab, radii, angles.size)) for tab in _d_wirtinger(table))
             np.square(jac, out=jac)
             jac -= np.square(fzb, out=fzb)
@@ -551,7 +552,7 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
             d2 = values("F_thetatheta", _d_theta(table, 2))
             min_conv = _minimum(_angular_rate(d2, d1, degenerate, d2), radii, angles)
             del d2
-        d1 = None
+        d1 = None  # before the collision pass
         if "injective" in checks:
             collisions = 0 if certified else _collision_count(w)
 

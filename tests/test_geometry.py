@@ -793,7 +793,8 @@ def reference_maps():
     overflow float64; the members are 200 exact random members of hs-lambda."""
     floats = [make_map(1, a={(2, 1): 0.1, (3, 1): (0.02, -0.05)}, b={(2, 1): (-0.03, 0.07)}),
               make_map(2, a={(1, 2): (0.11, 0.2), (4, 1): -0.01}, b={(1, 1): 0.3, (2, 2): (0.0, -0.04)}),
-              make_map(1, a={(2, 1): 0.5}),  # F_theta vanishes inside the grid
+              # F and F_theta vanish at grid points (z = -r_max and -r_max/2 on a 0.995 grid), so -inf minima
+              make_map(1, a={(2, 1): 1 / 0.995}),
               make_map(1, b={(1, 1): 0.999})]
     overflow = [make_map(1, a={(2, 1): 1e308}), make_map(1, b={(2, 1): 1e308}), make_map(1, a={(3, 1): 1e308}),
                 OVERFLOW,
@@ -824,8 +825,8 @@ FIXED_MAPS, MEMBERS = reference_maps()
                                        (DiskGrid(7, 13, 0.9), FIXED_MAPS + MEMBERS),
                                        (DiskGrid(32, 1024, 0.995), FIXED_MAPS),
                                        (DiskGrid(8, 4096, 0.995), FIXED_MAPS),
-                                       (DiskGrid(16, 256, 0.99, include_origin_ring=False), FIXED_MAPS)],
-                         ids=lambda v: grid_id(v) if isinstance(v, DiskGrid) else str(len(v)))
+                                       (DiskGrid(16, 256, 0.995, include_origin_ring=False), FIXED_MAPS)],
+                         ids=["32x256", "7x13", "32x1024", "8x4096", "16x256-no-origin"])
 def test_reports_and_errors_match_the_reference_verifier(grid, maps, monkeypatch):
     # against a reference run here, not a committed golden: FFT bits may differ between numpy builds
     counts = {}
