@@ -278,12 +278,12 @@ _PAIR_BLOCK = 1 << 15  # candidate pairs examined per vectorised block
 _TERM_BLOCK = 1 << 15  # ring-by-monomial spectrum values scattered per block
 
 
-def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
+def _collision_count(w: np.ndarray) -> int:
     """Count non-adjacent grid pairs whose images nearly coincide.
 
     Pair (i, j) collides when |w_i - w_j| < max(min(tol_i, tol_j), floor), where
-    tol is ``factor`` times a point's local image spacing and the floor, 1e-9
-    of the image diameter, keeps exact overlaps countable where the local
+    tol is COLLISION_FACTOR times a point's local image spacing and the floor,
+    1e-9 of the image diameter, keeps exact overlaps countable where the local
     spacing degenerates. Pairs within Chebyshev index distance 2 (rays wrap)
     are adjacent and never collide.
 
@@ -301,9 +301,15 @@ def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
     The search is multilevel spatial hashing (Teschner et al., VMV 2003) keyed
     by each point's own threshold t = max(tol, floor): since the pair rule's
     threshold is min(t_i, t_j), each pair is looked up once, from the endpoint
-    with the smaller (t, index), in a grid of cells sized to that endpoint's
-    threshold octave. Its cost therefore does not depend on how much the image
-    spacing varies over the grid.
+    with the smaller (t, index). The octaves of t are walked upward in bands: a
+    band takes in the next octave while it holds at most sqrt(n) points, n the
+    grid points. Band [lo, hi] hashes every point of octave >= lo into cells of
+    2**(hi+1) and looks up its own points, which finds a superset of their
+    pairs: each has t < 2**hi, half a cell, so its partners lie in the 3x3
+    neighbour cells, and each partner with larger t has octave >= lo, so it is
+    in the table. Sparse octaves thus share one sort of the grid and add at most
+    sqrt(n) queries to their band, each looking in nine of its cells. The cost
+    does not depend on how much the image spacing varies over the grid.
 
     An image whose bounding-box diagonal overflows float64 raises NonFiniteError:
     its distances, and with them the floor, would be infinite.
@@ -315,49 +321,57 @@ def _collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
         raise NonFiniteError("F's image is too wide for float64: distances between grid points overflow")
     reach = _NEIGHBOR_REACH
     spacing = np.full((R, S), np.inf)
-    for dr in range(0, reach + 1):
+    diff, d = np.empty_like(w), np.empty((R, S))  # reused for every offset
+    for dr in range(0, min(reach, R - 1) + 1):
         for ds in range(-reach, reach + 1):
             if dr == 0 and ds <= 0:
                 continue  # (0,0) and mirrored ray offsets
-            shifted = np.roll(w, -ds, axis=1)
-            if dr == 0:
-                d = np.abs(w - shifted)
-                spacing = np.minimum(spacing, d)
-            elif dr < R:
-                d = np.abs(w[dr:] - shifted[:-dr])
-                spacing[dr:] = np.minimum(spacing[dr:], d)
-                spacing[:-dr] = np.minimum(spacing[:-dr], d)
+            # (i+dr, j) against (i, j+ds) for rings i < k, in two slices as rays wrap
+            k, s = R - dr, ds % S
+            np.subtract(w[dr:, :S - s], w[:k, s:], out=diff[:k, :S - s])
+            np.subtract(w[dr:, S - s:], w[:k, :s], out=diff[:k, S - s:])
+            np.minimum(spacing[dr:], np.abs(diff[:k], out=d[:k]), out=spacing[dr:])
+            if dr:
+                np.minimum(spacing[:k], d[:k], out=spacing[:k])
+    del diff, d  # out of the search's peak
 
     diam = max(*extent, 1e-300)
-    t = np.maximum(factor * spacing.ravel(), _COLLISION_FLOOR * diam)
+    t = np.maximum(COLLISION_FACTOR * spacing.ravel(), _COLLISION_FLOOR * diam)
     octave = np.frexp(t)[1]  # t < 2**octave
     x0, y0 = wf.real.min(), wf.imag.min()
 
-    collisions = 0
+    collisions = held = 0
     lowest = int(octave.min())
     # bincount, not np.unique: numpy 2.4's hash-based unique keeps about 1 MB
     # allocated for the life of the process, which shows in peak RSS.
-    for level in lowest + np.flatnonzero(np.bincount(octave - lowest)):
-        cands = np.flatnonzero(octave >= level)
-        # Cells of at least twice the octave's top threshold: partners within
+    sizes = np.bincount(octave - lowest)
+    levels = lowest + np.flatnonzero(sizes)
+    for hi in levels:
+        lo = hi if held == 0 else lo
+        held += sizes[hi - lowest]
+        if held <= np.sqrt(wf.size) and hi != levels[-1]:
+            continue  # the band [lo, hi] takes in the next octave
+        held = 0
+        cands = np.flatnonzero(octave >= lo)
+        # Cells of at least twice the band's top threshold: partners within
         # t lie in the 3x3 neighbour cells even after rounding. Cell indices
         # count from the bounding-box corner and stay below diam / floor = 1e9,
         # so the combined key fits int64.
-        cell = np.ldexp(1.0, int(level) + 1)
+        cell = np.ldexp(1.0, int(hi) + 1)
         kx = np.floor((wf.real[cands] - x0) / cell).astype(np.int64)
         ky = np.floor((wf.imag[cands] - y0) / cell).astype(np.int64) + 1
         stride = int(ky.max()) + 2
         keys = kx * stride + ky
         order = np.argsort(keys)
         keys, cands = keys[order], cands[order]
-        mine = octave[cands] == level
+        mine = octave[cands] <= hi
         queries, query_keys = cands[mine], keys[mine]
         # One key range per neighbour column covers its dy = -1..1 cells;
         # queries in key order keep the searchsorted needles sorted.
         for column in (-stride, 0, stride):
-            lo = np.searchsorted(keys, query_keys + (column - 1), side="left")
-            hi = np.searchsorted(keys, query_keys + (column + 1), side="right")
-            collisions += _close_pairs(wf, t, S, queries, cands, lo, hi)
+            first = np.searchsorted(keys, query_keys + (column - 1), side="left")
+            last = np.searchsorted(keys, query_keys + (column + 1), side="right")
+            collisions += _close_pairs(wf, t, S, queries, cands, first, last)
     return collisions
 
 

@@ -12,7 +12,9 @@ renderer against the per-curve evaluation and per-vertex formatting it
 replaced, which define the SVG and CSV bytes. The grid report's hand-rolled
 serialisers and the numpy envelope cubic define the `verify` report bytes
 the same way, and the sampled per-layer loop is the witness for the
-coefficient form of the per-layer bound.
+coefficient form of the per-layer bound. The collision pass is checked
+against its one-octave-at-a-time search, which hashes every octave of the
+pair threshold in its own cells.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 
 from phmaps import evaluate, theta_derivative
 from phmaps.classes import Family, MembershipReport, hc, membership, weight
-from phmaps.errors import MAX_GRID_POINTS, GridTooLargeError, ParamError
+from phmaps.errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError
 from phmaps.exact import as_scalar, is_exact, strict_less
 from phmaps.operators import _hs_lambda_member, convexity_radius, rescale
 from phmaps.series import Coefficient, PolyharmonicMap
@@ -34,6 +36,9 @@ from phmaps.geometry import (
     COLLISION_FACTOR,
     EPS_ZERO,
     GeometryReport,
+    _COLLISION_FLOOR,
+    _NEIGHBOR_REACH,
+    _close_pairs,
     _collision_count,
     _d_theta,
     _d_wirtinger,
@@ -227,6 +232,62 @@ def brute_force_collisions(w: np.ndarray) -> int:
         int(np.count_nonzero(colliding(w, tol, floor, np.full(n - a - 1, a), np.arange(a + 1, n))))
         for a in range(n - 1)
     )
+
+
+def reference_collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -> int:
+    """_collision_count as it hashed one threshold octave at a time, from twelve
+    np.roll copies of the image."""
+    R, S = w.shape
+    wf = w.ravel()
+    extent = np.ptp(wf.real), np.ptp(wf.imag)
+    if not np.isfinite(np.hypot(*extent)):  # then every distance below is finite
+        raise NonFiniteError("F's image is too wide for float64: distances between grid points overflow")
+    reach = _NEIGHBOR_REACH
+    spacing = np.full((R, S), np.inf)
+    for dr in range(0, reach + 1):
+        for ds in range(-reach, reach + 1):
+            if dr == 0 and ds <= 0:
+                continue  # (0,0) and mirrored ray offsets
+            shifted = np.roll(w, -ds, axis=1)
+            if dr == 0:
+                d = np.abs(w - shifted)
+                spacing = np.minimum(spacing, d)
+            elif dr < R:
+                d = np.abs(w[dr:] - shifted[:-dr])
+                spacing[dr:] = np.minimum(spacing[dr:], d)
+                spacing[:-dr] = np.minimum(spacing[:-dr], d)
+
+    diam = max(*extent, 1e-300)
+    t = np.maximum(factor * spacing.ravel(), _COLLISION_FLOOR * diam)
+    octave = np.frexp(t)[1]  # t < 2**octave
+    x0, y0 = wf.real.min(), wf.imag.min()
+
+    collisions = 0
+    lowest = int(octave.min())
+    # bincount, not np.unique: numpy 2.4's hash-based unique keeps about 1 MB
+    # allocated for the life of the process, which shows in peak RSS.
+    for level in lowest + np.flatnonzero(np.bincount(octave - lowest)):
+        cands = np.flatnonzero(octave >= level)
+        # Cells of at least twice the octave's top threshold: partners within
+        # t lie in the 3x3 neighbour cells even after rounding. Cell indices
+        # count from the bounding-box corner and stay below diam / floor = 1e9,
+        # so the combined key fits int64.
+        cell = np.ldexp(1.0, int(level) + 1)
+        kx = np.floor((wf.real[cands] - x0) / cell).astype(np.int64)
+        ky = np.floor((wf.imag[cands] - y0) / cell).astype(np.int64) + 1
+        stride = int(ky.max()) + 2
+        keys = kx * stride + ky
+        order = np.argsort(keys)
+        keys, cands = keys[order], cands[order]
+        mine = octave[cands] == level
+        queries, query_keys = cands[mine], keys[mine]
+        # One key range per neighbour column covers its dy = -1..1 cells;
+        # queries in key order keep the searchsorted needles sorted.
+        for column in (-stride, 0, stride):
+            lo = np.searchsorted(keys, query_keys + (column - 1), side="left")
+            hi = np.searchsorted(keys, query_keys + (column + 1), side="right")
+            collisions += _close_pairs(wf, t, S, queries, cands, lo, hi)
+    return collisions
 
 
 # --- Fraction-loop references for the exact core -------------------------------

@@ -2,12 +2,15 @@
 
 ``helpers.brute_force_collisions`` compares every pair of grid points; the
 scipy cross-check finds candidate pairs with a k-d tree instead. Both apply
-the pair rule documented on ``_collision_count``. The coefficient certificate
+the pair rule documented on ``_collision_count``. At full size the pass is
+also compared with ``helpers.reference_collision_count``, its search one
+threshold octave at a time. The coefficient certificate
 that lets ``verify_geometry`` skip the pass is checked against the same pass
 and oracle: whenever it holds, they find no collision.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +23,8 @@ from phmaps import (
     Coefficient,
     DiskGrid,
     ExtremalSpec,
+    NonFiniteError,
+    convolve,
     distortion_extremal,
     evaluate,
     example_F1,
@@ -35,7 +40,7 @@ from phmaps import (
 from phmaps import geometry
 from phmaps.cli import main
 from phmaps.geometry import _collision_count, _injectivity_certified, _lipschitz_bounds, _monomials, _on_grid, verify_geometry
-from phmaps.sampling import random_member
+from phmaps.sampling import random_certified_map, random_member
 
 SMALL_GRIDS = [
     DiskGrid(8, 32, 0.99),
@@ -142,6 +147,111 @@ def image_grids(draw):
 @given(image_grids())
 def test_matches_brute_force_on_random_images(w):
     assert _collision_count(w) == helpers.brute_force_collisions(w)
+
+
+@st.composite
+def clustered_images(draw):
+    """Small lattice images (spacing 1, threshold octave -3) with a few tight
+    clusters: runs of consecutive grid points mapped within eps of a centre, so
+    their thresholds fall in sparse low octaves that one band merges. Some rings
+    may lie on a far sheet, which also raises the floor. A centre is a fresh
+    point or sits within a few eps of another point's image, on either sheet, so
+    pairs join points of different bands."""
+    rings, rays = draw(st.integers(2, 8)), draw(st.integers(3, 16))
+    w = np.add.outer(np.arange(rings), 1j * np.arange(rays)).astype(complex)
+    w[draw(st.integers(1, rings)):] += draw(st.sampled_from([0.0, 1e3, 1e6])) * (1 + 1j)
+    small = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    for _ in range(draw(st.integers(1, 4))):
+        eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2]))
+        if draw(st.booleans()):
+            centre = w[draw(st.integers(0, rings - 1)), draw(st.integers(0, rays - 1))] + eps * draw(small)
+        else:
+            centre = complex(draw(st.floats(-2, 10)), draw(st.floats(-2, 20)))
+        ring, ray = draw(st.integers(0, rings - 1)), draw(st.integers(0, rays - 1))
+        for k in range(draw(st.integers(1, 4))):
+            w[ring, (ray + k) % rays] = centre + eps * draw(small)
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_images())
+def test_matches_brute_force_on_clustered_images(w):
+    assert _collision_count(w) == helpers.brute_force_collisions(w)
+
+
+def test_merged_band_finds_partners_in_higher_octaves():
+    # Ring i is a column of rays 4**i apart, so its thresholds sit in an octave
+    # of their own. (0, 2) lies 1e-3 from (6, 10), alone in octave -6, which a
+    # band merges with ring 0's octave; (1, 7) lies 1e-2 from (4, 3). Both
+    # partners are found in the table of a band below their own.
+    w = 1e4 * np.arange(8)[:, None] + 1j * 4.0 ** np.arange(8)[:, None] * np.arange(16)
+    w[0, 2:4] = w[6, 10] + np.array([1e-3, 1e-1])
+    w[1, 7:9] = w[4, 3] + np.array([1e-2j, 1j])
+    octave = np.frexp(np.maximum(*helpers.collision_rule(w)))[1].reshape(w.shape)
+    assert np.count_nonzero(octave == -6) == 1 and octave[0, 2] == -6
+    assert octave[1, 7] < octave[4, 3] < octave[6, 10]
+    assert _collision_count(w) == helpers.brute_force_collisions(w) == helpers.reference_collision_count(w) == 4
+
+
+def verify_halfplane_r_max(stratum):
+    """The seven r_max values verify-halfplane draws from its stratum-th slice of [0.95, 0.992)."""
+    return [0.95 + (7 * stratum + k) / 1000 for k in range(7)]
+
+
+def grid_image(F, grid):
+    """The image verify_geometry hands to the pass."""
+    return _on_grid(_monomials(F), grid.radii(), grid.rays)
+
+
+@pytest.mark.parametrize("stratum", range(6))
+def test_matches_reference_on_half_plane_r_max_slices(stratum):
+    for r_max in verify_halfplane_r_max(stratum):
+        w = grid_image(half_plane_map(2), DiskGrid(32, 256, r_max))
+        assert _collision_count(w) == helpers.reference_collision_count(w), r_max
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_reference_on_half_plane_convolutions(seed):
+    F = convolve(half_plane_map(2), random_certified_map(random.Random(seed), 4))
+    w = grid_image(F, DiskGrid(32, 256, 0.995))
+    assert _collision_count(w) == helpers.reference_collision_count(w)
+
+
+REFERENCE_FULL_SIZE = [
+    ("half-plane-64", half_plane_map(64), DiskGrid(32, 256, 0.995)),
+    ("half-plane-64-dense", half_plane_map(64), DiskGrid(32, 1024, 0.995)),
+    ("near-reflection", NEAR_REFLECTION, DiskGrid(32, 256, 0.995)),
+]
+
+
+@pytest.mark.parametrize("name,F,grid", REFERENCE_FULL_SIZE, ids=[c[0] for c in REFERENCE_FULL_SIZE])
+def test_matches_reference_at_full_size(name, F, grid):
+    w = grid_image(F, grid)
+    assert _collision_count(w) == helpers.reference_collision_count(w)
+
+
+def test_too_wide_image_raises_like_the_reference():
+    w = grid_image(make_map(1, a={(2, 1): 1e308}), DiskGrid(32, 256, 0.995))
+    with np.errstate(all="ignore"):
+        for count in (_collision_count, helpers.reference_collision_count):
+            with pytest.raises(NonFiniteError, match="too wide for float64"):
+                count(w)
+
+
+@pytest.mark.parametrize("name,F", [("half-plane-2", half_plane_map(2)), ("half-plane-64", half_plane_map(64)),
+                                    ("f2", example_F2())])
+def test_pass_working_memory_stays_under_seven_grids(name, F):
+    # numpy reports its buffers to tracemalloc; the one-octave search with
+    # np.roll copies peaked at 6.3-6.7 grids
+    w = grid_image(F, DiskGrid(32, 256, 0.995))
+    _collision_count(w)  # warm: one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        _collision_count(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * w.size * 16
 
 
 def kdtree_collisions(w: np.ndarray) -> int:
