@@ -43,12 +43,10 @@ from .errors import (
 )
 from .exact import EPS_STRICT, Scalar, format_scalar, parse_scalar
 from .operators import (
-    ConvexCombination,
     DistortionEnvelope,
     NeighborhoodReport,
     ch0_certificate,
     combine,
-    convex_combine,
     convexity_radius,
     convolve,
     delta_bound,

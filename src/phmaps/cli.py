@@ -127,6 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     F = load_map(args.file)
     family = Family(args.family)
+    if args.lam is not None:
+        hs_lambda(args.lam)  # ParamError for lambda outside [0, 1], whichever class is checked
     if family is Family.HS_LAMBDA:
         if args.lam is None:
             print("error: --lambda is required for --class hs-lambda", file=sys.stderr)
@@ -257,7 +259,7 @@ def main(argv=None) -> int:
     except NotMemberError as e:
         print(f"not a member: {e}", file=sys.stderr)
         return EXIT_FAIL
-    except (PhmapsError, OSError, ValueError) as e:
+    except (PhmapsError, OSError, ValueError, OverflowError) as e:  # OverflowError: exact meets float
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the size budget they enforce."""
 
+from numbers import Integral
+
 MAX_GRID_POINTS = 2 ** 15
 
 
@@ -48,3 +50,13 @@ class ZeroValueError(PhmapsError):
 
 class ZeroDerivativeError(PhmapsError):
     """Angular derivative vanished where a nonzero denominator is required."""
+
+
+def as_integers(owner, *names: str) -> None:
+    """Store each named size field of the frozen dataclass ``owner`` as a Python int, so that
+    products of sizes cannot wrap; ParamError unless it is a Python or numpy integer."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, Integral):
+            raise ParamError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(owner, name, int(value))

@@ -40,6 +40,7 @@ from .errors import (
     ParamError,
     ZeroDerivativeError,
     ZeroValueError,
+    as_integers,
 )
 from .exact import kv_lines
 from .operators import distortion_envelope
@@ -158,19 +159,18 @@ def jacobian(F: PolyharmonicMap, z):
 class DiskGrid:
     """Polar sampling grid: ``rings`` circles up to r_max, ``rays`` angles.
 
-    Ring j sits at r_max * j / rings; with include_origin_ring=False the
-    innermost ring is dropped (kept if it is the only one). Neighbouring
-    points of the innermost ring must lie at least 2**-1000 apart, so that
-    distances between grid points and their images stay normal float64
+    Ring j = 1..rings sits at r_max * j / rings; rings and rays are integers.
+    Neighbouring points of the innermost ring must lie at least 2**-1000 apart,
+    so that distances between grid points and their images stay normal float64
     numbers: a smaller r_max raises ParamError.
     """
 
     rings: int = 32
     rays: int = 256
     r_max: float = 0.995
-    include_origin_ring: bool = True
 
     def __post_init__(self):
+        as_integers(self, "rings", "rays")
         if self.rings < 1:
             raise ParamError(f"rings must be >= 1, got {self.rings}")
         if self.rays < 3:
@@ -178,19 +178,15 @@ class DiskGrid:
         if not 0 < self.r_max < 1:
             raise ParamError(f"r_max must lie in (0,1), got {self.r_max}")
         try:
-            gap = self.r_max * self._first_ring / self.rings * 2 * np.sin(np.pi / self.rays)
+            gap = self.r_max / self.rings * 2 * np.sin(np.pi / self.rays)
         except OverflowError:
             raise ParamError("rings and rays must convert to float64") from None
         if gap < 2.0 ** -1000:
             raise ParamError(f"r_max={self.r_max!r} is too small for float64: neighbouring points of the "
                              f"innermost ring lie {gap:.3g} apart, below 2**-1000")
 
-    @property
-    def _first_ring(self) -> int:
-        return 1 if (self.include_origin_ring or self.rings == 1) else 2
-
     def radii(self) -> np.ndarray:
-        return self.r_max * np.arange(self._first_ring, self.rings + 1) / self.rings
+        return self.r_max * np.arange(1, self.rings + 1) / self.rings
 
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.rays) / self.rays
@@ -434,7 +430,7 @@ def _injectivity_certified(table, grid: DiskGrid) -> bool:
       between them lies in [2 pi q/S, pi], so |z_i - z_j| >= r_i A with
       A = sin(min(2 pi q/S, pi/2)). Otherwise their rings are q or more apart and
       |z_i - z_j| >= r_max B with B = q/R. Either way |z_i - z_j| >= r_max D with
-      D = min(A r_1/r_max, B), r_1 the innermost radius.
+      D = A/R: r_i is at least the innermost radius r_max/R, and A <= 1 < q.
     - Threshold. The pair's is at most t_i = max(f spacing_i, floor). The local
       spacing includes the +1 ray neighbour, 2 r_i s away, so f spacing_i <=
       2 f M r_i s; the image is at most 2 M r_max wide, so floor <=
@@ -457,7 +453,7 @@ def _injectivity_certified(table, grid: DiskGrid) -> bool:
     R, S, q = grid.rings, grid.rays, _NEIGHBOR_REACH + 1
     s = np.sin(np.pi / S)
     A, B = np.sin(min(2 * np.pi * q / S, np.pi / 2)), q / R
-    D = min(A * grid._first_ring / R, B)
+    D = A / R
     c = max(2 * COLLISION_FACTOR * s / A, 2 * COLLISION_FACTOR * s / B, 2 * _COLLISION_FLOOR / D)
     u = np.finfo(float).eps / 2
     rho = u * (table[2].size + 3 + 8 * np.log2(S) * np.sqrt(S))
@@ -528,9 +524,8 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
     if not checks:
         raise ParamError("no recognized checks requested")
-    rings = grid.rings - grid._first_ring + 1  # counted before any array is built
-    if rings * grid.rays > MAX_GRID_POINTS:
-        raise GridTooLargeError(f"{rings}x{grid.rays} grid exceeds {MAX_GRID_POINTS} points")
+    if grid.rings * grid.rays > MAX_GRID_POINTS:  # counted before any array is built
+        raise GridTooLargeError(f"{grid.rings}x{grid.rays} grid exceeds {MAX_GRID_POINTS} points")
     radii = grid.radii()
     angles = grid.angles()
     table = _monomials(F)

@@ -48,44 +48,30 @@ def integral_convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap
     return PolyharmonicMap(max(F.p, G.p), a, b)
 
 
-@dataclass(frozen=True)
-class ConvexCombination:
-    """Weighted terms (t_i, F_i) with nonnegative t_i summing to 1."""
+def combine(terms: Sequence[tuple[Scalar, PolyharmonicMap]]) -> PolyharmonicMap:
+    """Convex combination sum t_i F_i, coefficientwise; the leading coefficient stays exactly 1.
 
-    terms: tuple[tuple[Scalar, PolyharmonicMap], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise WeightError("empty combination")
-        terms = tuple((as_scalar(t), F) for t, F in self.terms)
-        object.__setattr__(self, "terms", terms)
-        for t, _ in terms:
-            if t < 0:
-                raise WeightError(f"negative weight {format_scalar(t)}")
-        total = fold_sum(t for t, _ in terms)
-        if is_exact(total):
-            if total != 1:
-                raise WeightError(f"weights sum to {format_scalar(total)}, expected 1")
-        elif abs(float(total) - 1.0) > EPS_STRICT:
-            raise WeightError(f"weights sum to {format_scalar(total)}, expected 1")
-
-
-def convex_combine(combo: ConvexCombination) -> PolyharmonicMap:
-    """Coefficientwise weighted sum; the leading coefficient stays exactly 1."""
-    p = max(F.p for _, F in combo.terms)
+    WeightError unless there are terms, with nonnegative weights summing to 1
+    (exactly for exact weights, within EPS_STRICT for floats).
+    """
+    terms = [(as_scalar(t), F) for t, F in terms]
+    if not terms:
+        raise WeightError("empty combination")
+    for t, _ in terms:
+        if t < 0:
+            raise WeightError(f"negative weight {format_scalar(t)}")
+    total = fold_sum(t for t, _ in terms)
+    if (total != 1) if is_exact(total) else abs(float(total) - 1.0) > EPS_STRICT:
+        raise WeightError(f"weights sum to {format_scalar(total)}, expected 1")
     a: dict[Key, Coefficient] = {}
     b: dict[Key, Coefficient] = {}
-    for t, F in combo.terms:
+    for t, F in terms:
         for key, c in F.a.items():
             a[key] = a.get(key, ZERO) + c.scale(t)
         for key, c in F.b.items():
             b[key] = b.get(key, ZERO) + c.scale(t)
     a[(1, 1)] = Coefficient(1, 0)  # exact by sum(t_i) = 1; normalize float residue
-    return PolyharmonicMap(p, a, b)
-
-
-def combine(terms: Sequence[tuple[Scalar, PolyharmonicMap]]) -> PolyharmonicMap:
-    return convex_combine(ConvexCombination(tuple(terms)))
+    return PolyharmonicMap(max(F.p for _, F in terms), a, b)
 
 
 def rescale(F: PolyharmonicMap, r) -> PolyharmonicMap:

@@ -14,34 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError
+from .errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError, as_integers
 from .geometry import DiskGrid, evaluate
 from .series import PolyharmonicMap
 
 # Boundary behavior of boundary-tight maps is cusp-like, so rendering stays
 # strictly inside the disk by default.
 DEFAULT_RENDER_GRID = DiskGrid(rings=12, rays=24, r_max=0.98)
+MARGIN = 0.06  # fraction of the canvas left blank on each side of the image
+STROKE_WIDTH = 1.0  # every curve but the outermost ring, which is drawn twice as wide
+BOUNDARY_STROKE_WIDTH = 2.0 * STROKE_WIDTH
 
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Curve layout and canvas geometry for the renderer."""
+    """Curve layout and integer canvas size; the margin and stroke widths are the constants above."""
 
     grid: DiskGrid = DEFAULT_RENDER_GRID
     samples_per_curve: int = 256
     width: int = 800
     height: int = 800
-    margin: float = 0.06
-    stroke_width: float = 1.0
-    boundary_emphasis: bool = True
 
     def __post_init__(self):
         if self.samples_per_curve < 64:
             raise ParamError(f"samples_per_curve must be >= 64, got {self.samples_per_curve}")
         if not (100 <= self.width <= MAX_GRID_POINTS and 100 <= self.height <= MAX_GRID_POINTS):  # NaN fails too
             raise ParamError(f"canvas width and height must lie in [100, {MAX_GRID_POINTS}]")
-        if not 0 <= self.margin < 0.5:
-            raise ParamError(f"margin fraction must lie in [0, 0.5), got {self.margin}")
+        as_integers(self, "samples_per_curve", "width", "height")
         vertices = (self.grid.rings + self.grid.rays) * (self.samples_per_curve + 1)
         if vertices > MAX_GRID_POINTS:
             raise GridTooLargeError(f"(rings + rays) x (samples + 1) = {vertices} vertices "
@@ -76,7 +75,7 @@ class Image:
     def svg(self) -> bytes:
         """The render_svg bytes."""
         spec, (x_min, x_max, y_min, y_max) = self.spec, self.bbox
-        fit = 1.0 - 2.0 * spec.margin
+        fit = 1.0 - 2.0 * MARGIN
         scale = min(spec.width * fit / max(x_max - x_min, 1e-12), spec.height * fit / max(y_max - y_min, 1e-12))
         off_x = (spec.width - scale * (x_min + x_max)) / 2.0
         off_y = (spec.height + scale * (y_min + y_max)) / 2.0  # SVG y axis points down
@@ -84,9 +83,8 @@ class Image:
         w = np.concatenate([np.concatenate([self.rings, self.rings[:, :1]], axis=1), self.rays])
         xy = np.stack([off_x + scale * w.real, off_y - scale * w.imag], axis=-1).reshape(len(w), -1)
         pts = " ".join(["%.6f,%.6f"] * w.shape[1])
-        widths = [spec.stroke_width] * len(w)
-        if spec.boundary_emphasis:
-            widths[len(self.rings) - 1] = 2.0 * spec.stroke_width
+        widths = [STROKE_WIDTH] * len(w)
+        widths[len(self.rings) - 1] = BOUNDARY_STROKE_WIDTH
         head = (f'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
                 f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">\n')
         body = "".join(f'<polyline fill="none" stroke="black" stroke-width="{sw:.6f}" points="{pts % tuple(row)}"/>\n'

@@ -189,12 +189,6 @@ class PolyharmonicMap:
         keys = set(self.a) | set(self.b)
         return iter(sorted(keys, key=lambda nk: (nk[1], nk[0])))
 
-    def padded(self, p: int) -> "PolyharmonicMap":
-        """Same map viewed with at least ``p`` layers (missing layers are zero)."""
-        if p <= self.p:
-            return self
-        return PolyharmonicMap(p, dict(self.a), dict(self.b))
-
     # --- equality ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -30,6 +30,7 @@ from phmaps.classes import Family, MembershipReport, hc, membership, weight
 from phmaps.errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError
 from phmaps.exact import as_scalar, is_exact, strict_less
 from phmaps.operators import _hs_lambda_member, convexity_radius, rescale
+from phmaps.render import MARGIN, STROKE_WIDTH
 from phmaps.series import Coefficient, PolyharmonicMap
 from phmaps.geometry import (
     ALL_CHECKS,
@@ -299,9 +300,8 @@ def reference_product(x: Coefficient, y: Coefficient) -> Coefficient:
 
 
 def reference_convolve(F, G) -> PolyharmonicMap:
-    """Entrywise four-product form over both maps padded to the larger depth."""
+    """Entrywise four-product form; the result has the larger depth."""
     p = max(F.p, G.p)
-    F, G = F.padded(p), G.padded(p)
     a = {key: reference_product(F.a[key], G.a[key]) for key in F.a.keys() & G.a.keys()}
     b = {key: reference_product(F.b[key], G.b[key]) for key in F.b.keys() & G.b.keys()}
     return PolyharmonicMap(p, a, b)
@@ -310,7 +310,6 @@ def reference_convolve(F, G) -> PolyharmonicMap:
 def reference_integral_convolve(F, G) -> PolyharmonicMap:
     """Entrywise four-product form, each part multiplied by a newly built Fraction(1, n)."""
     p = max(F.p, G.p)
-    F, G = F.padded(p), G.padded(p)
 
     def entry(x, y, n):
         c = reference_product(x, y)
@@ -385,8 +384,6 @@ def reference_membership(F, params) -> MembershipReport:
 
 def reference_neighborhood_distance(F, G):
     """Weighted l1 distance as a left fold of Fraction/float terms."""
-    p = max(F.p, G.p)
-    F, G = F.padded(p), G.padded(p)
     total = Fraction(0)
     keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
     for n, k in sorted(keys, key=lambda nk: (nk[1], nk[0])):
@@ -412,9 +409,8 @@ def reference_verify_geometry(F, grid, checks=ALL_CHECKS) -> GeometryReport:
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
     if not checks:
         raise ParamError("no recognized checks requested")
-    rings = grid.rings - grid._first_ring + 1  # counted before any array is built
-    if rings * grid.rays > MAX_GRID_POINTS:
-        raise GridTooLargeError(f"{rings}x{grid.rays} grid exceeds {MAX_GRID_POINTS} points")
+    if grid.rings * grid.rays > MAX_GRID_POINTS:  # counted before any array is built
+        raise GridTooLargeError(f"{grid.rings}x{grid.rays} grid exceeds {MAX_GRID_POINTS} points")
     radii = grid.radii()
     angles = grid.angles()
     table = _monomials(F)
@@ -553,8 +549,8 @@ def reference_render_svg(F, spec) -> bytes:
     all_pts = np.concatenate([w for _, _, w in curves])
     x_min, x_max = float(np.min(all_pts.real)), float(np.max(all_pts.real))
     y_min, y_max = float(np.min(all_pts.imag)), float(np.max(all_pts.imag))
-    usable_w = spec.width * (1.0 - 2.0 * spec.margin)
-    usable_h = spec.height * (1.0 - 2.0 * spec.margin)
+    usable_w = spec.width * (1.0 - 2.0 * MARGIN)
+    usable_h = spec.height * (1.0 - 2.0 * MARGIN)
     span_x = max(x_max - x_min, 1e-12)
     span_y = max(y_max - y_min, 1e-12)
     scale = min(usable_w / span_x, usable_h / span_y)
@@ -571,9 +567,9 @@ def reference_render_svg(F, spec) -> bytes:
         verts = w
         if curve_id.startswith("ring"):
             verts = np.concatenate([w, w[:1]])  # close the loop on the exact first vertex
-        sw = spec.stroke_width
-        if spec.boundary_emphasis and i == n_rings - 1:
-            sw = 2.0 * spec.stroke_width
+        sw = STROKE_WIDTH
+        if i == n_rings - 1:
+            sw = 2.0 * STROKE_WIDTH
         pts = " ".join(
             f"{off_x + scale * v.real:.6f},{off_y - scale * v.imag:.6f}" for v in verts
         )

@@ -12,7 +12,7 @@ from phmaps import evaluate, example_F1, example_F2, half_plane_map, identity_ma
 from phmaps.cli import main
 from phmaps.exact import MAX_SCALAR_DIGITS
 from phmaps.geometry import MAX_GRID_POINTS
-from phmaps.phmio import save_map
+from phmaps.phmio import save_map, serialize_map
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,6 +101,18 @@ class TestCheck:
 
     def test_lambda_required_for_hs_lambda(self, f1):
         assert main(["check", "--class", "hs-lambda", f1]) == 2
+
+    @pytest.mark.parametrize("family", ["hs", "hc"])
+    def test_lambda_out_of_range_exits_two_for_every_class(self, f1, capsys, family):
+        assert main(["check", "--class", family, "--lambda", "5", f1]) == 2
+        assert single_error_line(capsys) == "error: lambda must lie in [0,1], got 5\n"
+
+    @pytest.mark.parametrize("family", ["hs", "hc"])
+    def test_lambda_in_range_keeps_the_report(self, f1, capsys, family):
+        code = main(["check", "--class", family, f1])
+        want = capsys.readouterr().out
+        assert main(["check", "--class", family, "--lambda", "1/2", f1]) == code
+        assert capsys.readouterr().out == want
 
     def test_usage_error_exit_two(self, f1):
         with pytest.raises(SystemExit) as exc:
@@ -198,6 +210,13 @@ class TestConvolve:
         half.write_text("p 1\na 1 1 1 0\na 2 1 1" + "0" * (MAX_SCALAR_DIGITS // 2 + 1) + " 0\n")
         assert main(["convolve", str(half), str(half)]) == 2
         assert f"MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS}" in single_error_line(capsys)
+
+    def test_exact_part_beyond_float_times_a_float_part_exits_two(self, tmp_path, capsys):
+        # the product mixes the exact 10**400 with float parts, which converts it to a float
+        mixed = tmp_path / "mixed.phm"
+        mixed.write_text(f"p 1\na 1 1 1 0\na 2 1 {10**400} 1e308\n")
+        assert main(["convolve", str(mixed), str(mixed)]) == 2
+        assert "too large for a float" in single_error_line(capsys)
 
 
 class TestNeighborhood:
@@ -535,3 +554,62 @@ def test_cli_exits_0_1_2_on_any_numeric_token(argv, contract_dir):
         assert code == 2, argv
     assert code in (0, 1, 2), argv
     assert code != 2 or stdout.getvalue() == "", argv
+
+
+# .phm fields: a valid token, or one time in ten an invalid, huge or non-finite one.
+PHM_P = (["2", "3"], ["1", "0", "-1", str(10**20), "x"])
+PHM_N = (["1", "2", "3"], ["0", "-1", str(10**20), "x"])
+PHM_K = (["1", "2"], ["3", "0", "-1", str(10**20), "x"])  # a valid k never exceeds a valid p
+PHM_VALUE = (["0", "1", "-1", "1/2", "-1/5", "1/10", "0.1", "0.99", "2", str(10**20), str(10**400), "1e308", "1e-400"],
+             ["1e400", "inf", "nan", "1/0", "x", ""])
+PHM_BASES = [example_F1(), example_F2(), half_plane_map(3),
+             make_map(2, a={(2, 1): (Fraction(1, 8), Fraction(-1, 9)), (1, 2): Fraction(1, 20)}, b={(1, 1): 0.25})]
+
+
+@st.composite
+def phm_bytes(draw):
+    """A small .phm document: generated line by line from the PHM_ tokens, or a valid
+    map's text with up to three bytes deleted, inserted or replaced."""
+    if draw(st.booleans()):
+        def field(tokens):
+            return draw(st.sampled_from(tokens[draw(st.integers(0, 9)) == 0]))
+
+        lines, keys = [f"p {field(PHM_P)}", "a 1 1 1 0"], {("a", "1", "1")}
+        for _ in range(draw(st.integers(0, 3))):
+            key = (draw(st.sampled_from("ab")), field(PHM_N), field(PHM_K))
+            if key in keys and draw(st.integers(0, 9)):  # keep a duplicate, a syntax error, one time in ten
+                continue
+            keys.add(key)
+            lines.insert(draw(st.integers(1, len(lines))), " ".join([*key, field(PHM_VALUE), field(PHM_VALUE)]))
+        return "\n".join(lines).encode()
+    data = bytearray(serialize_map(draw(st.sampled_from(PHM_BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.sampled_from(b" \n#-/.01239eabpx\xff"))
+        action = draw(st.sampled_from(["delete", "insert", "replace"]))
+        data[i:i + (action != "insert")] = b"" if action == "delete" else bytes([byte])
+    return bytes(data)
+
+
+PHM_COMMANDS = [["check", "--class", "hs", "{phm}"],
+                ["neighborhood", "{phm}", "{f1}", "--lambda", "1/2"],
+                ["convolve", "{phm}", "{phm}"],
+                ["verify", "{phm}", "--grid", "4x8", "--suite", "all", "--lambda", "1/2"]]
+
+
+@settings(max_examples=150)
+@given(data=phm_bytes())
+def test_cli_exits_0_1_2_on_any_phm_bytes(data, contract_dir):
+    """The CLI contract on map files: exit 0, 1 or 2, never a traceback, and an exit of 2 writes
+    nothing to stdout."""
+    phm = contract_dir / "any.phm"
+    phm.write_bytes(data)
+    for argv in PHM_COMMANDS:
+        argv = [arg.format(phm=phm, f1=contract_dir / "f1.phm") for arg in argv]
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # convolve writes to its buffer
+        with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning is a fault here too
+            code = main(argv)
+        stdout.flush()
+        assert code in (0, 1, 2), (argv, data)
+        assert code != 2 or stdout.buffer.getvalue() == b"", (argv, data)

@@ -348,10 +348,9 @@ def test_checks_without_injective_report_no_certificate():
     assert rep.injectivity_certified is None and "injectivity_certified" not in rep.to_kv()
 
 
-def smallest_r_max(rings, rays, include_origin_ring):
+def smallest_r_max(rings, rays):
     """Just above the least r_max DiskGrid accepts: innermost ray spacing 2**-1000."""
-    first = 1 if include_origin_ring or rings == 1 else 2
-    return 2.0 ** -1000 * rings / (first * 2 * np.sin(np.pi / rays)) * (1 + 1e-12)
+    return 2.0 ** -1000 * rings / (2 * np.sin(np.pi / rays)) * (1 + 1e-12)
 
 
 FOLD_BASES = [FOLD, NEAR_REFLECTION, *(half_plane_map(n) for n in range(2, 6))]
@@ -366,19 +365,18 @@ def certificate_cases(draw):
     up to 32x64, with r_max in [0.3, 0.999] or near its least value."""
     kind = draw(st.sampled_from(["member", "complex", "float", "fold"]))
     if kind == "fold":
-        rings, rays, origin = draw(st.integers(8, 32)), draw(st.integers(16, 64)), draw(st.booleans())
-        grid = DiskGrid(rings, rays, draw(st.floats(0.9, 0.999)), include_origin_ring=origin)
+        rings, rays = draw(st.integers(8, 32)), draw(st.integers(16, 64))
+        grid = DiskGrid(rings, rays, draw(st.floats(0.9, 0.999)))
         G, s = draw(st.sampled_from(FOLD_BASES)), Fraction(draw(st.integers(50, 100)), 100)
         a = {key: c if key == (1, 1) else c.scale(s) for key, c in G.a.items()}
         return make_map(G.p, a=a, b={key: c.scale(s) for key, c in G.b.items()}), grid
     rings = draw(st.sampled_from([1, 2, 3, 6, draw(st.integers(1, 32))]))
     rays = draw(st.sampled_from([3, 4, 5, draw(st.integers(3, 64))]))
-    origin = draw(st.booleans())
     if draw(st.integers(0, 4)) == 0:
-        r_max = smallest_r_max(rings, rays, origin) * draw(st.sampled_from([1.0, 2.0, 1e10, 1e100]))
+        r_max = smallest_r_max(rings, rays) * draw(st.sampled_from([1.0, 2.0, 1e10, 1e100]))
     else:
         r_max = draw(st.floats(0.3, 0.999))
-    grid = DiskGrid(rings, rays, r_max, include_origin_ring=origin)
+    grid = DiskGrid(rings, rays, r_max)
     p = draw(st.integers(1, 3))
     if kind == "member":
         rng = random.Random(draw(st.integers(0, 2 ** 32)))

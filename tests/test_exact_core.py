@@ -110,7 +110,7 @@ def test_convolve_matches_the_fraction_loop(F, G):
 
 @pytest.mark.parametrize("shallow, deep", [("f1", "pythagorean"), ("h8", "irrational"), ("decimal_f1", "mixed")])
 def test_maps_of_different_depth_match_the_padded_loops(shallow, deep):
-    """Absent layers are zero: no operand is padded, yet both orders agree with the padded references."""
+    """Absent layers are zero: no operand is padded, and both orders agree with the references at the larger depth."""
     F, G = NAMED[shallow], NAMED[deep]
     assert F.p < G.p
     for x, y in ((F, G), (G, F)):

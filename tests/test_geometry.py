@@ -263,10 +263,10 @@ class TestVerifyGeometry:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # the dropped origin ring does not count: 4 x 8192 points fit, 5 x 8192 do not
+        # 4 x 8192 points fit, 5 x 8192 do not
         with pytest.raises(GridTooLargeError, match="^5x8192 grid exceeds"):
             verify_geometry(identity_map(), DiskGrid(5, 8192))
-        verify_geometry(identity_map(), DiskGrid(5, 8192, include_origin_ring=False), ("jacobian",))
+        verify_geometry(identity_map(), DiskGrid(4, 8192), ("jacobian",))
 
     @pytest.mark.parametrize("F,grid,checks", [
         (random_member(random.Random(3), 2, Fraction(1, 2)), DiskGrid(32, 256, 0.995),
@@ -297,11 +297,14 @@ class TestVerifyGeometry:
             DiskGrid(32, 256, 1e-300)
         assert DiskGrid(32, 256, 1e-290).r_max == 1e-290
 
-    def test_origin_ring_toggle(self):
-        full = DiskGrid(4, 8, 0.8, include_origin_ring=True)
-        trimmed = DiskGrid(4, 8, 0.8, include_origin_ring=False)
-        assert len(full.radii()) == 4 and len(trimmed.radii()) == 3
-        assert np.min(trimmed.radii()) > np.min(full.radii())
+    @pytest.mark.parametrize("field", ["rings", "rays"])
+    def test_sizes_must_be_integers(self, field):
+        # a 2.5-ring grid would put a ring at 1.08, outside the disk; 8.5 rays would not match the FFT
+        sizes = {"rings": 4, "rays": 8}
+        with pytest.raises(ParamError, match=f"^{field} must be an integer, got 2.5$"):
+            DiskGrid(**{**sizes, field: 2.5}, r_max=0.9)
+        grid = DiskGrid(**{**sizes, field: np.int64(5)}, r_max=0.9)
+        assert getattr(grid, field) == 5 and type(getattr(grid, field)) is int
 
     def test_report_serialization(self):
         rep = verify_geometry(identity_map(), DiskGrid(4, 8, 0.9))
@@ -650,7 +653,7 @@ KERNEL_MAPS = kernel_maps()
 KERNEL_GRIDS = [
     DiskGrid(32, 256, 0.995),
     DiskGrid(32, 1024, 0.995),
-    DiskGrid(16, 256, 0.99, include_origin_ring=False),
+    DiskGrid(16, 256, 0.99),
     DiskGrid(6, 3, 0.9),
     DiskGrid(6, 7, 0.95),
     DiskGrid(10, 100, 0.99),
@@ -673,7 +676,7 @@ def close(values, ref, tol=1e-9):
 
 
 def grid_id(grid):
-    return f"{grid.rings}x{grid.rays}" + ("" if grid.include_origin_ring else "-no-origin")
+    return f"{grid.rings}x{grid.rays}"
 
 
 class TestGridKernel:
@@ -777,7 +780,7 @@ def serialiser_maps():
 CHECK_SUBSETS = [c for n in range(1, 5) for c in itertools.combinations(("jacobian", "starlike", "convex", "injective"), n)]
 
 
-@pytest.mark.parametrize("grid", [DiskGrid(8, 64), DiskGrid(32, 256), DiskGrid(3, 5, include_origin_ring=False)],
+@pytest.mark.parametrize("grid", [DiskGrid(8, 64), DiskGrid(32, 256), DiskGrid(3, 5)],
                          ids=grid_id)
 def test_report_serialisers_match_the_line_by_line_reference(grid):
     for F in serialiser_maps():
@@ -825,8 +828,8 @@ FIXED_MAPS, MEMBERS = reference_maps()
                                        (DiskGrid(7, 13, 0.9), FIXED_MAPS + MEMBERS),
                                        (DiskGrid(32, 1024, 0.995), FIXED_MAPS),
                                        (DiskGrid(8, 4096, 0.995), FIXED_MAPS),
-                                       (DiskGrid(16, 256, 0.995, include_origin_ring=False), FIXED_MAPS)],
-                         ids=["32x256", "7x13", "32x1024", "8x4096", "16x256-no-origin"])
+                                       (DiskGrid(16, 256, 0.995), FIXED_MAPS)],
+                         ids=["32x256", "7x13", "32x1024", "8x4096", "16x256"])
 def test_reports_and_errors_match_the_reference_verifier(grid, maps, monkeypatch):
     # against a reference run here, not a committed golden: FFT bits may differ between numpy builds
     counts = {}

@@ -29,10 +29,9 @@ EXPORTS = {
     "exact": ["EPS_STRICT", "Scalar", "format_scalar", "parse_scalar"],
     "geometry": ["DiskGrid", "GeometryReport", "arg_derivative", "convexity_indicator", "evaluate", "jacobian",
                  "theta_derivative", "verify_geometry", "wirtinger_derivatives"],
-    "operators": ["ConvexCombination", "DistortionEnvelope", "NeighborhoodReport", "ch0_certificate", "combine",
-                  "convex_combine", "convexity_radius", "convolve", "delta_bound", "distortion_envelope",
-                  "integral_convolve", "layer_bound_check", "neighborhood_distance", "neighborhood_report", "rescale",
-                  "rescale_convexity_certificate"],
+    "operators": ["DistortionEnvelope", "NeighborhoodReport", "ch0_certificate", "combine", "convexity_radius",
+                  "convolve", "delta_bound", "distortion_envelope", "integral_convolve", "layer_bound_check",
+                  "neighborhood_distance", "neighborhood_report", "rescale", "rescale_convexity_certificate"],
     "phmio": ["load_map", "parse_map", "save_map", "serialize_map"],
     "render": ["RenderSpec", "render_csv", "render_svg"],
     "series": ["Coefficient", "PolyharmonicMap", "coeff", "make_map"],

@@ -170,7 +170,7 @@ class TestNeighborhood:
             dfg = neighborhood_distance(F, G)
             assert dfg == neighborhood_distance(G, F)
             assert dfg >= 0
-            assert (dfg == 0) == (F.padded(2) == G.padded(2))
+            assert (dfg == 0) == ((F.a, F.b) == (G.a, G.b))
             assert neighborhood_distance(F, H) <= dfg + neighborhood_distance(G, H)
 
     def test_delta_bound_examples(self):

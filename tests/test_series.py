@@ -78,7 +78,6 @@ class TestMapValidation:
         F = make_map(3, a={(5, 2): Fraction(1, 100)})
         assert F.max_degree == 5
         assert F.effective_p == 2
-        assert F.padded(4).p == 4 and F.padded(4).a == F.a
 
     def test_normalized_flag(self):
         assert example_F1().is_normalized
