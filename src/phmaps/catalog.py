@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .classes import weight
+from .classes import hs_lambda, weight
 from .errors import MAX_GRID_POINTS, GridTooLargeError, ParamError
 from .exact import Scalar, as_scalar
 from .series import Coefficient, PolyharmonicMap, make_map
@@ -68,15 +68,13 @@ class ExtremalSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", as_scalar(self.lam))
         if self.n < 2:
             raise ParamError(f"extremal slot needs n >= 2, got n={self.n}")
         if self.k < 1:
             raise ParamError(f"layer must be >= 1, got k={self.k}")
         if self.kind not in ("analytic", "antianalytic"):
             raise ParamError(f"kind must be analytic|antianalytic, got {self.kind!r}")
-        if not 0 <= self.lam <= 1:
-            raise ParamError("lambda must lie in [0,1]")
+        object.__setattr__(self, "lam", hs_lambda(self.lam).lam)
 
 
 def extremal_point(spec: ExtremalSpec, p: int | None = None) -> PolyharmonicMap:
@@ -122,12 +120,10 @@ def distortion_extremal(lam, b11, a12=0, b12=0, phases: Sequence[float] | None =
     With zero phases and z = r on the positive real axis all terms align, so
     |F(r)| equals the upper envelope exactly.
     """
-    lam = as_scalar(lam)
     b11 = as_scalar(b11)
     a12 = as_scalar(a12)
     b12 = as_scalar(b12)
-    if not 0 <= lam <= 1:
-        raise ParamError("lambda must lie in [0,1]")
+    lam = hs_lambda(lam).lam
     if not 0 <= b11 < 1:
         raise ParamError("need 0 <= b11 < 1")
     if a12 < 0 or b12 < 0:

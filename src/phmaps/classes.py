@@ -35,7 +35,7 @@ class Family(Enum):
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Class selector: family, lambda (hs-lambda only), and the superscript-0 flag."""
+    """Class selector: family, lambda (hs fixes 0, hc fixes 1), and the superscript-0 flag."""
 
     family: Family
     lam: Scalar = Fraction(0)
@@ -45,10 +45,13 @@ class ClassParams:
         object.__setattr__(self, "lam", as_scalar(self.lam))
         if not 0 <= self.lam <= 1:
             raise ParamError(f"lambda must lie in [0,1], got {format_scalar(self.lam)}")
+        fixed = {Family.HS: 0, Family.HC: 1}.get(self.family)
+        if fixed is not None and self.lam != fixed:
+            raise ParamError(f"class {self.family.value} fixes lambda = {fixed}, got {format_scalar(self.lam)}")
 
 
 def hs_lambda(lam, normalized: bool = False) -> ClassParams:
-    return ClassParams(Family.HS_LAMBDA, as_scalar(lam), normalized)
+    return ClassParams(Family.HS_LAMBDA, lam, normalized)
 
 
 def hs(normalized: bool = False) -> ClassParams:
@@ -63,9 +66,7 @@ def weight(n: int, k: int, lam) -> Scalar:
     """Row-1 weight 2(k-1) + n(lam*n + 1 - lam). Exact for rational lam."""
     if n < 1 or k < 1:
         raise ParamError(f"weight indices must be >= 1, got ({n}, {k})")
-    lam = as_scalar(lam)
-    if not 0 <= lam <= 1:
-        raise ParamError(f"lambda must lie in [0,1], got {format_scalar(lam)}")
+    lam = hs_lambda(lam).lam
     return 2 * (k - 1) + n * (lam * n + 1 - lam)
 
 
@@ -111,12 +112,7 @@ def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
     if not (lead.re == 1 and lead.im == 0):
         raise InvalidMapError("membership requires a[1,1] = 1")
 
-    if params.family is Family.HS_LAMBDA:
-        lam = params.lam
-    elif params.family is Family.HS:
-        lam = Fraction(0)
-    else:
-        lam = Fraction(1)
+    lam = params.lam
     # ClassParams has validated lam. For lam = P/Q the row-1 weight is the integer
     # 2(k-1)Q + n(Pn + Q - P) over Q; a float lam keeps weight()'s float expression.
     P, Q = (lam.numerator, lam.denominator) if is_exact(lam) else (None, None)

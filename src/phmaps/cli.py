@@ -14,8 +14,8 @@ import argparse
 import sys
 
 from . import catalog
-from .classes import ClassParams, Family, hs_lambda, membership
-from .errors import MAX_GRID_POINTS, NotMemberError, PhmapsError
+from .classes import hc, hs, hs_lambda, membership
+from .errors import MAX_GRID_POINTS, NotMemberError, ParamError, PhmapsError
 from .exact import format_scalar, parse_scalar
 from .operators import convolve, integral_convolve, neighborhood_report
 from .phmio import load_map, save_map, serialize_map
@@ -126,16 +126,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args) -> int:
     F = load_map(args.file)
-    family = Family(args.family)
     if args.lam is not None:
         hs_lambda(args.lam)  # ParamError for lambda outside [0, 1], whichever class is checked
-    if family is Family.HS_LAMBDA:
-        if args.lam is None:
-            print("error: --lambda is required for --class hs-lambda", file=sys.stderr)
-            return EXIT_USAGE
-        params = ClassParams(family, args.lam, args.normalized)
+    if args.family == "hs":
+        params = hs(args.normalized)
+    elif args.family == "hc":
+        params = hc(args.normalized)
+    elif args.lam is None:
+        raise ParamError("--lambda is required for --class hs-lambda")
     else:
-        params = ClassParams(family, 1 if family is Family.HC else 0, args.normalized)
+        params = hs_lambda(args.lam, args.normalized)
     report = membership(F, params)
     print(report.to_kv())
     return EXIT_OK if report.member else EXIT_FAIL
@@ -162,27 +162,17 @@ def _cmd_verify(args) -> int:
 
     F = load_map(args.file)
     suite = args.suite
-    grid_checks = {
-        "starlike": ("starlike",),
-        "convex": ("convex",),
-        "jacobian": ("jacobian",),
-        "injective": ("injective",),
-        "distortion": (),
-        "all": ALL_CHECKS,
-    }[suite]
+    grid_checks = {"distortion": (), "all": ALL_CHECKS}.get(suite, (suite,))
 
     rings, rays = args.grid if args.grid else (32, 256)
     if args.grid is None and suite == "convex":
         rings, rays = 8, 4096  # dense boundary sweep
     radius = args.radius if args.radius is not None else 0.995
     if not 0 < radius < 1:  # compared exactly: an exact radius may not convert to float
-        print(f"error: --r must lie in (0,1), got {format_scalar(radius)}", file=sys.stderr)
-        return EXIT_USAGE
-    r_max = float(radius)
+        raise ParamError(f"--r must lie in (0,1), got {format_scalar(radius)}")
     distortion = suite == "distortion" or (suite == "all" and args.lam is not None)
     if distortion and args.lam is None:
-        print("error: --lambda is required for the distortion suite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParamError("--lambda is required for the distortion suite")
     # every flag is checked before the first report line, whether or not its suite runs
     if args.lam is not None:
         hs_lambda(args.lam)  # ParamError for lambda outside [0, 1]
@@ -190,12 +180,11 @@ def _cmd_verify(args) -> int:
                          (args.samples < 1, f"samples must be >= 1, got {args.samples}"),
                          (args.seed < 0, f"--seed must be >= 0, got {args.seed}")):
         if bad:
-            print(f"error: {message}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ParamError(message)
 
     ok = True
     if grid_checks:
-        report = verify_geometry(F, DiskGrid(rings=rings, rays=rays, r_max=r_max), grid_checks)
+        report = verify_geometry(F, DiskGrid(rings=rings, rays=rays, r_max=radius), grid_checks)
         print(report.to_kv())
         ok &= report.passed()
     if distortion:

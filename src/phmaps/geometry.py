@@ -177,6 +177,7 @@ class DiskGrid:
             raise ParamError(f"rays must be >= 3, got {self.rays}")
         if not 0 < self.r_max < 1:
             raise ParamError(f"r_max must lie in (0,1), got {self.r_max}")
+        object.__setattr__(self, "r_max", float(self.r_max))  # compared exactly above, so it converts
         try:
             gap = self.r_max / self.rings * 2 * np.sin(np.pi / self.rays)
         except OverflowError:
@@ -521,7 +522,11 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     The injective check first tries the coefficient certificate
     (`_injectivity_certified`); when it holds, the count is 0 without a search.
     """
-    checks = tuple(c for c in ALL_CHECKS if c in set(checks))
+    requested = set(checks)
+    unknown = requested.difference(ALL_CHECKS)
+    if unknown:
+        raise ParamError(f"unknown checks: {', '.join(sorted(map(repr, unknown)))}")
+    checks = tuple(c for c in ALL_CHECKS if c in requested)
     if not checks:
         raise ParamError("no recognized checks requested")
     if grid.rings * grid.rays > MAX_GRID_POINTS:  # counted before any array is built

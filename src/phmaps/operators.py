@@ -117,7 +117,11 @@ def delta_bound(F: PolyharmonicMap, lam) -> Scalar:
     lam = as_scalar(lam)
     if not 0 < lam <= 1:
         raise ParamError(f"lambda must lie in (0,1], got {format_scalar(lam)}")
-    return lam / (F.p + lam) * _hs_lambda_member(F, lam).row1_rhs
+    try:
+        ratio = lam / (F.p + lam)
+    except OverflowError:  # a float lambda and a p beyond float64: divide exactly, round once
+        ratio = float(Fraction(lam) / (F.p + Fraction(lam)))
+    return ratio * _hs_lambda_member(F, lam).row1_rhs
 
 
 @dataclass(frozen=True)
@@ -163,10 +167,7 @@ def ch0_certificate(H: PolyharmonicMap) -> bool:
 
 def convexity_radius(lam) -> Scalar:
     """max(1/2, lambda): members rescaled to this radius map onto convex domains."""
-    lam = as_scalar(lam)
-    if not 0 <= lam <= 1:
-        raise ParamError("lambda must lie in [0,1]")
-    return max(Fraction(1, 2), lam)
+    return max(Fraction(1, 2), hs_lambda(lam).lam)
 
 
 def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:

@@ -71,7 +71,10 @@ class Coefficient:
             if b and c:
                 im = im + b * c
             return Coefficient(re, im)
-        return Coefficient(a * c - b * d, a * d + b * c)
+        try:
+            return Coefficient(a * c - b * d, a * d + b * c)
+        except OverflowError:  # an exact part beyond float64 meets a float part
+            raise NonFiniteError(f"product of coefficients {self} and {other} overflows float64") from None
 
     def scale(self, s: Scalar) -> "Coefficient":
         re, im = self.re, self.im

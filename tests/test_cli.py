@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phmaps import evaluate, example_F1, example_F2, half_plane_map, identity_map, make_map, parse_map
+from phmaps import (ClassParams, ExtremalSpec, Family, ParamError, convexity_radius, distortion_extremal, evaluate,
+                    example_F1, example_F2, half_plane_map, hs_lambda, identity_map, make_map, parse_map, weight)
 from phmaps.cli import main
 from phmaps.exact import MAX_SCALAR_DIGITS
 from phmaps.geometry import MAX_GRID_POINTS
@@ -216,7 +217,9 @@ class TestConvolve:
         mixed = tmp_path / "mixed.phm"
         mixed.write_text(f"p 1\na 1 1 1 0\na 2 1 {10**400} 1e308\n")
         assert main(["convolve", str(mixed), str(mixed)]) == 2
-        assert "too large for a float" in single_error_line(capsys)
+        line = single_error_line(capsys)
+        assert line.startswith(f"error: product of coefficients {10**400}+1e+308i and ")
+        assert line.endswith(" overflows float64\n")
 
 
 class TestNeighborhood:
@@ -236,6 +239,15 @@ class TestNeighborhood:
         save_map(make_map(1, b={(1, 1): Fraction(9, 10)}), g)
         assert main(["neighborhood", f1, str(g), "--lambda", "2/3"]) == 1
         assert kv(capsys)["inside"] == "false"
+
+    def test_float_lambda_with_p_beyond_float(self, tmp_path, capsys):
+        # lambda/(p + lambda) for a float lambda is divided exactly and rounded once
+        path = tmp_path / "h.phm"
+        path.write_text(f"p {BEYOND_FLOAT}\na 1 1 1 0\n")
+        assert main(["neighborhood", str(path), str(path), "--lambda", "0.5"]) == 0
+        assert kv(capsys) == {"distance": "0", "delta_bound": "0.0", "inside": "true", "exact": "false"}
+        assert main(["neighborhood", str(path), str(path), "--lambda", "1/2"]) == 0
+        assert kv(capsys)["delta_bound"] == f"1/{2 * 10**400 + 1}"
 
     def test_non_member_base_exits_one(self, tmp_path, f1, capsys):
         bad = tmp_path / "bad.phm"
@@ -369,6 +381,43 @@ class TestVerify:
         assert main(["verify", f1, "--grid", "4x16", "--suite", suite, *lam]) in (0, 1)
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out.endswith("\n") and "suite_passed=" in captured.out
+
+
+def _raised(call):
+    """lam -> the ParamError message of call(lam)."""
+    def message(lam):
+        with pytest.raises(ParamError) as exc:
+            call(lam)
+        return str(exc.value)
+    return message
+
+
+def _extremal_cli(lam):
+    """lam -> the error line of `phmaps extremal --lambda lam`, which exits 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["extremal", "--n", "2", f"--lambda={lam}"]) == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return err.getvalue()[len("error: "):-1]
+
+
+LAMBDA_OWNERS = {
+    "hs_lambda": _raised(hs_lambda),
+    **{f"ClassParams-{family.value}": _raised(lambda lam, family=family: ClassParams(family, lam))
+       for family in Family},
+    "weight": _raised(lambda lam: weight(2, 1, lam)),
+    "ExtremalSpec": _raised(lambda lam: ExtremalSpec(n=2, k=1, lam=lam)),
+    "distortion_extremal": _raised(lambda lam: distortion_extremal(lam, 0)),
+    "convexity_radius": _raised(convexity_radius),
+    "extremal-cli": _extremal_cli,
+}
+
+
+@pytest.mark.parametrize("lam", [2, Fraction(-1, 3)], ids=["2", "-1/3"])
+@pytest.mark.parametrize("owner", LAMBDA_OWNERS)
+def test_every_lambda_is_checked_by_class_params(owner, lam):
+    assert LAMBDA_OWNERS[owner](lam) == f"lambda must lie in [0,1], got {lam}"
+
 
 class TestRender:
     def test_svg_and_csv_outputs(self, f1, tmp_path):

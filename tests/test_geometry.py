@@ -297,6 +297,17 @@ class TestVerifyGeometry:
             DiskGrid(32, 256, 1e-300)
         assert DiskGrid(32, 256, 1e-290).r_max == 1e-290
 
+    def test_exact_r_max_is_stored_as_float(self):
+        grid = DiskGrid(4, 16, Fraction(99, 100))
+        assert type(grid.r_max) is float and grid.radii().dtype == np.float64
+        assert verify_geometry(example_F1(), grid).to_kv() == verify_geometry(example_F1(), DiskGrid(4, 16, 0.99)).to_kv()
+        with pytest.raises(ParamError, match="^r_max must lie in"):  # compared exactly, before converting
+            DiskGrid(4, 16, 10**400)
+
+    def test_unknown_check_names_raise(self):
+        with pytest.raises(ParamError, match="^unknown checks: 'convx'$"):
+            verify_geometry(example_F1(), DiskGrid(4, 16, 0.99), ("starlike", "convx"))
+
     @pytest.mark.parametrize("field", ["rings", "rays"])
     def test_sizes_must_be_integers(self, field):
         # a 2.5-ring grid would put a ring at 1.08, outside the disk; 8.5 rays would not match the FFT

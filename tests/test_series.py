@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 
 from phmaps import (
+    ClassParams,
     Coefficient,
+    Family,
     InvalidMapError,
     NonFiniteError,
+    ParamError,
     class_reduction_check,
     example_F1,
     example_F2,
@@ -50,6 +53,13 @@ class TestCoefficient:
             with pytest.raises(NonFiniteError, match="overflows float64"):
                 c.as_complex()
         assert Coefficient(Fraction(10**400, 10**399 + 1), 0).as_complex() == pytest.approx(10.0)
+
+    def test_product_beyond_float_is_non_finite_error(self):
+        # an exact part beyond float64 times a float part; the all-Fraction product stays exact
+        c = Coefficient(10**400, 1e308)
+        with pytest.raises(NonFiniteError, match=f"^product of coefficients {10**400}\\+1e\\+308i and .* overflows float64$"):
+            c * c
+        assert Coefficient(10**400, 1) * Coefficient(10**400, 1) == Coefficient(10**800 - 1, 2 * 10**400)
 
 
 class TestMapValidation:
@@ -183,6 +193,18 @@ class TestMembership:
         for _ in range(100):
             F = random_valid_map(rng, p=rng.randint(1, 4))
             assert membership(F, hs_lambda(Fraction(1, 2))).row2_value >= 1
+
+
+class TestClassParams:
+    @pytest.mark.parametrize("family, lam", [(Family.HS, Fraction(1, 2)), (Family.HS, 1), (Family.HC, 0)],
+                             ids=["hs-1/2", "hs-1", "hc-0"])
+    def test_hs_and_hc_fix_lambda(self, family, lam):
+        with pytest.raises(ParamError, match=f"^class {family.value} fixes lambda = ., got {lam}$"):
+            ClassParams(family, lam)
+
+    def test_fixed_lambda_is_accepted(self):
+        assert ClassParams(Family.HS) == hs() and ClassParams(Family.HC, 1) == hc()
+        assert membership(example_F1(), hc()).to_kv().splitlines()[1] == "lambda=1"
 
 
 class TestClassReduction:
