@@ -7,13 +7,12 @@ come out as exact zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .classes import hs_lambda, weight
 from .errors import MAX_GRID_POINTS, GridTooLargeError, ParamError
-from .exact import Scalar, as_scalar
+from .exact import Record, Scalar, as_scalar, set_field
 from .series import Coefficient, PolyharmonicMap, make_map
 
 
@@ -53,28 +52,28 @@ def phase_coefficient(magnitude: Scalar, phase: float) -> Coefficient:
     return Coefficient(float(magnitude) * math.cos(phase), float(magnitude) * math.sin(phase))
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
+class ExtremalSpec(Record):
     """One boundary-tight single-slot map: z + |z|^(2(k-1)) * c * z^n (or conjugate kind).
 
     The slot magnitude is pinned to 1/weight(n, k, lambda), which is what makes
-    the map an extremal point of the normalized class.
+    the map an extremal point of the normalized class. ``kind`` is "analytic"
+    (z^n) or "antianalytic" (conj(z^n)).
     """
 
-    n: int
-    k: int
-    lam: Scalar
-    kind: str = "analytic"  # "analytic" (z^n) or "antianalytic" (conj(z^n))
-    phase: float = 0.0
+    __slots__ = ("n", "k", "lam", "kind", "phase")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ParamError(f"extremal slot needs n >= 2, got n={self.n}")
-        if self.k < 1:
-            raise ParamError(f"layer must be >= 1, got k={self.k}")
-        if self.kind not in ("analytic", "antianalytic"):
-            raise ParamError(f"kind must be analytic|antianalytic, got {self.kind!r}")
-        object.__setattr__(self, "lam", hs_lambda(self.lam).lam)
+    def __init__(self, n: int, k: int, lam: Scalar, kind: str = "analytic", phase: float = 0.0):
+        if n < 2:
+            raise ParamError(f"extremal slot needs n >= 2, got n={n}")
+        if k < 1:
+            raise ParamError(f"layer must be >= 1, got k={k}")
+        if kind not in ("analytic", "antianalytic"):
+            raise ParamError(f"kind must be analytic|antianalytic, got {kind!r}")
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "lam", hs_lambda(lam).lam)
+        set_field(self, "kind", kind)
+        set_field(self, "phase", phase)
 
 
 def extremal_point(spec: ExtremalSpec, p: int | None = None) -> PolyharmonicMap:

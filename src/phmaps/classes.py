@@ -18,12 +18,12 @@ strict comparison consulted the epsilon guard (never for all-exact input).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidMapError, ParamError
-from .exact import Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, strict_less, weighted_pair
+from .exact import (Record, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, set_field, strict_less,
+                    weighted_pair)
 from .series import PolyharmonicMap
 
 
@@ -33,21 +33,21 @@ class Family(Enum):
     HC = "hc"
 
 
-@dataclass(frozen=True)
-class ClassParams:
+class ClassParams(Record):
     """Class selector: family, lambda (hs fixes 0, hc fixes 1), and the superscript-0 flag."""
 
-    family: Family
-    lam: Scalar = Fraction(0)
-    normalized: bool = False
+    __slots__ = ("family", "lam", "normalized")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", as_scalar(self.lam))
-        if not 0 <= self.lam <= 1:
-            raise ParamError(f"lambda must lie in [0,1], got {format_scalar(self.lam)}")
-        fixed = {Family.HS: 0, Family.HC: 1}.get(self.family)
-        if fixed is not None and self.lam != fixed:
-            raise ParamError(f"class {self.family.value} fixes lambda = {fixed}, got {format_scalar(self.lam)}")
+    def __init__(self, family: Family, lam: Scalar = Fraction(0), normalized: bool = False):
+        lam = as_scalar(lam)
+        if not 0 <= lam <= 1:
+            raise ParamError(f"lambda must lie in [0,1], got {format_scalar(lam)}")
+        fixed = {Family.HS: 0, Family.HC: 1}.get(family)
+        if fixed is not None and lam != fixed:
+            raise ParamError(f"class {family.value} fixes lambda = {fixed}, got {format_scalar(lam)}")
+        set_field(self, "family", family)
+        set_field(self, "lam", lam)
+        set_field(self, "normalized", normalized)
 
 
 def hs_lambda(lam, normalized: bool = False) -> ClassParams:
@@ -70,8 +70,7 @@ def weight(n: int, k: int, lam) -> Scalar:
     return 2 * (k - 1) + n * (lam * n + 1 - lam)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(Record):
     """Exact left/right sides and signed margins of the two inequality rows.
 
     ``row2_value`` is always the weighted first-coefficient sum
@@ -81,18 +80,24 @@ class MembershipReport:
     coincide.
     """
 
-    params: ClassParams
-    row1_lhs: Scalar
-    row1_rhs: Scalar
-    row2_value: Scalar
-    row2_condition: Scalar
-    row2_lo: Scalar
-    row2_hi: Scalar
-    row2_ok: bool
-    normalized_ok: bool
-    member: bool
-    exact: bool
-    used_epsilon: bool
+    __slots__ = ("params", "row1_lhs", "row1_rhs", "row2_value", "row2_condition", "row2_lo", "row2_hi",
+                 "row2_ok", "normalized_ok", "member", "exact", "used_epsilon")
+
+    def __init__(self, params: ClassParams, row1_lhs: Scalar, row1_rhs: Scalar, row2_value: Scalar,
+                 row2_condition: Scalar, row2_lo: Scalar, row2_hi: Scalar, row2_ok: bool, normalized_ok: bool,
+                 member: bool, exact: bool, used_epsilon: bool):
+        set_field(self, "params", params)
+        set_field(self, "row1_lhs", row1_lhs)
+        set_field(self, "row1_rhs", row1_rhs)
+        set_field(self, "row2_value", row2_value)
+        set_field(self, "row2_condition", row2_condition)
+        set_field(self, "row2_lo", row2_lo)
+        set_field(self, "row2_hi", row2_hi)
+        set_field(self, "row2_ok", row2_ok)
+        set_field(self, "normalized_ok", normalized_ok)
+        set_field(self, "member", member)
+        set_field(self, "exact", exact)
+        set_field(self, "used_epsilon", used_epsilon)
 
     @property
     def row1_margin(self) -> Scalar:

@@ -53,7 +53,7 @@ class ZeroDerivativeError(PhmapsError):
 
 
 def as_integers(owner, *names: str) -> None:
-    """Store each named size field of the frozen dataclass ``owner`` as a Python int, so that
+    """Store each named size field of the record ``owner`` as a Python int, so that
     products of sizes cannot wrap; ParamError unless it is a Python or numpy integer."""
     for name in names:
         value = getattr(owner, name)

@@ -14,11 +14,14 @@ converted to and from text in chunks below CPython's 4300-digit limit, up to
 Strict inequalities against class bounds are the one place approximation is
 dangerous, so ``strict_less`` fails closed: an approximate value passes a
 strict bound only if it clears the bound by ``EPS_STRICT``.
+
+``Record`` is the base of every value type in the package.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -35,6 +38,42 @@ MAX_SCALAR_DIGITS = 100_000
 _CHUNK_DIGITS = 4000  # per int/str conversion, below CPython's default 4300-digit limit
 _CHUNK = 10**_CHUNK_DIGITS
 _INT_LITERAL = r"\s*([+-]?)(\d+(?:_\d+)*)\s*"  # compiled on first use, not at import
+
+set_field = object.__setattr__  # how a record's __init__ stores a field
+
+
+class Record:
+    """Immutable value whose fields are its ``__slots__``.
+
+    A subclass's ``__init__`` stores each field with ``set_field``; assigning or
+    deleting an attribute afterwards raises AttributeError. Two records are
+    equal when they have the same class and equal fields, the hash goes by the
+    fields, and the repr is ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def is_exact(x) -> bool:
@@ -77,6 +116,13 @@ def _int_text(n: int) -> str:
     return ("-" if n < 0 else "") + _int_text(high) + f"{low:0{_CHUNK_DIGITS}d}"
 
 
+def digit_count(n: int) -> int:
+    """Decimal digits of |n| (1 for 0), counted without writing n out."""
+    n = abs(n)
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1  # the count, or one less
+    return d + (n >= 10**d)
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse "num/den" and integer literals exactly; decimal literals as floats.
 
@@ -111,6 +157,15 @@ def format_scalar(x: Scalar) -> str:
         num, den = x.numerator, x.denominator
         return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
     return repr(float(x))
+
+
+def brief_scalar(x: Scalar) -> str:
+    """format_scalar(x) while an exact x has numerator and denominator below 2**64; past that,
+    their digit counts, as in ``-[401 digits]`` or ``[401/2 digits]``, so that a message stays short."""
+    if not is_exact(x) or max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64:
+        return format_scalar(x)
+    digits = str(digit_count(x.numerator)) + ("" if x.denominator == 1 else f"/{digit_count(x.denominator)}")
+    return f"{'-' if x < 0 else ''}[{digits} digits]"
 
 
 def kv_lines(fields: Iterable[tuple[str, object]]) -> str:

@@ -28,7 +28,6 @@ digits and an argmin can move between tied points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
     ZeroValueError,
     as_integers,
 )
-from .exact import kv_lines
+from .exact import Record, kv_lines, set_field
 from .operators import distortion_envelope
 from .series import PolyharmonicMap
 
@@ -155,8 +154,7 @@ def jacobian(F: PolyharmonicMap, z):
 # --- grids and reports -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiskGrid:
+class DiskGrid(Record):
     """Polar sampling grid: ``rings`` circles up to r_max, ``rays`` angles.
 
     Ring j = 1..rings sits at r_max * j / rings; rings and rays are integers.
@@ -165,19 +163,19 @@ class DiskGrid:
     numbers: a smaller r_max raises ParamError.
     """
 
-    rings: int = 32
-    rays: int = 256
-    r_max: float = 0.995
+    __slots__ = ("rings", "rays", "r_max")
 
-    def __post_init__(self):
+    def __init__(self, rings: int = 32, rays: int = 256, r_max: float = 0.995):
+        set_field(self, "rings", rings)
+        set_field(self, "rays", rays)
         as_integers(self, "rings", "rays")
         if self.rings < 1:
             raise ParamError(f"rings must be >= 1, got {self.rings}")
         if self.rays < 3:
             raise ParamError(f"rays must be >= 3, got {self.rays}")
-        if not 0 < self.r_max < 1:
-            raise ParamError(f"r_max must lie in (0,1), got {self.r_max}")
-        object.__setattr__(self, "r_max", float(self.r_max))  # compared exactly above, so it converts
+        if not 0 < r_max < 1:
+            raise ParamError(f"r_max must lie in (0,1), got {r_max}")
+        set_field(self, "r_max", float(r_max))  # compared exactly above, so it converts
         try:
             gap = self.r_max / self.rings * 2 * np.sin(np.pi / self.rays)
         except OverflowError:
@@ -197,17 +195,20 @@ class DiskGrid:
         return self.radii()[:, None] * np.exp(1j * self.angles())[None, :]
 
 
-@dataclass(frozen=True)
-class Extremum:
-    value: float
-    ring: int   # 0-based ring index into grid.radii()
-    ray: int    # 0-based ray index
-    r: float
-    theta: float
+class Extremum(Record):
+    """A grid minimum and where it lies: 0-based ``ring`` index into grid.radii() and ``ray`` index."""
+
+    __slots__ = ("value", "ring", "ray", "r", "theta")
+
+    def __init__(self, value: float, ring: int, ray: int, r: float, theta: float):
+        set_field(self, "value", value)
+        set_field(self, "ring", ring)
+        set_field(self, "ray", ray)
+        set_field(self, "r", r)
+        set_field(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class GeometryReport:
+class GeometryReport(Record):
     """Grid minima (with argmin locations) and the injectivity collision count.
 
     ``injectivity_certified`` is True when the coefficient certificate proved
@@ -215,13 +216,19 @@ class GeometryReport:
     None when the injective check did not run.
     """
 
-    grid: DiskGrid
-    checks: tuple[str, ...]
-    min_jacobian: Extremum | None = None
-    min_arg_derivative: Extremum | None = None
-    min_convexity_indicator: Extremum | None = None
-    injectivity_collisions: int | None = None
-    injectivity_certified: bool | None = None
+    __slots__ = ("grid", "checks", "min_jacobian", "min_arg_derivative", "min_convexity_indicator",
+                 "injectivity_collisions", "injectivity_certified")
+
+    def __init__(self, grid: DiskGrid, checks: tuple[str, ...], min_jacobian: Extremum | None = None,
+                 min_arg_derivative: Extremum | None = None, min_convexity_indicator: Extremum | None = None,
+                 injectivity_collisions: int | None = None, injectivity_certified: bool | None = None):
+        set_field(self, "grid", grid)
+        set_field(self, "checks", checks)
+        set_field(self, "min_jacobian", min_jacobian)
+        set_field(self, "min_arg_derivative", min_arg_derivative)
+        set_field(self, "min_convexity_indicator", min_convexity_indicator)
+        set_field(self, "injectivity_collisions", injectivity_collisions)
+        set_field(self, "injectivity_certified", injectivity_certified)
 
     def passed(self) -> bool:
         """Thresholds: jacobian > 0, starlike > 0, convex >= SIGN_TOL, zero collisions."""
@@ -584,13 +591,16 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
 # --- distortion --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistortionReport:
-    """Least margins of sampled |F| inside its distortion envelope (negative: outside)."""
+class DistortionReport(Record):
+    """Least margins of sampled |F| inside its distortion envelope (negative: outside):
+    ``lower_margin`` is the min of |F(z)| - lower(|z|), ``upper_margin`` of upper(|z|) - |F(z)|."""
 
-    branch: str
-    lower_margin: float   # min of |F(z)| - lower(|z|)
-    upper_margin: float   # min of upper(|z|) - |F(z)|
+    __slots__ = ("branch", "lower_margin", "upper_margin")
+
+    def __init__(self, branch: str, lower_margin: float, upper_margin: float):
+        set_field(self, "branch", branch)
+        set_field(self, "lower_margin", lower_margin)
+        set_field(self, "upper_margin", upper_margin)
 
     def passed(self) -> bool:
         """Both margins at least -1e-12 (boundary-tight maps touch the envelope)."""

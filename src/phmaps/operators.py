@@ -16,13 +16,13 @@ and the distortion envelope, whose float coefficients
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .classes import MembershipReport, hc, hs_lambda, membership
 from .errors import NotMemberError, ParamError, WeightError
-from .exact import EPS_STRICT, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, weighted_pair
+from .exact import (EPS_STRICT, Record, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, set_field,
+                    weighted_pair)
 from .series import Coefficient, Key, PolyharmonicMap, ZERO
 
 
@@ -124,11 +124,13 @@ def delta_bound(F: PolyharmonicMap, lam) -> Scalar:
     return ratio * _hs_lambda_member(F, lam).row1_rhs
 
 
-@dataclass(frozen=True)
-class NeighborhoodReport:
-    distance: Scalar
-    delta_bound: Scalar
-    inside: bool
+class NeighborhoodReport(Record):
+    __slots__ = ("distance", "delta_bound", "inside")
+
+    def __init__(self, distance: Scalar, delta_bound: Scalar, inside: bool):
+        set_field(self, "distance", distance)
+        set_field(self, "delta_bound", delta_bound)
+        set_field(self, "inside", inside)
 
     @property
     def exact(self) -> bool:
@@ -217,17 +219,20 @@ def _cubic(coeffs: tuple[float, float, float], r):
     return r * (c1 + r * (c2 + r * c3))
 
 
-@dataclass(frozen=True)
-class DistortionEnvelope:
+class DistortionEnvelope(Record):
     """Radius-dependent |F| bounds: lower(r) <= |F(z)| <= upper(r) at |z| = r.
 
     Coefficient tuples are (c1, c2, c3) for c1*r + c2*r^2 + c3*r^3. The cubic
     terms are nonzero only on the high branch (lambda > 1/2).
     """
 
-    branch: str
-    lower_coeffs: tuple[float, float, float]
-    upper_coeffs: tuple[float, float, float]
+    __slots__ = ("branch", "lower_coeffs", "upper_coeffs")
+
+    def __init__(self, branch: str, lower_coeffs: tuple[float, float, float],
+                 upper_coeffs: tuple[float, float, float]):
+        set_field(self, "branch", branch)
+        set_field(self, "lower_coeffs", lower_coeffs)
+        set_field(self, "upper_coeffs", upper_coeffs)
 
     def lower(self, r):
         return _cubic(self.lower_coeffs, r)

@@ -10,11 +10,10 @@ several draws so that sums of maps stay axis-aligned too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import weight
-from .exact import Scalar, as_scalar
+from .exact import Record, Scalar, as_scalar, set_field
 from .series import Coefficient, Key, PolyharmonicMap, make_map
 
 AXES = ("re", "im")
@@ -49,13 +48,17 @@ def _matching_axis(c: Coefficient, rng: random.Random) -> str:
     return "im" if c.re == 0 else "re"
 
 
-@dataclass(frozen=True)
-class SlotPlan:
-    """Which coefficient slots a member may occupy, and on which axis each sits."""
+class SlotPlan(Record):
+    """Which coefficient slots a member may occupy, and on which axis each sits:
+    ``first_slots`` holds (letter, k>=2, axis) at n=1, ``row1_slots`` (letter, n>=2, k, axis)."""
 
-    b11_axis: str | None
-    first_slots: tuple[tuple[str, int, str], ...]        # (letter, k>=2, axis) at n=1
-    row1_slots: tuple[tuple[str, int, int, str], ...]    # (letter, n>=2, k, axis)
+    __slots__ = ("b11_axis", "first_slots", "row1_slots")
+
+    def __init__(self, b11_axis: str | None, first_slots: tuple[tuple[str, int, str], ...],
+                 row1_slots: tuple[tuple[str, int, int, str], ...]):
+        set_field(self, "b11_axis", b11_axis)
+        set_field(self, "first_slots", first_slots)
+        set_field(self, "row1_slots", row1_slots)
 
 
 def random_plan(rng: random.Random, p: int, normalized: bool,

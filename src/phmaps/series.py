@@ -10,28 +10,26 @@ All values are immutable after construction and every operation here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Tuple
 
 from .errors import InvalidMapError, NonFiniteError
-from .exact import Scalar, as_scalar, format_scalar, is_exact, sqrt_scalar
+from .exact import Record, Scalar, as_scalar, brief_scalar, format_scalar, is_exact, set_field, sqrt_scalar
 
 Key = Tuple[int, int]  # (n, k): power n >= 1, layer k >= 1
 _ZERO_PART = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class Coefficient(Record):
     """One complex coefficient, exact (Fraction parts) or approximate (float parts)."""
 
-    re: Scalar = Fraction(0)
-    im: Scalar = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        if not (self.re.__class__ is self.im.__class__ is Fraction):
-            object.__setattr__(self, "re", as_scalar(self.re))
-            object.__setattr__(self, "im", as_scalar(self.im))
+    def __init__(self, re: Scalar = _ZERO_PART, im: Scalar = _ZERO_PART):
+        if not (re.__class__ is im.__class__ is Fraction):
+            re, im = as_scalar(re), as_scalar(im)
+        set_field(self, "re", re)
+        set_field(self, "im", im)
 
     @property
     def exact(self) -> bool:
@@ -46,7 +44,7 @@ class Coefficient:
         try:
             return complex(float(self.re), float(self.im))
         except OverflowError:
-            raise NonFiniteError(f"coefficient {self} overflows float64") from None
+            raise NonFiniteError(f"coefficient {self.brief()} overflows float64") from None
 
     def conjugate(self) -> "Coefficient":
         return Coefficient(self.re, -self.im)
@@ -74,7 +72,8 @@ class Coefficient:
         try:
             return Coefficient(a * c - b * d, a * d + b * c)
         except OverflowError:  # an exact part beyond float64 meets a float part
-            raise NonFiniteError(f"product of coefficients {self} and {other} overflows float64") from None
+            raise NonFiniteError(f"product of coefficients {self.brief()} and {other.brief()} "
+                                 "overflows float64") from None
 
     def scale(self, s: Scalar) -> "Coefficient":
         re, im = self.re, self.im
@@ -102,6 +101,10 @@ class Coefficient:
 
     def __str__(self) -> str:
         return f"{format_scalar(self.re)}{'+' if self.im >= 0 else '-'}{format_scalar(abs(self.im))}i"
+
+    def brief(self) -> str:
+        """str(self) with each part written by brief_scalar: short at any size, for messages."""
+        return f"{brief_scalar(self.re)}{'+' if self.im >= 0 else '-'}{brief_scalar(abs(self.im))}i"
 
 
 ZERO = Coefficient(0, 0)
@@ -133,31 +136,31 @@ def _clean_table(name: str, table: Mapping[Key, object], p: int) -> dict[Key, Co
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class PolyharmonicMap:
+class PolyharmonicMap(Record):
     """Immutable finitely supported map of the unit disk.
 
     ``a`` and ``b`` hold only nonzero entries (plus the mandatory a[1,1]=1).
+    Equal maps have equal tables; a map is not hashable.
     """
 
-    p: int
-    a: dict[Key, Coefficient] = field(default_factory=dict)
-    b: dict[Key, Coefficient] = field(default_factory=dict)
+    __slots__ = ("p", "a", "b")
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.p < 1:
-            raise InvalidMapError(f"p must be >= 1, got {self.p}")
-        a = _clean_table("a", self.a, self.p)
-        b = _clean_table("b", self.b, self.p)
+    def __init__(self, p: int, a: Mapping[Key, object] | None = None, b: Mapping[Key, object] | None = None):
+        if p < 1:
+            raise InvalidMapError(f"p must be >= 1, got {p}")
+        a = _clean_table("a", a or {}, p)
+        b = _clean_table("b", b or {}, p)
         lead = a.get((1, 1), ZERO)
         if not (lead.re == 1 and lead.im == 0):
-            raise InvalidMapError(f"a[1,1] must equal 1, got {lead}")
+            raise InvalidMapError(f"a[1,1] must equal 1, got {lead.brief()}")
         a[(1, 1)] = ONE
         b11 = b.get((1, 1))
         if b11 is not None and not b11.magnitude_squared() < 1:
-            raise InvalidMapError(f"|b[1,1]| must be < 1, got {b11}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+            raise InvalidMapError(f"|b[1,1]| must be < 1, got {b11.brief()}")
+        set_field(self, "p", p)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     # --- shape -------------------------------------------------------------
 

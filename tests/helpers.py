@@ -19,7 +19,6 @@ pair threshold in its own cells.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -399,8 +398,8 @@ def same(x, y) -> bool:
 
 
 def assert_same_report(got, want) -> None:
-    for field in dataclasses.fields(want):
-        assert same(getattr(got, field.name), getattr(want, field.name)), field.name
+    for name in type(want).__slots__:
+        assert same(getattr(got, name), getattr(want, name)), name
     assert got.to_kv() == want.to_kv()
 
 

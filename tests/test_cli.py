@@ -218,8 +218,23 @@ class TestConvolve:
         mixed.write_text(f"p 1\na 1 1 1 0\na 2 1 {10**400} 1e308\n")
         assert main(["convolve", str(mixed), str(mixed)]) == 2
         line = single_error_line(capsys)
-        assert line.startswith(f"error: product of coefficients {10**400}+1e+308i and ")
+        assert line.startswith("error: product of coefficients [401 digits]+1e+308i and ")
         assert line.endswith(" overflows float64\n")
+
+    @pytest.mark.parametrize("command, entries, message", [
+        (["check", "--class", "hs"], "a 1 1 1 0\na 2 1 {big} 1e308", "coefficient {part}+1e+308i overflows float64"),
+        (["convolve"], "a 1 1 1 0\na 2 1 {big} 1e308",
+         "product of coefficients {part}+1e+308i and {part}+1e+308i overflows float64"),
+        (["check", "--class", "hs"], "a 1 1 {big} 0", "a[1,1] must equal 1, got {part}+0i"),
+        (["check", "--class", "hs"], "a 1 1 1 0\nb 1 1 -{big} 0", "|b[1,1]| must be < 1, got -{part}+0i"),
+    ], ids=["as_complex", "product", "a11", "b11"])
+    def test_a_part_at_the_digit_bound_gives_a_short_error_line(self, tmp_path, capsys, command, entries, message):
+        path = tmp_path / "big.phm"
+        path.write_text(f"p 1\n{entries.format(big='9' * MAX_SCALAR_DIGITS)}\n")
+        argv = command + [str(path)] * (2 if command == ["convolve"] else 1)
+        assert main(argv) == 2
+        line = single_error_line(capsys)
+        assert message.format(part=f"[{MAX_SCALAR_DIGITS} digits]") in line and len(line) < 200
 
 
 class TestNeighborhood:

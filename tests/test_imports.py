@@ -1,7 +1,8 @@
 """The lazy boundary between the exact core and the numeric layer.
 
-`import phmaps` and the exact-only CLI commands must not import numpy; the
-numeric names resolve on first use to the same objects as in their modules.
+`import phmaps` and the exact-only CLI commands must not import numpy, nor
+`dataclasses` and the `inspect` it loads; the numeric names resolve on first
+use to the same objects as in their modules.
 """
 
 import importlib
@@ -37,15 +38,18 @@ EXPORTS = {
     "series": ["Coefficient", "PolyharmonicMap", "coeff", "make_map"],
 }
 
+# Start-up costs that the exact core avoids: numpy, and `dataclasses` with the `inspect` it imports.
+HEAVY = ("dataclasses", "inspect", "numpy")
+
 # Runs `phmaps.cli.main(argv)` in a fresh interpreter; the last stderr line
-# reports the exit code and whether numpy was imported.
-PROBE = """
+# reports the exit code, whether numpy was imported and which of HEAVY were.
+PROBE = f"""
 import sys
 import phmaps
-assert "numpy" not in sys.modules, "import phmaps imported numpy"
+assert not set({HEAVY}) & set(sys.modules), "import phmaps imported " + str(set({HEAVY}) & set(sys.modules))
 from phmaps.cli import main
 code = main(sys.argv[1:])
-print(f"probe {code} {'numpy' in sys.modules}", file=sys.stderr)
+print(f"probe {{code}} {{'numpy' in sys.modules}}", sorted(set({HEAVY}) & set(sys.modules)), file=sys.stderr)
 """
 
 
@@ -81,11 +85,21 @@ def test_numpy_loads_only_for_numeric_commands(files, argv, exit_code, numpy):
     paths = {"f1": files / "f1.phm", "h4": files / "h4.phm", "out": files / "out.svg"}
     proc = run_fresh(PROBE, *(arg.format(**paths) for arg in argv))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == f"probe {exit_code} {numpy}"
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(f"probe {exit_code} {numpy} ")
+    if not numpy:  # numpy imports inspect itself
+        assert last.endswith(" []"), last
 
 
 def test_import_phmaps_leaves_numpy_unloaded():
-    proc = run_fresh("import sys, phmaps, phmaps.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))")
+    proc = run_fresh(f"import sys, phmaps, phmaps.cli\n"
+                     f"print(sorted(m for m in sys.modules if m.startswith('numpy') or m in {HEAVY}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_bare_import_phmaps_leaves_dataclasses_and_inspect_unloaded():
+    proc = run_fresh(f"import sys, phmaps\nprint(sorted(set({HEAVY}) & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -57,7 +57,7 @@ class TestCoefficient:
     def test_product_beyond_float_is_non_finite_error(self):
         # an exact part beyond float64 times a float part; the all-Fraction product stays exact
         c = Coefficient(10**400, 1e308)
-        with pytest.raises(NonFiniteError, match=f"^product of coefficients {10**400}\\+1e\\+308i and .* overflows float64$"):
+        with pytest.raises(NonFiniteError, match=r"^product of coefficients \[401 digits\]\+1e\+308i and .* overflows float64$"):
             c * c
         assert Coefficient(10**400, 1) * Coefficient(10**400, 1) == Coefficient(10**800 - 1, 2 * 10**400)
 
