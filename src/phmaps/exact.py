@@ -116,7 +116,7 @@ def _int_text(n: int) -> str:
     return ("-" if n < 0 else "") + _int_text(high) + f"{low:0{_CHUNK_DIGITS}d}"
 
 
-def digit_count(n: int) -> int:
+def _digit_count(n: int) -> int:
     """Decimal digits of |n| (1 for 0), counted without writing n out."""
     n = abs(n)
     d = int((n.bit_length() - 1) * math.log10(2)) + 1  # the count, or one less
@@ -164,7 +164,7 @@ def brief_scalar(x: Scalar) -> str:
     their digit counts, as in ``-[401 digits]`` or ``[401/2 digits]``, so that a message stays short."""
     if not is_exact(x) or max(x.numerator.bit_length(), x.denominator.bit_length()) <= 64:
         return format_scalar(x)
-    digits = str(digit_count(x.numerator)) + ("" if x.denominator == 1 else f"/{digit_count(x.denominator)}")
+    digits = str(_digit_count(x.numerator)) + ("" if x.denominator == 1 else f"/{_digit_count(x.denominator)}")
     return f"{'-' if x < 0 else ''}[{digits} digits]"
 
 
