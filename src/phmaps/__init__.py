@@ -38,8 +38,6 @@ from .errors import (
     ParamError,
     PhmapsError,
     WeightError,
-    ZeroDerivativeError,
-    ZeroValueError,
 )
 from .exact import EPS_STRICT, Scalar, format_scalar, parse_scalar
 from .operators import (
@@ -72,8 +70,6 @@ _LAZY = {
             "DiskGrid",
             "DistortionReport",
             "GeometryReport",
-            "arg_derivative",
-            "convexity_indicator",
             "distortion_check",
             "evaluate",
             "jacobian",

@@ -32,24 +32,22 @@ def example_F2() -> PolyharmonicMap:
 
 
 def phase_coefficient(magnitude: Scalar, phase: float) -> Coefficient:
-    """magnitude * e^{i*phase}, kept exact for phases that are multiples of pi/2.
+    """magnitude * e^{i*phase}, kept exact for quarter turns: phases that divide by pi/2 to an
+    integer and whose e^{i*phase} lies within 1e-12 of an axis. The second test matters from
+    |phase/(pi/2)| = 2**52 on, where every float divides to an integer.
 
     A NaN or infinite phase raises ParamError.
     """
     if not math.isfinite(phase):
         raise ParamError(f"phase must be finite, got {phase!r}")
     magnitude = as_scalar(magnitude)
+    cos, sin = math.cos(phase), math.sin(phase)
     quarter = phase / (math.pi / 2)
-    if quarter == round(quarter):
-        q = round(quarter) % 4
-        if q == 0:
-            return Coefficient(magnitude, 0)
-        if q == 1:
-            return Coefficient(0, magnitude)
-        if q == 2:
-            return Coefficient(-magnitude, 0)
-        return Coefficient(0, -magnitude)
-    return Coefficient(float(magnitude) * math.cos(phase), float(magnitude) * math.sin(phase))
+    if quarter == round(quarter) and min(abs(cos), abs(sin)) < 1e-12:
+        if abs(sin) < abs(cos):
+            return Coefficient(magnitude if cos > 0 else -magnitude, 0)
+        return Coefficient(0, magnitude if sin > 0 else -magnitude)
+    return Coefficient(float(magnitude) * cos, float(magnitude) * sin)
 
 
 class ExtremalSpec(Record):

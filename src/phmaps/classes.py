@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import InvalidMapError, ParamError
-from .exact import (Record, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, set_field, strict_less,
+from .exact import (Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field, strict_less,
                     weighted_pair)
 from .series import PolyharmonicMap
 
@@ -41,10 +41,10 @@ class ClassParams(Record):
     def __init__(self, family: Family, lam: Scalar = Fraction(0), normalized: bool = False):
         lam = as_scalar(lam)
         if not 0 <= lam <= 1:
-            raise ParamError(f"lambda must lie in [0,1], got {format_scalar(lam)}")
+            raise ParamError(f"lambda must lie in [0,1], got {brief_scalar(lam)}")
         fixed = {Family.HS: 0, Family.HC: 1}.get(family)
         if fixed is not None and lam != fixed:
-            raise ParamError(f"class {family.value} fixes lambda = {fixed}, got {format_scalar(lam)}")
+            raise ParamError(f"class {family.value} fixes lambda = {fixed}, got {brief_scalar(lam)}")
         set_field(self, "family", family)
         set_field(self, "lam", lam)
         set_field(self, "normalized", normalized)

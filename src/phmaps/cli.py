@@ -15,8 +15,8 @@ import sys
 
 from . import catalog
 from .classes import hc, hs, hs_lambda, membership
-from .errors import MAX_GRID_POINTS, NotMemberError, ParamError, PhmapsError
-from .exact import format_scalar, parse_scalar
+from .errors import MAX_GRID_POINTS, GridTooLargeError, NotMemberError, ParamError, PhmapsError
+from .exact import brief_scalar, parse_scalar
 from .operators import convolve, integral_convolve, neighborhood_report
 from .phmio import load_map, save_map, serialize_map
 from .series import PolyharmonicMap
@@ -169,7 +169,7 @@ def _cmd_verify(args) -> int:
         rings, rays = 8, 4096  # dense boundary sweep
     radius = args.radius if args.radius is not None else 0.995
     if not 0 < radius < 1:  # compared exactly: an exact radius may not convert to float
-        raise ParamError(f"--r must lie in (0,1), got {format_scalar(radius)}")
+        raise ParamError(f"--r must lie in (0,1), got {brief_scalar(radius)}")
     distortion = suite == "distortion" or (suite == "all" and args.lam is not None)
     if distortion and args.lam is None:
         raise ParamError("--lambda is required for the distortion suite")
@@ -181,10 +181,13 @@ def _cmd_verify(args) -> int:
                          (args.seed < 0, f"--seed must be >= 0, got {args.seed}")):
         if bad:
             raise ParamError(message)
+    grid = DiskGrid(rings=rings, rays=rays, r_max=radius)
+    if rings * rays > MAX_GRID_POINTS:
+        raise GridTooLargeError(f"{rings}x{rays} grid exceeds {MAX_GRID_POINTS} points")
 
     ok = True
     if grid_checks:
-        report = verify_geometry(F, DiskGrid(rings=rings, rays=rays, r_max=radius), grid_checks)
+        report = verify_geometry(F, grid, grid_checks)
         print(report.to_kv())
         ok &= report.passed()
     if distortion:

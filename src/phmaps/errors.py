@@ -44,14 +44,6 @@ class NonFiniteError(PhmapsError):
     or a monomial degree does not fit int64."""
 
 
-class ZeroValueError(PhmapsError):
-    """Map value vanished where a nonzero denominator is required."""
-
-
-class ZeroDerivativeError(PhmapsError):
-    """Angular derivative vanished where a nonzero denominator is required."""
-
-
 def as_integers(owner, *names: str) -> None:
     """Store each named size field of the record ``owner`` as a Python int, so that
     products of sizes cannot wrap; ParamError unless it is a Python or numpy integer."""

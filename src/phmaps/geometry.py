@@ -7,8 +7,10 @@ The angular-derivative quantities drive the geometric checks:
     Jacobian        |F_z|^2 - |F_zbar|^2       > 0             -> sense-preserving
 
 Working with Im(F_theta/F) instead of differentiating arg avoids branch
-unwrapping entirely. All grid reductions are deterministic: minima are taken
-in ring-major order, so argmin ties break to the lowest ring, then lowest ray.
+unwrapping entirely. The two rates exist only as `verify_geometry` minima
+(DiskGrid(1, N, r) samples one circle), -inf at degenerate points. All grid
+reductions are deterministic: minima are taken in ring-major order, so argmin
+ties break to the lowest ring, then lowest ray.
 A passing grid report is sampled evidence, not a proof, with one exception:
 a certified zero collision count (``injectivity_certified``). The certificate
 is the two-sided Lipschitz bound m |z1 - z2| <= |F(z1) - F(z2)| from the
@@ -37,15 +39,13 @@ from .errors import (
     GridTooLargeError,
     NonFiniteError,
     ParamError,
-    ZeroDerivativeError,
-    ZeroValueError,
     as_integers,
 )
-from .exact import Record, kv_lines, set_field
+from .exact import Record, brief_scalar, kv_lines, set_field
 from .operators import distortion_envelope
 from .series import PolyharmonicMap
 
-EPS_ZERO = 1e-12          # nondegeneracy threshold for denominators, relative to |z|
+EPS_ZERO = 1e-12          # nondegeneracy threshold for the rates' denominators, relative to the ring radius
 SIGN_TOL = -1e-9          # sign checks pass above this (boundary-tight examples)
 
 # Fraction of the local image spacing below which two non-adjacent grid images
@@ -119,27 +119,6 @@ def theta_derivative(F: PolyharmonicMap, r, theta, order: int = 1):
     return _unwrap(_pointwise(_d_theta(_monomials(F), order), z))
 
 
-def _theta_rate(F: PolyharmonicMap, r, theta, order: int, error: Exception):
-    """Im(D^order F / D^(order-1) F) at z = r e^{i theta}, D = d/dtheta; ``error`` where
-    the denominator's modulus is at most EPS_ZERO |z|."""
-    z = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta, dtype=float))
-    table = _monomials(F)
-    den = _pointwise(_d_theta(table, order - 1) if order > 1 else table, z)
-    if np.any(np.abs(den) <= EPS_ZERO * np.abs(z)):
-        raise error
-    return _unwrap(np.imag(_pointwise(_d_theta(table, order), z) / den))
-
-
-def arg_derivative(F: PolyharmonicMap, r, theta):
-    """d/dtheta of arg F(r e^{i theta}), computed as Im(F_theta / F)."""
-    return _theta_rate(F, r, theta, 1, ZeroValueError("map value vanishes at a sample point"))
-
-
-def convexity_indicator(F: PolyharmonicMap, r, theta):
-    """d/dtheta of arg F_theta, computed as Im(F_thetatheta / F_theta)."""
-    return _theta_rate(F, r, theta, 2, ZeroDerivativeError("angular derivative vanishes at a sample point"))
-
-
 def wirtinger_derivatives(F: PolyharmonicMap, z):
     """(F_z, F_zbar) from the monomial table; 0^0 = 1 keeps k=2 layers finite at 0."""
     return tuple(_unwrap(_pointwise(table, z)) for table in _d_wirtinger(_monomials(F)))
@@ -174,8 +153,10 @@ class DiskGrid(Record):
         if self.rays < 3:
             raise ParamError(f"rays must be >= 3, got {self.rays}")
         if not 0 < r_max < 1:
-            raise ParamError(f"r_max must lie in (0,1), got {r_max}")
+            raise ParamError(f"r_max must lie in (0,1), got {brief_scalar(r_max)}")
         set_field(self, "r_max", float(r_max))  # compared exactly above, so it converts
+        if self.r_max == 1:
+            raise ParamError(f"r_max={brief_scalar(r_max)} rounds to 1.0 in float64")
         try:
             gap = self.r_max / self.rings * 2 * np.sin(np.pi / self.rays)
         except OverflowError:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .classes import MembershipReport, hc, hs_lambda, membership
 from .errors import NotMemberError, ParamError, WeightError
-from .exact import (EPS_STRICT, Record, Scalar, as_scalar, fold_sum, format_scalar, is_exact, kv_lines, set_field,
+from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field,
                     weighted_pair)
 from .series import Coefficient, Key, PolyharmonicMap, ZERO
 
@@ -59,10 +59,10 @@ def combine(terms: Sequence[tuple[Scalar, PolyharmonicMap]]) -> PolyharmonicMap:
         raise WeightError("empty combination")
     for t, _ in terms:
         if t < 0:
-            raise WeightError(f"negative weight {format_scalar(t)}")
+            raise WeightError(f"negative weight {brief_scalar(t)}")
     total = fold_sum(t for t, _ in terms)
     if (total != 1) if is_exact(total) else abs(float(total) - 1.0) > EPS_STRICT:
-        raise WeightError(f"weights sum to {format_scalar(total)}, expected 1")
+        raise WeightError(f"weights sum to {brief_scalar(total)}, expected 1")
     a: dict[Key, Coefficient] = {}
     b: dict[Key, Coefficient] = {}
     for t, F in terms:
@@ -78,7 +78,7 @@ def rescale(F: PolyharmonicMap, r) -> PolyharmonicMap:
     """r^{-1} F(r z): entry (n, k) is multiplied by r^(2k+n-3). Exact for rational r."""
     r = as_scalar(r)
     if not 0 < r <= 1:
-        raise ParamError(f"rescale radius must lie in (0,1], got {format_scalar(r)}")
+        raise ParamError(f"rescale radius must lie in (0,1], got {brief_scalar(r)}")
     a = {(n, k): c.scale(r ** (2 * k + n - 3)) for (n, k), c in F.a.items()}
     b = {(n, k): c.scale(r ** (2 * k + n - 3)) for (n, k), c in F.b.items()}
     return PolyharmonicMap(F.p, a, b)
@@ -105,7 +105,7 @@ def _hs_lambda_member(F: PolyharmonicMap, lam) -> MembershipReport:
     """F's hs-lambda(lam) membership report; NotMemberError when F is not a member."""
     report = membership(F, hs_lambda(lam))
     if not report.member:
-        raise NotMemberError(f"map is not in hs-lambda({format_scalar(report.params.lam)})")
+        raise NotMemberError(f"map is not in hs-lambda({brief_scalar(report.params.lam)})")
     return report
 
 
@@ -116,7 +116,7 @@ def delta_bound(F: PolyharmonicMap, lam) -> Scalar:
     """
     lam = as_scalar(lam)
     if not 0 < lam <= 1:
-        raise ParamError(f"lambda must lie in (0,1], got {format_scalar(lam)}")
+        raise ParamError(f"lambda must lie in (0,1], got {brief_scalar(lam)}")
     try:
         ratio = lam / (F.p + lam)
     except OverflowError:  # a float lambda and a p beyond float64: divide exactly, round once
@@ -187,7 +187,7 @@ def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:
     _hs_lambda_member(F, lam)
     radius = convexity_radius(lam)
     if not 0 < r <= radius:
-        raise ParamError(f"radius {format_scalar(r)} outside (0, {format_scalar(radius)}]")
+        raise ParamError(f"radius {brief_scalar(r)} outside (0, {brief_scalar(radius)}]")
     return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
 
 

@@ -195,13 +195,6 @@ class PolyharmonicMap(Record):
         keys = set(self.a) | set(self.b)
         return iter(sorted(keys, key=lambda nk: (nk[1], nk[0])))
 
-    # --- equality ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyharmonicMap):
-            return NotImplemented
-        return self.p == other.p and self.a == other.a and self.b == other.b
-
     def __repr__(self) -> str:
         terms = [f"a[{n},{k}]={self.a[(n, k)]}" for n, k in sorted(self.a, key=lambda t: (t[1], t[0]))]
         terms += [f"b[{n},{k}]={self.b[(n, k)]}" for n, k in sorted(self.b, key=lambda t: (t[1], t[0]))]

@@ -16,7 +16,6 @@ from phmaps import (
     ch0_certificate,
     class_reduction_check,
     combine,
-    convexity_indicator,
     convolve,
     delta_bound,
     distortion_envelope,
@@ -111,15 +110,15 @@ def test_criterion_04_starlike_geometry():
 
 @criterion(5, "convexity radius certificates and rescaled indicator >= -1e-9")
 def test_criterion_05_convexity_radius():
-    theta = 2 * np.pi * np.arange(4096) / 4096
+    circle = DiskGrid(1, 4096, 0.999)  # 4096 equispaced angles on |z| = 0.999
     cases = [
         (example_F1(), Fraction(2, 3), Fraction(2, 3)),
         (example_F2(), Fraction(1, 100), Fraction(1, 2)),
     ]
     for F, lam, r in cases:
         assert rescale_convexity_certificate(F, lam, r)
-        G = rescale(F, r)
-        assert np.min(convexity_indicator(G, 0.999, theta)) >= -1e-9
+        rep = verify_geometry(rescale(F, r), circle, ("convex",))
+        assert rep.min_convexity_indicator.value >= -1e-9
 
 
 @criterion(6, "distortion envelope, 200 members x 1000 points per lambda, extremal attainment")

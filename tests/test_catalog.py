@@ -160,6 +160,12 @@ def test_phase_coefficient_quarter_turns_are_exact():
     assert abs(complex(c.re, c.im) - float(m) * complex(math.cos(1), math.sin(1))) < 1e-15
 
 
+def test_phase_coefficient_snaps_only_true_quarter_turns():
+    # past |phase/(pi/2)| = 2**52 every float divides to an integer; e^{1e16 i} is -0.626+0.780i
+    c = phase_coefficient(1, 1e16)
+    assert abs(complex(c.re, c.im) - complex(math.cos(1e16), math.sin(1e16))) < 1e-15
+
+
 @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
 def test_non_finite_phase_raises_param_error(phase):
     for build in (lambda: phase_coefficient(Fraction(1, 2), phase),

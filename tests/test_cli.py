@@ -390,6 +390,15 @@ class TestVerify:
         assert main(["verify", f1, "--grid", "4x16", *flags]) == 2
         assert single_error_line(capsys) == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags", [
+        ["--suite", "jacobian", "--grid", "4x16", "--r", f"{'9' * 30}/1{'0' * 30}"],
+        ["--suite", "distortion", "--lambda", "2/3", "--grid", "0x2"],
+        ["--suite", "distortion", "--lambda", "2/3", "--grid", "4000x4000"],
+    ], ids=["radius-rounds-to-one", "empty-grid-without-grid-suite", "grid-budget-without-grid-suite"])
+    def test_grid_is_checked_for_every_suite(self, f1, capsys, flags):
+        assert main(["verify", f1, *flags]) == 2
+        single_error_line(capsys)
+
     @pytest.mark.parametrize("suite", ["starlike", "convex", "jacobian", "injective", "distortion", "all"])
     def test_default_flags_pass_the_flag_checks(self, f1, capsys, suite):
         lam = ["--lambda", "2/3"] if suite == "distortion" else []
@@ -432,6 +441,14 @@ LAMBDA_OWNERS = {
 @pytest.mark.parametrize("owner", LAMBDA_OWNERS)
 def test_every_lambda_is_checked_by_class_params(owner, lam):
     assert LAMBDA_OWNERS[owner](lam) == f"lambda must lie in [0,1], got {lam}"
+
+
+@pytest.mark.parametrize("command", ["check", "neighborhood", "extremal", "verify"])
+def test_a_501_digit_lambda_gives_a_short_error_line(f1, capsys, command):
+    argv = {"check": ["check", "--class", "hs-lambda", f1], "neighborhood": ["neighborhood", f1, f1],
+            "extremal": ["extremal", "--n", "2"], "verify": ["verify", f1, "--suite", "distortion"]}[command]
+    assert main([*argv, "--lambda", "3" + "0" * 500]) == 2
+    assert len(single_error_line(capsys)) < 200
 
 
 class TestRender:
@@ -546,6 +563,12 @@ class TestExtremalAndCatalog:
         out = tmp_path / "h.phm"
         assert main(["catalog", "half-plane", "-N", "2", "-o", str(out)]) == 0
         assert parse_map(out.read_bytes()) == half_plane_map(2)
+
+    def test_extremal_huge_phase_is_not_snapped_to_an_axis(self, capsys):
+        # 1e16 / (pi/2) is an integer in float64, but e^{1e16 i} lies off both axes
+        assert main(["extremal", "--n", "2", "--lambda", "1/2", "--phase", "1e16"]) == 0
+        F = parse_map(capsys.readouterr().out.encode())
+        assert isinstance(F.coeff_a(2, 1).re, float) and F.coeff_a(2, 1).im != 0
 
     @pytest.mark.parametrize("phase", ["inf", "-inf", "nan"])
     def test_extremal_non_finite_phase_exits_two(self, phase, capsys):

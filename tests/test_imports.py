@@ -26,10 +26,10 @@ EXPORTS = {
     "classes": ["ClassParams", "Family", "MembershipReport", "class_reduction_check", "hc", "hs", "hs_lambda",
                 "membership", "weight"],
     "errors": ["GridTooLargeError", "InvalidMapError", "MapSyntaxError", "NonFiniteError", "NotMemberError",
-               "ParamError", "PhmapsError", "WeightError", "ZeroDerivativeError", "ZeroValueError"],
+               "ParamError", "PhmapsError", "WeightError"],
     "exact": ["EPS_STRICT", "Scalar", "format_scalar", "parse_scalar"],
-    "geometry": ["DiskGrid", "GeometryReport", "arg_derivative", "convexity_indicator", "evaluate", "jacobian",
-                 "theta_derivative", "verify_geometry", "wirtinger_derivatives"],
+    "geometry": ["DiskGrid", "GeometryReport", "evaluate", "jacobian", "theta_derivative", "verify_geometry",
+                 "wirtinger_derivatives"],
     "operators": ["DistortionEnvelope", "NeighborhoodReport", "ch0_certificate", "combine", "convexity_radius",
                   "convolve", "delta_bound", "distortion_envelope", "integral_convolve", "layer_bound_check",
                   "neighborhood_distance", "neighborhood_report", "rescale", "rescale_convexity_certificate"],

@@ -282,3 +282,21 @@ class TestRescaleConvexityCertificate:
         F = extremal_point(ExtremalSpec(n=n, k=1, lam=lam))
         assert membership(rescale(F, r), hc()).row1_margin == 0
         assert rescale_convexity_certificate(F, lam, r)
+
+
+TINY = Fraction(1, 3**400)  # in (0, 1), with a 191-digit denominator
+MESSAGE_CASES = {
+    "negative-weight": lambda: combine([(-TINY, example_F1()), (1 + TINY, example_F1())]),
+    "weight-sum": lambda: combine([(1 - TINY, example_F1())]),
+    "rescale-radius": lambda: rescale(example_F1(), 1 + TINY),
+    "delta-bound-lambda": lambda: delta_bound(example_F1(), 1 + TINY),
+    "not-a-member": lambda: delta_bound(make_map(1, a={(2, 1): 1}), TINY),
+    "certificate-radius": lambda: rescale_convexity_certificate(example_F1(), Fraction(2, 3), 1 - TINY),
+}
+
+
+@pytest.mark.parametrize("case", MESSAGE_CASES)
+def test_scalar_messages_give_digit_counts(case):
+    with pytest.raises((ParamError, WeightError, NotMemberError)) as exc:
+        MESSAGE_CASES[case]()
+    assert "digits]" in str(exc.value) and len(str(exc.value)) < 200
