@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import InvalidMapError, ParamError
 from .exact import (Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field, strict_less,
                     weighted_pair)
-from .series import PolyharmonicMap
+from .series import ZERO, PolyharmonicMap, magnitude_term
 
 
 class Family(Enum):
@@ -127,9 +127,11 @@ def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
     row1_terms = []
     weighted_terms = []   # sum_k (2k-1)(|a[1,k]|+|b[1,k]|), k >= 2
     plain_terms = []      # sum_{k>=2} (|a[1,k]|+|b[1,k]|)
-    for n, k in F.support():
-        ma, mb = F.coeff_a(n, k).magnitude(), F.coeff_b(n, k).magnitude()
-        exact &= is_exact(ma) and is_exact(mb)
+    a, b = F.a, F.b
+    for key in F.support():
+        ma, mb = magnitude_term(a.get(key, ZERO), "a", key), magnitude_term(b.get(key, ZERO), "b", key)
+        exact &= ma.__class__ is mb.__class__ is tuple
+        n, k = key
         if n >= 2:
             w = (2 * (k - 1) * Q + n * (P * n + Q - P), Q) if Q else 2 * (k - 1) + n * (lam * n + 1 - lam)
             row1_terms.append(weighted_pair(w, ma, mb))

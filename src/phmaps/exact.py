@@ -194,12 +194,14 @@ def fold_sum(terms: Iterable[tuple[int, int] | Scalar]) -> Scalar:
     return Fraction(num, den)
 
 
-def weighted_pair(w: tuple[int, int] | float, x: Scalar, y: Scalar) -> tuple[int, int] | Scalar:
-    """The fold_sum term ``w * (x + y)`` for an exact pair or float ``w``."""
-    if w.__class__ is tuple and is_exact(x) and is_exact(y):
-        s = x.numerator * y.denominator + y.numerator * x.denominator
-        return w[0] * s, w[1] * x.denominator * y.denominator
-    return (Fraction(*w) if w.__class__ is tuple else w) * (x + y)
+def weighted_pair(w: tuple[int, int] | float, x: tuple[int, int] | float,
+                  y: tuple[int, int] | float) -> tuple[int, int] | Scalar:
+    """The fold_sum term ``w * (x + y)``, each factor an exact (numerator, denominator) pair or a
+    float: an exact pair when all three are pairs, else the float the Fraction expression gives."""
+    if w.__class__ is x.__class__ is y.__class__ is tuple:
+        return w[0] * (x[0] * y[1] + y[0] * x[1]), w[1] * x[1] * y[1]
+    w, x, y = (Fraction(*v) if v.__class__ is tuple else v for v in (w, x, y))
+    return w * (x + y)
 
 
 def exact_sqrt(q: Fraction) -> Optional[Fraction]:

@@ -63,8 +63,8 @@ def _monomials(F: PolyharmonicMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A total degree alpha + beta = n + 2k - 2 of 2**63 or more raises NonFiniteError."""
     if max(n + 2 * k for n, k in (*F.a, *F.b)) - 2 >= 2 ** 63:
         raise NonFiniteError("a monomial degree n + 2k - 2 reaches 2**63 and does not fit int64")
-    rows = [(n + k - 1, k - 1, c.as_complex()) for (n, k), c in F.a.items()]
-    rows += [(k - 1, n + k - 1, c.as_complex().conjugate()) for (n, k), c in F.b.items()]
+    rows = [(n + k - 1, k - 1, c.as_complex("a", (n, k))) for (n, k), c in F.a.items()]
+    rows += [(k - 1, n + k - 1, c.as_complex("b", (n, k)).conjugate()) for (n, k), c in F.b.items()]
     return tuple(np.array(col) for col in zip(*rows))  # never empty: a[1,1] = 1
 
 

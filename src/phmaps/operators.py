@@ -23,7 +23,7 @@ from .classes import MembershipReport, hc, hs_lambda, membership
 from .errors import NotMemberError, ParamError, WeightError
 from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field,
                     weighted_pair)
-from .series import Coefficient, Key, PolyharmonicMap, ZERO
+from .series import Coefficient, Key, PolyharmonicMap, ZERO, magnitude_term, product_over
 
 
 def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
@@ -33,18 +33,10 @@ def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
     return PolyharmonicMap(max(F.p, G.p), a, b)
 
 
-def _over(c: Coefficient, n: int) -> Coefficient:
-    """c / n: an exact part gets its denominator multiplied once, a float part keeps x * Fraction(1, n)."""
-    if n == 1:
-        return c
-    return Coefficient(*(Fraction(x.numerator, x.denominator * n) if x.__class__ is Fraction else x * Fraction(1, n)
-                         for x in (c.re, c.im)))
-
-
 def integral_convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
     """Entrywise product with each degree-n term divided by n."""
-    a = {(n, k): _over(F.a[(n, k)] * G.a[(n, k)], n) for n, k in F.a.keys() & G.a.keys()}
-    b = {(n, k): _over(F.b[(n, k)] * G.b[(n, k)], n) for n, k in F.b.keys() & G.b.keys()}
+    a = {(n, k): product_over(F.a[(n, k)], G.a[(n, k)], n) for n, k in F.a.keys() & G.a.keys()}
+    b = {(n, k): product_over(F.b[(n, k)], G.b[(n, k)], n) for n, k in F.b.keys() & G.b.keys()}
     return PolyharmonicMap(max(F.p, G.p), a, b)
 
 
@@ -93,11 +85,12 @@ def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     """
     terms = []
     keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
-    for n, k in sorted(keys, key=lambda nk: (nk[1], nk[0])):
-        da = (F.coeff_a(n, k) - G.coeff_a(n, k)).magnitude()
-        db = (F.coeff_b(n, k) - G.coeff_b(n, k)).magnitude()
+    for key in sorted(keys, key=lambda nk: (nk[1], nk[0])):
+        n, k = key
+        da = magnitude_term(F.coeff_a(n, k) - G.coeff_a(n, k), "a", key)
+        db = magnitude_term(F.coeff_b(n, k) - G.coeff_b(n, k), "b", key)
         terms.append(weighted_pair((2 * (k - 1) + n, 1), da, db))
-    terms.append((F.coeff_b(1, 1) - G.coeff_b(1, 1)).magnitude())
+    terms.append(magnitude_term(F.coeff_b(1, 1) - G.coeff_b(1, 1), "b", (1, 1)))
     return fold_sum(terms)
 
 
@@ -195,21 +188,26 @@ def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0
     """Per-layer bound |G_k(z)| <= (|a[1,k]|+|b[1,k]|)|z| + c2 |z|^2 on |z| <= 1, from the coefficients.
 
     F must lie in hs-lambda (NotMemberError). Then each layer F has must keep
-    tail_k = sum_{n>=2} (|a[n,k]|+|b[n,k]|) <= c2 + tol, c2 = (1-|b11|)/(2(1+lambda)),
-    compared exactly for exact input. Members pass at tol = 0 for every lambda in
-    [0, 1]: each n >= 2 entry has row-1 weight 2(k-1) + n(lambda n + 1 - lambda) >=
-    2(1+lambda), and row 1 bounds the weighted sum by 2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|)
-    <= 1 - |b11|, so sum_k tail_k <= c2 and |G_k(z)| <= lead_k |z| + tail_k |z|^2.
+    tail_k = sum_{n>=2} (|a[n,k]|+|b[n,k]|) <= c2 + tol, c2 = (1-|b11|)/(2(1+lambda)).
+    Members pass at tol = 0 for every lambda in [0, 1]: each n >= 2 entry has row-1
+    weight 2(k-1) + n(lambda n + 1 - lambda) >= 2(1+lambda), and row 1 bounds the
+    weighted sum by 2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|) <= 1 - |b11|, so
+    sum_k tail_k <= c2 and |G_k(z)| <= lead_k |z| + tail_k |z|^2. So an exact
+    membership report with tol >= 0 decides; otherwise each tail is compared.
 
     ``samples`` and ``seed`` are unused, kept for callers of the sampled check this replaced.
     """
-    lam = _hs_lambda_member(F, lam).params.lam
-    c2 = (1 - F.coeff_b(1, 1).magnitude()) / (2 * (1 + lam))
+    report = _hs_lambda_member(F, lam)
+    if report.exact and tol >= 0:
+        return True
+    c2 = (1 - F.coeff_b(1, 1).magnitude()) / (2 * (1 + report.params.lam))
     tails: dict[int, list] = {}
-    for n, k in F.support():
+    for key in F.support():
+        n, k = key
         tail = tails.setdefault(k, [])
         if n >= 2:
-            tail.append(weighted_pair((1, 1), F.coeff_a(n, k).magnitude(), F.coeff_b(n, k).magnitude()))
+            ma, mb = magnitude_term(F.coeff_a(n, k), "a", key), magnitude_term(F.coeff_b(n, k), "b", key)
+            tail.append(weighted_pair((1, 1), ma, mb))
     return all(fold_sum(tail) - c2 <= tol for tail in tails.values())
 
 

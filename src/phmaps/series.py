@@ -10,6 +10,7 @@ All values are immutable after construction and every operation here is pure.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Mapping, Tuple
 
@@ -39,12 +40,13 @@ class Coefficient(Record):
     def is_zero(self) -> bool:
         return not (self.re or self.im)
 
-    def as_complex(self) -> complex:
-        """The value as a float complex; NonFiniteError if an exact part overflows float64."""
+    def as_complex(self, table: str = "", key: Key | None = None) -> complex:
+        """The value as a float complex; NonFiniteError if an exact part overflows float64,
+        naming the entry ``table[n,k]`` when given its key."""
         try:
             return complex(float(self.re), float(self.im))
         except OverflowError:
-            raise NonFiniteError(f"coefficient {self.brief()} overflows float64") from None
+            raise _entry_error(table, key, f"coefficient {self.brief()} overflows float64") from None
 
     def conjugate(self) -> "Coefficient":
         return Coefficient(self.re, -self.im)
@@ -59,21 +61,7 @@ class Coefficient(Record):
         return Coefficient(-self.re, -self.im)
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
-            # Skip the products with a zero factor: a factor on an axis has one.
-            re = a * c if a and c else _ZERO_PART
-            im = a * d if a and d else _ZERO_PART
-            if b and d:
-                re = re - b * d
-            if b and c:
-                im = im + b * c
-            return Coefficient(re, im)
-        try:
-            return Coefficient(a * c - b * d, a * d + b * c)
-        except OverflowError:  # an exact part beyond float64 meets a float part
-            raise NonFiniteError(f"product of coefficients {self.brief()} and {other.brief()} "
-                                 "overflows float64") from None
+        return product_over(self, other)
 
     def scale(self, s: Scalar) -> "Coefficient":
         re, im = self.re, self.im
@@ -85,19 +73,9 @@ class Coefficient(Record):
         return self.re * self.re + self.im * self.im
 
     def magnitude(self) -> Scalar:
-        """|value|. A Fraction result is exact; a float result is approximate.
-
-        Exact coefficients on an axis have exact magnitudes; off-axis exact
-        coefficients stay exact only when |value|^2 is a rational square
-        (e.g. 3+4i), otherwise the magnitude honestly degrades to float.
-        """
-        if not self.exact:
-            return abs(self.as_complex())
-        if self.im == 0:
-            return abs(self.re)
-        if self.re == 0:
-            return abs(self.im)
-        return sqrt_scalar(self.magnitude_squared())
+        """|value|, by magnitude_term: a Fraction result is exact, a float result approximate."""
+        m = magnitude_term(self)
+        return Fraction(*m) if m.__class__ is tuple else m
 
     def __str__(self) -> str:
         return f"{format_scalar(self.re)}{'+' if self.im >= 0 else '-'}{format_scalar(abs(self.im))}i"
@@ -109,6 +87,63 @@ class Coefficient(Record):
 
 ZERO = Coefficient(0, 0)
 ONE = Coefficient(1, 0)
+
+
+def _entry_error(table: str, key: Key | None, message: str) -> NonFiniteError:
+    return NonFiniteError(message if key is None else f"{table}[{key[0]},{key[1]}]: {message}")
+
+
+def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> tuple[int, int] | float:
+    """|c| as fold_sum takes it: an exact (numerator, denominator) pair when the magnitude is rational,
+    else a float. NonFiniteError, naming the entry ``table[n,k]`` when given its key, on overflow.
+
+    An exact coefficient on an axis has the pair (|num|, den). Off the axes, with both parts
+    over their lcm d, |c| = sqrt(x^2 + y^2)/d is rational exactly when x^2 + y^2 is a square
+    (e.g. 3+4i); otherwise it honestly degrades to float, as does a float or mixed coefficient.
+    """
+    re, im = c.re, c.im
+    if not (re.__class__ is im.__class__ is Fraction):
+        return abs(c.as_complex(table, key))
+    (x, dx), (y, dy) = re.as_integer_ratio(), im.as_integer_ratio()
+    if not y:
+        return abs(x), dx
+    if not x:
+        return abs(y), dy
+    d = math.lcm(dx, dy)
+    x, y = x * (d // dx), y * (d // dy)
+    s = x * x + y * y
+    root = math.isqrt(s)
+    if root * root == s:
+        return root, d
+    try:
+        return math.sqrt(s / (d * d))  # as sqrt_scalar: float(|c|^2) is this correctly rounded quotient
+    except OverflowError:
+        pass
+    try:
+        return sqrt_scalar(c.magnitude_squared())
+    except NonFiniteError as e:
+        raise _entry_error(table, key, str(e)) from None
+
+
+def product_over(x: Coefficient, y: Coefficient, n: int = 1) -> Coefficient:
+    """x y / n for an integer n >= 1. With Fraction parts a + bi and c + di, both parts of
+    (ac - bd) + (ad + bc)i are integers over the four denominators' product times n, each
+    normalised once. Otherwise the parts are floats, and for n > 1 each is multiplied by Fraction(1, n)."""
+    a, b, c, d = x.re, x.im, y.re, y.im
+    if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        cn, cd = c.as_integer_ratio()
+        dn, dd = d.as_integer_ratio()
+        den = ad * bd * cd * dd * n
+        re = an * cn * bd * dd - bn * dn * ad * cd
+        im = an * dn * bd * cd + bn * cn * ad * dd
+        return Coefficient(Fraction(re, den) if re else _ZERO_PART, Fraction(im, den) if im else _ZERO_PART)
+    try:
+        re, im = a * c - b * d, a * d + b * c
+    except OverflowError:  # an exact part beyond float64 meets a float part
+        raise NonFiniteError(f"product of coefficients {x.brief()} and {y.brief()} overflows float64") from None
+    return Coefficient(re, im) if n == 1 else Coefficient(re * Fraction(1, n), im * Fraction(1, n))
 
 
 def coeff(value) -> Coefficient:

@@ -6,15 +6,15 @@ closed forms that do not use the library's monomial table, and evaluation
 itself from the loop over the support that fixes its bits; the polyline
 properties come from brute-force segment / ray-crossing geometry, and the
 injectivity collision count comes from comparing every pair of grid points.
-The exact core's sums and products are checked against the plain Fraction
-loops they replaced, which define the results bit for bit, and the batched
-renderer against the per-curve evaluation and per-vertex formatting it
-replaced, which define the SVG and CSV bytes. The grid report's hand-rolled
-serialisers and the numpy envelope cubic define the `verify` report bytes
-the same way, and the sampled per-layer loop is the witness for the
-coefficient form of the per-layer bound. The collision pass is checked
-against its one-octave-at-a-time search, which hashes every octave of the
-pair threshold in its own cells.
+The exact core's magnitudes, sums and products are checked against the plain
+Fraction rule and loops they replaced, which define the results bit for bit,
+and the batched renderer against the per-curve evaluation and per-vertex
+formatting it replaced, which define the SVG and CSV bytes. The grid
+report's hand-rolled serialisers and the numpy envelope cubic define the
+`verify` report bytes the same way, and the sampled per-layer loop is the
+witness for the coefficient form of the per-layer bound. The collision pass
+is checked against its one-octave-at-a-time search, which hashes every
+octave of the pair threshold in its own cells.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from phmaps import evaluate, theta_derivative
 from phmaps.classes import Family, MembershipReport, hc, membership, weight
 from phmaps.errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError
-from phmaps.exact import as_scalar, is_exact, strict_less
+from phmaps.exact import as_scalar, is_exact, sqrt_scalar, strict_less
 from phmaps.operators import _hs_lambda_member, convexity_radius, rescale
 from phmaps.render import MARGIN, STROKE_WIDTH
 from phmaps.series import Coefficient, PolyharmonicMap
@@ -293,6 +293,18 @@ def reference_collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -
 # --- Fraction-loop references for the exact core -------------------------------
 
 
+def reference_magnitude(c: Coefficient):
+    """|c| as a Fraction when exact and rational, else a float: the float of the complex value, the
+    absolute value of a part on an axis, or the root of the Fraction |c|^2 by sqrt_scalar."""
+    if not c.exact:
+        return abs(c.as_complex())
+    if c.im == 0:
+        return abs(c.re)
+    if c.re == 0:
+        return abs(c.im)
+    return sqrt_scalar(c.re * c.re + c.im * c.im)
+
+
 def reference_product(x: Coefficient, y: Coefficient) -> Coefficient:
     """Coefficient product with all four part products and both sums."""
     return Coefficient(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
@@ -335,7 +347,8 @@ def reference_rescale_convexity_certificate(F, lam, r) -> bool:
         scale = r ** (2 * k + n - 3)
         if not hc_weight * scale <= weight(n, k, lam):
             return False
-        total = total + hc_weight * (F.coeff_a(n, k).magnitude() + F.coeff_b(n, k).magnitude()) * scale
+        pair = reference_magnitude(F.coeff_a(n, k)) + reference_magnitude(F.coeff_b(n, k))
+        total = total + hc_weight * pair * scale
     if not total <= 1:
         return False
     return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
@@ -356,10 +369,10 @@ def reference_membership(F, params) -> MembershipReport:
     lam = {Family.HS_LAMBDA: params.lam, Family.HS: Fraction(0), Family.HC: Fraction(1)}[params.family]
     exact = is_exact(lam)
     row1_lhs = first_weighted = first_plain = Fraction(0)
-    b11_mag = F.coeff_b(1, 1).magnitude()
+    b11_mag = reference_magnitude(F.coeff_b(1, 1))
     exact &= is_exact(b11_mag)
     for n, k in F.support():
-        ma, mb = F.coeff_a(n, k).magnitude(), F.coeff_b(n, k).magnitude()
+        ma, mb = reference_magnitude(F.coeff_a(n, k)), reference_magnitude(F.coeff_b(n, k))
         pair = ma + mb
         exact &= is_exact(ma) and is_exact(mb)
         if n >= 2:
@@ -386,10 +399,10 @@ def reference_neighborhood_distance(F, G):
     total = Fraction(0)
     keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
     for n, k in sorted(keys, key=lambda nk: (nk[1], nk[0])):
-        da = (F.coeff_a(n, k) - G.coeff_a(n, k)).magnitude()
-        db = (F.coeff_b(n, k) - G.coeff_b(n, k)).magnitude()
+        da = reference_magnitude(F.coeff_a(n, k) - G.coeff_a(n, k))
+        db = reference_magnitude(F.coeff_b(n, k) - G.coeff_b(n, k))
         total = total + ((2 * (k - 1) + n) if n >= 2 else (2 * k - 1)) * (da + db)
-    return total + (F.coeff_b(1, 1) - G.coeff_b(1, 1)).magnitude()
+    return total + reference_magnitude(F.coeff_b(1, 1) - G.coeff_b(1, 1))
 
 
 def same(x, y) -> bool:
@@ -508,13 +521,13 @@ def reference_layer_bound_check(F, lam, samples=500, seed=0, tol=1e-12) -> bool:
     r = rng.uniform(0.0, 0.999, samples)
     z = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, samples))
     lam = float(_hs_lambda_member(F, lam).params.lam)
-    c2 = (1.0 - float(F.coeff_b(1, 1).magnitude())) / (2.0 * (1.0 + lam))
+    c2 = (1.0 - float(reference_magnitude(F.coeff_b(1, 1)))) / (2.0 * (1.0 + lam))
     alpha, beta, c = _monomials(F)
     low = np.minimum(alpha, beta)
     for m in sorted(set(low.tolist())):  # G_k: the rows with min(alpha, beta) = m = k-1, without |z|^(2m)
         row = low == m
         g = np.abs(_pointwise((alpha[row] - m, beta[row] - m, c[row]), z))
-        lead = float(F.coeff_a(1, m + 1).magnitude() + F.coeff_b(1, m + 1).magnitude())
+        lead = float(reference_magnitude(F.coeff_a(1, m + 1)) + reference_magnitude(F.coeff_b(1, m + 1)))
         if not np.all(g <= lead * r + c2 * r * r + tol):
             return False
     return True

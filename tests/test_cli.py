@@ -139,7 +139,7 @@ class TestCheck:
         path = off_axis_phm(tmp_path, "3" + "0" * 400)
         for argv in (["check", "--class", "hs", path], ["neighborhood", path, path, "--lambda", "1/2"]):
             assert main(argv) == 2
-            assert "overflows float64" in single_error_line(capsys)
+            assert single_error_line(capsys).startswith("error: a[2,1]: the square root of an exact value")
 
     @pytest.mark.parametrize("family", ["hs", "hc"])
     def test_degree_beyond_int64_keeps_an_exact_report(self, huge_degree, capsys, family):
@@ -441,6 +441,18 @@ LAMBDA_OWNERS = {
 @pytest.mark.parametrize("owner", LAMBDA_OWNERS)
 def test_every_lambda_is_checked_by_class_params(owner, lam):
     assert LAMBDA_OWNERS[owner](lam) == f"lambda must lie in [0,1], got {lam}"
+
+
+@pytest.mark.parametrize("entry", ["a 2 1", "b 3 1"])
+@pytest.mark.parametrize("command", ["check", "neighborhood", "verify"])
+def test_an_overflowing_coefficient_is_named(tmp_path, capsys, command, entry):
+    path = tmp_path / "mixed.phm"
+    path.write_text(f"p 1\na 1 1 1 0\n{entry} 1{'0' * 400} 0.5\n")
+    argv = {"check": ["check", "--class", "hs"], "neighborhood": ["neighborhood", str(path), "--lambda", "1/2"],
+            "verify": ["verify", "--suite", "jacobian"]}[command]
+    assert main([*argv, str(path)]) == 2
+    letter, n, k = entry.split()
+    assert single_error_line(capsys) == f"error: {letter}[{n},{k}]: coefficient [401 digits]+0.5i overflows float64\n"
 
 
 @pytest.mark.parametrize("command", ["check", "neighborhood", "extremal", "verify"])
