@@ -23,7 +23,7 @@ from .classes import MembershipReport, hc, hs_lambda, membership
 from .errors import NotMemberError, ParamError, WeightError
 from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field,
                     weighted_pair)
-from .series import Coefficient, Key, PolyharmonicMap, ZERO, magnitude_term, product_over
+from .series import Coefficient, Key, PolyharmonicMap, ZERO, difference_term, magnitude_term, product_over
 
 
 def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
@@ -87,10 +87,10 @@ def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
     for key in sorted(keys, key=lambda nk: (nk[1], nk[0])):
         n, k = key
-        da = magnitude_term(F.coeff_a(n, k) - G.coeff_a(n, k), "a", key)
-        db = magnitude_term(F.coeff_b(n, k) - G.coeff_b(n, k), "b", key)
+        da = difference_term(F.coeff_a(n, k), G.coeff_a(n, k), "a", key)
+        db = difference_term(F.coeff_b(n, k), G.coeff_b(n, k), "b", key)
         terms.append(weighted_pair((2 * (k - 1) + n, 1), da, db))
-    terms.append(magnitude_term(F.coeff_b(1, 1) - G.coeff_b(1, 1), "b", (1, 1)))
+    terms.append(difference_term(F.coeff_b(1, 1), G.coeff_b(1, 1), "b", (1, 1)))
     return fold_sum(terms)
 
 

@@ -52,10 +52,17 @@ class Coefficient(Record):
         return Coefficient(self.re, -self.im)
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        return Coefficient(self.re + other.re, self.im + other.im)
+        try:
+            return Coefficient(self.re + other.re, self.im + other.im)
+        except OverflowError:  # an exact part beyond float64 meets a float part
+            raise NonFiniteError(f"sum of coefficients {self.brief()} and {other.brief()} overflows float64") from None
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
-        return Coefficient(self.re - other.re, self.im - other.im)
+        try:
+            return Coefficient(self.re - other.re, self.im - other.im)
+        except OverflowError:
+            raise NonFiniteError(
+                f"difference of coefficients {self.brief()} and {other.brief()} overflows float64") from None
 
     def __neg__(self) -> "Coefficient":
         return Coefficient(-self.re, -self.im)
@@ -67,7 +74,10 @@ class Coefficient(Record):
         re, im = self.re, self.im
         if s.__class__ is re.__class__ is im.__class__ is Fraction:
             return Coefficient(re * s if re else re, im * s if im else im)
-        return Coefficient(re * s, im * s)
+        try:
+            return Coefficient(re * s, im * s)
+        except OverflowError:
+            raise NonFiniteError(f"coefficient {self.brief()} times {brief_scalar(s)} overflows float64") from None
 
     def magnitude_squared(self) -> Scalar:
         return self.re * self.re + self.im * self.im
@@ -123,6 +133,16 @@ def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> t
         return sqrt_scalar(c.magnitude_squared())
     except NonFiniteError as e:
         raise _entry_error(table, key, str(e)) from None
+
+
+def difference_term(x: Coefficient, y: Coefficient, table: str, key: Key) -> tuple[int, int] | float:
+    """magnitude_term(x - y), whose NonFiniteError also names the entry ``table[n,k]``
+    when the difference itself leaves float64."""
+    try:
+        d = x - y
+    except NonFiniteError as e:
+        raise _entry_error(table, key, str(e)) from None
+    return magnitude_term(d, table, key)
 
 
 def product_over(x: Coefficient, y: Coefficient, n: int = 1) -> Coefficient:
@@ -191,8 +211,13 @@ class PolyharmonicMap(Record):
             raise InvalidMapError(f"a[1,1] must equal 1, got {lead.brief()}")
         a[(1, 1)] = ONE
         b11 = b.get((1, 1))
-        if b11 is not None and not b11.magnitude_squared() < 1:
-            raise InvalidMapError(f"|b[1,1]| must be < 1, got {b11.brief()}")
+        if b11 is not None:
+            try:
+                inside = b11.magnitude_squared() < 1
+            except OverflowError:  # an exact part beyond float64 meets a float part, so |b11| > 1
+                inside = False
+            if not inside:
+                raise InvalidMapError(f"|b[1,1]| must be < 1, got {b11.brief()}")
         set_field(self, "p", p)
         set_field(self, "a", a)
         set_field(self, "b", b)

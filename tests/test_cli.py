@@ -455,6 +455,24 @@ def test_an_overflowing_coefficient_is_named(tmp_path, capsys, command, entry):
     assert single_error_line(capsys) == f"error: {letter}[{n},{k}]: coefficient [401 digits]+0.5i overflows float64\n"
 
 
+def test_a_difference_beyond_float_names_both_coefficients(tmp_path, capsys):
+    # neighborhood subtracts a[2,1] entrywise: the exact 10**400 meets the float 0.1
+    mixed, decimal = tmp_path / "m.phm", tmp_path / "d.phm"
+    mixed.write_text(f"p 1\na 1 1 1 0\na 2 1 1{'0' * 400} 0.5\n")
+    decimal.write_text("p 1\na 1 1 1 0\na 2 1 0.1 0\n")
+    assert main(["neighborhood", str(mixed), str(decimal), "--lambda", "1/2"]) == 2
+    assert single_error_line(capsys) == \
+        "error: a[2,1]: difference of coefficients [401 digits]+0.5i and 0.1+0i overflows float64\n"
+
+
+def test_a_b11_beyond_float_is_rejected_by_its_bound(tmp_path, capsys):
+    # |b11|^2 mixes the exact 10**800 with a float, so it lies far above 1
+    path = tmp_path / "b.phm"
+    path.write_text(f"p 1\na 1 1 1 0\nb 1 1 1{'0' * 400} 0.5\n")
+    assert main(["check", "--class", "hs", str(path)]) == 2
+    assert single_error_line(capsys) == "error: |b[1,1]| must be < 1, got [401 digits]+0.5i\n"
+
+
 @pytest.mark.parametrize("command", ["check", "neighborhood", "extremal", "verify"])
 def test_a_501_digit_lambda_gives_a_short_error_line(f1, capsys, command):
     argv = {"check": ["check", "--class", "hs-lambda", f1], "neighborhood": ["neighborhood", f1, f1],

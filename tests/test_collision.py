@@ -143,7 +143,8 @@ def image_grids(draw):
     return np.array(values, dtype=complex).reshape(rings, rays)
 
 
-@settings(max_examples=300, deadline=None)
+# at least 300 examples; the `deep` profile raises both properties to its 2000
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(image_grids())
 def test_matches_brute_force_on_random_images(w):
     assert _collision_count(w) == helpers.brute_force_collisions(w)
@@ -173,7 +174,7 @@ def clustered_images(draw):
     return w
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(clustered_images())
 def test_matches_brute_force_on_clustered_images(w):
     assert _collision_count(w) == helpers.brute_force_collisions(w)
@@ -191,6 +192,39 @@ def test_merged_band_finds_partners_in_higher_octaves():
     assert np.count_nonzero(octave == -6) == 1 and octave[0, 2] == -6
     assert octave[1, 7] < octave[4, 3] < octave[6, 10]
     assert _collision_count(w) == helpers.brute_force_collisions(w) == helpers.reference_collision_count(w) == 4
+
+
+def test_band_table_reaches_one_cell_beyond_its_queries(monkeypatch):
+    # Rings 1-7 are a lattice of spacing 10 (t = 1, octave 1) whose corner
+    # (-5, -90) starts the cell count. Ring 0 is a row of rays h apart in the
+    # image's bottom-left corner: rays 0-30 have t = h/10 = 0.75 * 2**-4, so
+    # they alone fill octave -4 and make a band with cells of 1/8; ray 31, 14h
+    # from ray 0 across the wrap, is not among them. Its queries lie in x cells
+    # 40-152 and y cell 720. (7, 8) lies 0.9 t left of ray 0, in x cell 39: in
+    # the one-cell margin, so found and counted. (7, 24) lies just over one cell
+    # below the row, in y cell 718: beyond the margin, so left out of the table.
+    rings, rays, h = 8, 32, 0.46875
+    w = (-5.0 + 10 * np.arange(rays))[None, :] + 1j * (10.0 * np.arange(rings) - 100)[:, None]
+    w[0] = 0.001 + h * np.arange(rays) + 0.001j
+    inside, beyond = (7, 8), (7, 24)
+    w[inside] = w[0, 0] - 0.9 * h / 10
+    w[beyond] = 12 + (0.001 - 1.024 / 8) * 1j
+    octave = np.frexp(np.maximum(*helpers.collision_rule(w)))[1].reshape(w.shape)
+    assert np.all(octave[0, :31] == -4) and np.count_nonzero(octave <= -4) == 31
+    assert octave[inside] > 1 and octave[beyond] > 1
+
+    tables = []
+
+    def spy(wf, t, rays, queries, partners, lo, hi):
+        tables.append((set(queries.tolist()), set(partners.tolist())))
+        return close_pairs(wf, t, rays, queries, partners, lo, hi)
+
+    close_pairs = geometry._close_pairs
+    monkeypatch.setattr(geometry, "_close_pairs", spy)
+    assert _collision_count(w) == helpers.brute_force_collisions(w) == helpers.reference_collision_count(w) == 1
+    band = [partners for queries, partners in tables if queries <= set(range(31))]
+    assert band and all(inside[0] * rays + inside[1] in partners for partners in band)
+    assert not any(beyond[0] * rays + beyond[1] in partners for partners in band)
 
 
 def verify_halfplane_r_max(stratum):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import IRRATIONAL_TURN, off_axis, reference_rescale_convexity_certificate
 from phmaps import (
     ExtremalSpec,
+    NonFiniteError,
     NotMemberError,
     ParamError,
     WeightError,
@@ -111,6 +112,17 @@ class TestConvexCombine:
     def test_float_weights_within_tolerance(self):
         out = combine([(0.5, example_F1()), (0.5, example_F1())])
         assert out.coeff_a(1, 1).re == 1  # leader renormalized exactly
+
+    @pytest.mark.parametrize("weight, message", [
+        (Fraction(1, 2), "sum of coefficients [400 digits]+0.25i and 0.05+0i overflows float64"),
+        (0.5, "coefficient [401 digits]+0.5i times 0.5 overflows float64"),
+    ], ids=["exact-weights", "float-weights"])
+    def test_exact_part_beyond_float_meeting_a_float_is_non_finite_error(self, weight, message):
+        # a[2,1] of the first map has the exact real part 10**400, the second's is the float 0.1
+        mixed, decimal = make_map(1, a={(2, 1): (10**400, 0.5)}), make_map(1, a={(2, 1): (0.1, 0)})
+        with pytest.raises(NonFiniteError) as e:
+            combine([(weight, mixed), (weight, decimal)])
+        assert str(e.value) == message
 
     def test_membership_closure(self, rng):
         for _ in range(40):

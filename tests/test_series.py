@@ -61,6 +61,17 @@ class TestCoefficient:
             c * c
         assert Coefficient(10**400, 1) * Coefficient(10**400, 1) == Coefficient(10**800 - 1, 2 * 10**400)
 
+    def test_sum_and_difference_beyond_float_are_non_finite_errors(self):
+        # the exact real part 10**400 meets the float 0.1; all-Fraction sums stay exact
+        big, small = Coefficient(10**400, 0.5), Coefficient(0.1, 0)
+        with pytest.raises(NonFiniteError, match=r"^sum of coefficients \[401 digits\]\+0\.5i and 0\.1\+0i overflows float64$"):
+            big + small
+        with pytest.raises(NonFiniteError, match=r"^difference of coefficients 0\.1\+0i and \[401 digits\]\+0\.5i overflows"):
+            small - big
+        with pytest.raises(NonFiniteError, match=r"^coefficient \[401 digits\]\+0\.5i times 0\.5 overflows float64$"):
+            big.scale(0.5)
+        assert Coefficient(10**400, 1) - Coefficient(1, 1) == Coefficient(10**400 - 1, 0)
+
 
 class TestMapValidation:
     def test_leading_coefficient_must_be_one(self):
