@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
-from .errors import InvalidMapError, ParamError
-from .exact import (Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field, strict_less,
-                    weighted_pair)
-from .series import ZERO, PolyharmonicMap, magnitude_term
+from .errors import ParamError
+from .exact import Record, Scalar, as_scalar, brief_scalar, is_exact, kv_lines, set_field, strict_less
+from .series import PolyharmonicMap, Term, weighted_sum
 
 
 class Family(Enum):
@@ -62,12 +62,21 @@ def hc(normalized: bool = False) -> ClassParams:
     return ClassParams(Family.HC, Fraction(1), normalized)
 
 
+def row1_weight(lam: Scalar) -> Callable[[int, int], Term]:
+    """The row-1 weight (n, k) -> 2(k-1) + n(lam*n + 1 - lam) of a validated lam: for lam = P/Q
+    the integer 2(k-1)Q + n(Pn + Q - P) over Q as a pair, for a float lam the float expression."""
+    if lam.__class__ is Fraction:
+        P, Q = lam.numerator, lam.denominator
+        return lambda n, k: (2 * (k - 1) * Q + n * (P * n + Q - P), Q)
+    return lambda n, k: 2 * (k - 1) + n * (lam * n + 1 - lam)
+
+
 def weight(n: int, k: int, lam) -> Scalar:
     """Row-1 weight 2(k-1) + n(lam*n + 1 - lam). Exact for rational lam."""
     if n < 1 or k < 1:
         raise ParamError(f"weight indices must be >= 1, got ({n}, {k})")
-    lam = hs_lambda(lam).lam
-    return 2 * (k - 1) + n * (lam * n + 1 - lam)
+    w = row1_weight(hs_lambda(lam).lam)(n, k)
+    return Fraction(*w) if w.__class__ is tuple else w
 
 
 class MembershipReport(Record):
@@ -113,60 +122,31 @@ class MembershipReport(Record):
 
 def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
     """Evaluate both inequality rows of the selected family over the support."""
-    lead = F.coeff_a(1, 1)
-    if not (lead.re == 1 and lead.im == 0):
-        raise InvalidMapError("membership requires a[1,1] = 1")
-
-    lam = params.lam
-    # ClassParams has validated lam. For lam = P/Q the row-1 weight is the integer
-    # 2(k-1)Q + n(Pn + Q - P) over Q; a float lam keeps weight()'s float expression.
-    P, Q = (lam.numerator, lam.denominator) if is_exact(lam) else (None, None)
-
+    rows = F.magnitudes()
+    first = [row for row in rows if row[0] == 1 < row[1]]  # a[1,k] and b[1,k] for k >= 2
     b11_mag = F.coeff_b(1, 1).magnitude()
-    exact = is_exact(lam) and is_exact(b11_mag)  # a float lam rounds the row-1 weights
-    row1_terms = []
-    weighted_terms = []   # sum_k (2k-1)(|a[1,k]|+|b[1,k]|), k >= 2
-    plain_terms = []      # sum_{k>=2} (|a[1,k]|+|b[1,k]|)
-    a, b = F.a, F.b
-    for key in F.support():
-        ma, mb = magnitude_term(a.get(key, ZERO), "a", key), magnitude_term(b.get(key, ZERO), "b", key)
-        exact &= ma.__class__ is mb.__class__ is tuple
-        n, k = key
-        if n >= 2:
-            w = (2 * (k - 1) * Q + n * (P * n + Q - P), Q) if Q else 2 * (k - 1) + n * (lam * n + 1 - lam)
-            row1_terms.append(weighted_pair(w, ma, mb))
-        elif k >= 2:
-            weighted_terms.append(weighted_pair((2 * k - 1, 1), ma, mb))
-            plain_terms.append(weighted_pair((1, 1), ma, mb))
-    row1_lhs = fold_sum(row1_terms)
-    first_weighted = fold_sum([*weighted_terms, 1, b11_mag])  # k=1 term: |a[1,1]| + |b[1,1]|
-    first_plain = fold_sum(plain_terms)
+    row1_lhs = weighted_sum([row for row in rows if row[0] >= 2], row1_weight(params.lam))
+    # sum_k (2k-1)(|a[1,k]|+|b[1,k]|): the k >= 2 rows, then the k = 1 term |a[1,1]| + |b[1,1]| = 1 + |b11|
+    first_weighted = weighted_sum(first, lambda n, k: (2 * k - 1, 1), 1, b11_mag)
+    exact = is_exact(params.lam) and is_exact(row1_lhs) and is_exact(first_weighted)  # each |c| is in one sum
 
-    row2_value = first_weighted
     if params.family is Family.HS_LAMBDA:
-        row1_rhs = 2 - first_weighted
-        row2_condition = first_weighted
-        row2_lo: Scalar = Fraction(1)
-        row2_hi: Scalar = Fraction(2)
+        row1_rhs, row2_condition, row2_lo, row2_hi = 2 - first_weighted, first_weighted, Fraction(1), Fraction(2)
     else:
         # Classical form: RHS = 1 - |b11| - sum_{k>=2}(2k-1)(...), row 2 unweighted.
-        first_weighted_tail = first_weighted - 1 - b11_mag
-        row1_rhs = 1 - b11_mag - first_weighted_tail
-        row2_condition = b11_mag + first_plain
-        row2_lo = Fraction(0)
-        row2_hi = Fraction(1)
+        row1_rhs = 1 - b11_mag - (first_weighted - 1 - b11_mag)
+        first_plain = weighted_sum(first, lambda n, k: (1, 1))  # sum_{k>=2} (|a[1,k]|+|b[1,k]|)
+        row2_condition, row2_lo, row2_hi = b11_mag + first_plain, Fraction(0), Fraction(1)
 
     upper_ok, used_epsilon = strict_less(row2_condition, row2_hi)
     row2_ok = bool(row2_condition >= row2_lo) and upper_ok
-
     normalized_ok = F.is_normalized
     member = bool(row1_rhs - row1_lhs >= 0) and row2_ok and (normalized_ok or not params.normalized)
-
     return MembershipReport(
         params=params,
         row1_lhs=row1_lhs,
         row1_rhs=row1_rhs,
-        row2_value=row2_value,
+        row2_value=first_weighted,
         row2_condition=row2_condition,
         row2_lo=row2_lo,
         row2_hi=row2_hi,

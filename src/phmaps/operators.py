@@ -4,26 +4,31 @@ Convolution and integral convolution multiply coefficient tables entrywise
 (the latter dividing degree-n terms by n), convex combinations average them,
 and rescaling r^{-1} F(r z) multiplies entry (n, k) by r^(2k+n-3). The
 neighborhood distance is the weighted l1 metric used by the inclusion bound
-``delta_bound``. Absent entries are zero, matching the series semantics, so
-maps of different depth need no padding. Everything here is pure and
-exactness-preserving.
+``delta_bound``: ``series.weighted_sum`` over the entrywise differences with
+the hs (lambda = 0) row-1 weights. Absent entries are zero, matching the
+series semantics, so maps of different depth need no padding. Everything here
+is pure and exactness-preserving.
 
 The paper's coefficient results for members of hs-lambda live here too: the
-convexity radius with its exact rescaling certificate, the per-layer bound,
-and the distortion envelope, whose float coefficients
-`geometry.distortion_check` samples.
+convexity radius with its exact rescaling certificate, the per-layer bound
+(each layer's tail a ``weighted_sum`` over the map's magnitude table), and
+the distortion envelope, whose float coefficients `geometry.distortion_check`
+samples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
-from .classes import MembershipReport, hc, hs_lambda, membership
+from .classes import MembershipReport, hc, hs_lambda, membership, row1_weight
 from .errors import NotMemberError, ParamError, WeightError
-from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field,
-                    weighted_pair)
-from .series import Coefficient, Key, PolyharmonicMap, ZERO, difference_term, magnitude_term, product_over
+from .exact import EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field
+from .series import (Coefficient, Key, PolyharmonicMap, ZERO, difference_term, magnitude_term, product_over,
+                     weighted_sum)
+
+_HS_WEIGHT = row1_weight(Fraction(0))  # the neighborhood distance weighs entries as hs (lambda = 0) row 1 does
 
 
 def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
@@ -83,15 +88,12 @@ def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     first-degree coefficients of layers k >= 2 and 1 for the k=1 antianalytic
     leader, whose plain |b11 - B11| is added last.
     """
-    terms = []
     keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
-    for key in sorted(keys, key=lambda nk: (nk[1], nk[0])):
-        n, k = key
-        da = difference_term(F.coeff_a(n, k), G.coeff_a(n, k), "a", key)
-        db = difference_term(F.coeff_b(n, k), G.coeff_b(n, k), "b", key)
-        terms.append(weighted_pair((2 * (k - 1) + n, 1), da, db))
-    terms.append(difference_term(F.coeff_b(1, 1), G.coeff_b(1, 1), "b", (1, 1)))
-    return fold_sum(terms)
+    rows = [(*key, difference_term(F.coeff_a(*key), G.coeff_a(*key), "a", key),
+             difference_term(F.coeff_b(*key), G.coeff_b(*key), "b", key))
+            for key in sorted(keys, key=lambda nk: (nk[1], nk[0]))]
+    return weighted_sum(rows, _HS_WEIGHT,
+                        difference_term(F.coeff_b(1, 1), G.coeff_b(1, 1), "b", (1, 1)))
 
 
 def _hs_lambda_member(F: PolyharmonicMap, lam) -> MembershipReport:
@@ -144,19 +146,19 @@ def ch0_certificate(H: PolyharmonicMap) -> bool:
 
     True iff H is effectively single-layer with b11 = 0 and every coefficient
     satisfies 2|A_n| <= n+1 and 2|B_n| <= n-1 (checked exactly via squares for
-    exact coefficients). This certifies the coefficient hypothesis the
+    exact coefficients, else by magnitude_term, whose NonFiniteError names the
+    entry). This certifies the coefficient hypothesis the
     convolution-closure properties need; it is not a convexity proof.
     """
     if any(k >= 2 for _, k in list(H.a) + list(H.b)):
         return False
     if not H.coeff_b(1, 1).is_zero:
         return False
-    for (n, _), c in H.a.items():
-        if n >= 2 and not 4 * c.magnitude_squared() <= (n + 1) ** 2:
-            return False
-    for (n, _), c in H.b.items():
-        if n >= 2 and not 4 * c.magnitude_squared() <= (n - 1) ** 2:
-            return False
+    for name, table, excess in (("a", H.a, 1), ("b", H.b, -1)):
+        for (n, k), c in table.items():
+            if n >= 2 and not (4 * c.magnitude_squared() <= (n + excess) ** 2 if c.exact
+                               else 2 * magnitude_term(c, name, (n, k)) <= n + excess):
+                return False
     return True
 
 
@@ -201,14 +203,9 @@ def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0
     if report.exact and tol >= 0:
         return True
     c2 = (1 - F.coeff_b(1, 1).magnitude()) / (2 * (1 + report.params.lam))
-    tails: dict[int, list] = {}
-    for key in F.support():
-        n, k = key
-        tail = tails.setdefault(k, [])
-        if n >= 2:
-            ma, mb = magnitude_term(F.coeff_a(n, k), "a", key), magnitude_term(F.coeff_b(n, k), "b", key)
-            tail.append(weighted_pair((1, 1), ma, mb))
-    return all(fold_sum(tail) - c2 <= tol for tail in tails.values())
+    tails = (weighted_sum((row for row in rows if row[0] >= 2), lambda n, k: (1, 1))
+             for _, rows in groupby(F.magnitudes(), key=lambda row: row[1]))  # rows are layer-major
+    return all(tail - c2 <= tol for tail in tails)
 
 
 def _cubic(coeffs: tuple[float, float, float], r):

@@ -6,18 +6,26 @@ A map is stored as two sparse tables indexed by (n, k):
 
 with the normalization a[1,1] = 1 and |b[1,1]| < 1. Unlisted entries are zero.
 All values are immutable after construction and every operation here is pure.
+
+Every weighted coefficient sum of the exact core (the membership rows, the
+neighborhood distance, the per-layer tails) is ``weighted_sum`` over rows
+(n, k, |a|, |b|), as ``PolyharmonicMap.magnitudes`` builds them once per call:
+each magnitude is a ``magnitude_term``, an exact pair where |c| is rational.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Mapping, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, Tuple, Union
 
 from .errors import InvalidMapError, NonFiniteError
-from .exact import Record, Scalar, as_scalar, brief_scalar, format_scalar, is_exact, set_field, sqrt_scalar
+from .exact import (Record, Scalar, as_scalar, brief_scalar, fold_sum, format_scalar, is_exact, set_field,
+                    sqrt_scalar, weighted_pair)
 
 Key = Tuple[int, int]  # (n, k): power n >= 1, layer k >= 1
+Term = Union[Tuple[int, int], float]  # a magnitude or weight as fold_sum takes it: an exact pair or a float
+Row = Tuple[int, int, Term, Term]  # (n, k, |a[n,k]|, |b[n,k]|)
 _ZERO_PART = Fraction(0)
 
 
@@ -103,7 +111,7 @@ def _entry_error(table: str, key: Key | None, message: str) -> NonFiniteError:
     return NonFiniteError(message if key is None else f"{table}[{key[0]},{key[1]}]: {message}")
 
 
-def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> tuple[int, int] | float:
+def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> Term:
     """|c| as fold_sum takes it: an exact (numerator, denominator) pair when the magnitude is rational,
     else a float. NonFiniteError, naming the entry ``table[n,k]`` when given its key, on overflow.
 
@@ -135,7 +143,7 @@ def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> t
         raise _entry_error(table, key, str(e)) from None
 
 
-def difference_term(x: Coefficient, y: Coefficient, table: str, key: Key) -> tuple[int, int] | float:
+def difference_term(x: Coefficient, y: Coefficient, table: str, key: Key) -> Term:
     """magnitude_term(x - y), whose NonFiniteError also names the entry ``table[n,k]``
     when the difference itself leaves float64."""
     try:
@@ -143,6 +151,12 @@ def difference_term(x: Coefficient, y: Coefficient, table: str, key: Key) -> tup
     except NonFiniteError as e:
         raise _entry_error(table, key, str(e)) from None
     return magnitude_term(d, table, key)
+
+
+def weighted_sum(rows: Iterable[Row], weight: Callable[[int, int], Term], *last: Term | Scalar) -> Scalar:
+    """The weighted l1 sum of the exact core: fold_sum of weighted_pair(weight(n, k), |a|, |b|) over the
+    rows, in order, and then of the terms ``last``."""
+    return fold_sum([weighted_pair(weight(n, k), ma, mb) for n, k, ma, mb in rows] + list(last))
 
 
 def product_over(x: Coefficient, y: Coefficient, n: int = 1) -> Coefficient:
@@ -254,6 +268,13 @@ class PolyharmonicMap(Record):
         """All (n, k) with a nonzero a or b entry, sorted layer-major."""
         keys = set(self.a) | set(self.b)
         return iter(sorted(keys, key=lambda nk: (nk[1], nk[0])))
+
+    def magnitudes(self) -> list[Row]:
+        """(n, k, |a[n,k]|, |b[n,k]|) over the support, layer-major, each magnitude from magnitude_term,
+        whose NonFiniteError names the entry."""
+        a, b = self.a, self.b
+        return [(*key, magnitude_term(a.get(key, ZERO), "a", key), magnitude_term(b.get(key, ZERO), "b", key))
+                for key in self.support()]
 
     def __repr__(self) -> str:
         terms = [f"a[{n},{k}]={self.a[(n, k)]}" for n, k in sorted(self.a, key=lambda t: (t[1], t[0]))]

@@ -101,6 +101,13 @@ NAMED = {
     "pythagorean_beyond_float": make_map(1, a={(2, 1): (3 * 10**250, 4 * 10**250)}, b={(3, 1): Fraction(1, 7)}),
     # an exact part beyond float64 beside a float part: its magnitude and its products raise NonFiniteError
     "mixed_beyond_float": make_map(1, a={(2, 1): (10**400, 0.5)}),
+    # no n >= 2 entry: row 1 is an empty exact sum, so under a float lambda exact=false comes from lambda alone
+    "first_degree_only": make_map(2, a={(1, 2): Fraction(1, 7)}, b={(1, 1): Fraction(1, 3)}),
+    "irrational_first_degree_only": make_map(2, a={(1, 2): (Fraction(1, 9), Fraction(1, 9))}),
+    "float_b11_only": make_map(1, b={(1, 1): 0.25}),
+    "irrational_b11_only": make_map(1, b={(1, 1): (Fraction(1, 3), Fraction(1, 3))}),
+    # f1 but for a float b11: its distance to f1 is that b11 alone
+    "f1_float_b11": make_map(1, a={(2, 1): Fraction(1, 10)}, b={(2, 1): Fraction(1, 5), (1, 1): 0.25}),
 }
 
 
@@ -128,7 +135,7 @@ def assert_same_outcome(compute, reference, check=assert_same_value) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
-@pytest.mark.parametrize("lam", [Fraction(2, 3), Fraction(0), Fraction(1), 0.5, 2 / 3])
+@pytest.mark.parametrize("lam", [Fraction(2, 3), Fraction(0), Fraction(1), 0.5, 2 / 3, 0.1])
 def test_named_maps_match_the_fraction_loop(name, lam):
     F = NAMED[name]
     for normalized in (False, True):

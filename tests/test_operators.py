@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -227,6 +228,21 @@ class TestCh0Certificate:
         assert not ch0_certificate(make_map(1, a={(2, 1): 2}))
         assert not ch0_certificate(make_map(1, b={(1, 1): Fraction(1, 2)}))
         assert not ch0_certificate(make_map(2, a={(2, 2): Fraction(1, 8)}))
+        assert not ch0_certificate(make_map(1, a={(2, 1): (1.5, 0.1)}))
+        assert ch0_certificate(make_map(1, b={(3, 1): (0.3, 0.4)}))
+
+    @pytest.mark.parametrize("table", ["a", "b"])
+    def test_exact_part_beyond_float_names_its_entry(self, table):
+        # an exact part beyond float64 beside a float part: no bare OverflowError
+        F = make_map(1, **{table: {(2, 1): (10**400, 0.5)}})
+        with pytest.raises(NonFiniteError, match=rf"^{table}\[2,1\]: coefficient \[401 digits\]\+0.5i overflows"):
+            ch0_certificate(F)
+
+    def test_irrational_magnitudes_compare_exactly(self):
+        # |x + xi| = sqrt(2) x for x within 1e-30 of 3/(2 sqrt 2): a rounded root reads 3/2, the bound, either way
+        x = Fraction(math.isqrt(9 * 10**120 // 8), 10**60)
+        for offset, certified in ((Fraction(1, 10**30), False), (-Fraction(1, 10**30), True)):
+            assert ch0_certificate(make_map(1, a={(2, 1): (x + offset, x + offset)})) is certified
 
     def test_bound_is_inclusive(self):
         # equality cases 2|A_n| = n+1, 2|B_n| = n-1 pass
