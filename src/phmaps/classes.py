@@ -23,8 +23,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamError
-from .exact import Record, Scalar, as_scalar, brief_scalar, is_exact, kv_lines, set_field, strict_less
-from .series import PolyharmonicMap, Term, weighted_sum
+from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, is_exact, kv_lines, set_field, strict_less,
+                    term_scalar)
+from .series import PolyharmonicMap, weighted_sum
 
 
 class Family(Enum):
@@ -75,8 +76,7 @@ def weight(n: int, k: int, lam) -> Scalar:
     """Row-1 weight 2(k-1) + n(lam*n + 1 - lam). Exact for rational lam."""
     if n < 1 or k < 1:
         raise ParamError(f"weight indices must be >= 1, got ({n}, {k})")
-    w = row1_weight(hs_lambda(lam).lam)(n, k)
-    return Fraction(*w) if w.__class__ is tuple else w
+    return term_scalar(row1_weight(hs_lambda(lam).lam)(n, k))
 
 
 class MembershipReport(Record):
@@ -123,30 +123,38 @@ class MembershipReport(Record):
 def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
     """Evaluate both inequality rows of the selected family over the support."""
     rows = F.magnitudes()
+    b11_mag = term_scalar(rows[0][3])  # rows are layer-major, so the first is (1, 1, |a11|, |b11|)
     first = [row for row in rows if row[0] == 1 < row[1]]  # a[1,k] and b[1,k] for k >= 2
-    b11_mag = F.coeff_b(1, 1).magnitude()
     row1_lhs = weighted_sum([row for row in rows if row[0] >= 2], row1_weight(params.lam))
     # sum_k (2k-1)(|a[1,k]|+|b[1,k]|): the k >= 2 rows, then the k = 1 term |a[1,1]| + |b[1,1]| = 1 + |b11|
     first_weighted = weighted_sum(first, lambda n, k: (2 * k - 1, 1), 1, b11_mag)
     exact = is_exact(params.lam) and is_exact(row1_lhs) and is_exact(first_weighted)  # each |c| is in one sum
 
+    row2_value = first_weighted
     if params.family is Family.HS_LAMBDA:
-        row1_rhs, row2_condition, row2_lo, row2_hi = 2 - first_weighted, first_weighted, Fraction(1), Fraction(2)
+        row1_rhs = 2 - first_weighted
+        row2_condition = first_weighted
+        row2_lo: Scalar = Fraction(1)
+        row2_hi: Scalar = Fraction(2)
     else:
         # Classical form: RHS = 1 - |b11| - sum_{k>=2}(2k-1)(...), row 2 unweighted.
-        row1_rhs = 1 - b11_mag - (first_weighted - 1 - b11_mag)
-        first_plain = weighted_sum(first, lambda n, k: (1, 1))  # sum_{k>=2} (|a[1,k]|+|b[1,k]|)
-        row2_condition, row2_lo, row2_hi = b11_mag + first_plain, Fraction(0), Fraction(1)
+        first_weighted_tail = first_weighted - 1 - b11_mag
+        row1_rhs = 1 - b11_mag - first_weighted_tail
+        row2_condition = b11_mag + weighted_sum(first, lambda n, k: (1, 1))  # plus sum_{k>=2} (|a[1,k]|+|b[1,k]|)
+        row2_lo = Fraction(0)
+        row2_hi = Fraction(1)
 
     upper_ok, used_epsilon = strict_less(row2_condition, row2_hi)
     row2_ok = bool(row2_condition >= row2_lo) and upper_ok
+
     normalized_ok = F.is_normalized
     member = bool(row1_rhs - row1_lhs >= 0) and row2_ok and (normalized_ok or not params.normalized)
+
     return MembershipReport(
         params=params,
         row1_lhs=row1_lhs,
         row1_rhs=row1_rhs,
-        row2_value=first_weighted,
+        row2_value=row2_value,
         row2_condition=row2_condition,
         row2_lo=row2_lo,
         row2_hi=row2_hi,

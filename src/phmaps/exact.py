@@ -24,11 +24,12 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import NonFiniteError
 
 Scalar = Union[Fraction, float]
+Term = Union[Tuple[int, int], float]  # a magnitude or weight as fold_sum takes it: an exact pair or a float
 
 # Margin for strict "<" comparisons once any input is approximate.
 EPS_STRICT = 1e-12
@@ -194,13 +195,17 @@ def fold_sum(terms: Iterable[tuple[int, int] | Scalar]) -> Scalar:
     return Fraction(num, den)
 
 
-def weighted_pair(w: tuple[int, int] | float, x: tuple[int, int] | float,
-                  y: tuple[int, int] | float) -> tuple[int, int] | Scalar:
+def term_scalar(t: Term) -> Scalar:
+    """A fold_sum term as a scalar: the Fraction of an exact pair, else the float itself."""
+    return Fraction(*t) if t.__class__ is tuple else t
+
+
+def weighted_pair(w: Term, x: Term, y: Term) -> Term | Scalar:
     """The fold_sum term ``w * (x + y)``, each factor an exact (numerator, denominator) pair or a
     float: an exact pair when all three are pairs, else the float the Fraction expression gives."""
     if w.__class__ is x.__class__ is y.__class__ is tuple:
         return w[0] * (x[0] * y[1] + y[0] * x[1]), w[1] * x[1] * y[1]
-    w, x, y = (Fraction(*v) if v.__class__ is tuple else v for v in (w, x, y))
+    w, x, y = map(term_scalar, (w, x, y))
     return w * (x + y)
 
 

@@ -24,11 +24,10 @@ from typing import Sequence
 
 from .classes import MembershipReport, hc, hs_lambda, membership, row1_weight
 from .errors import NotMemberError, ParamError, WeightError
-from .exact import EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field
-from .series import (Coefficient, Key, PolyharmonicMap, ZERO, difference_term, magnitude_term, product_over,
+from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field,
+                    term_scalar)
+from .series import (Coefficient, Key, PolyharmonicMap, ZERO, _entry_error, difference_term, product_over,
                      weighted_sum)
-
-_HS_WEIGHT = row1_weight(Fraction(0))  # the neighborhood distance weighs entries as hs (lambda = 0) row 1 does
 
 
 def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
@@ -92,7 +91,7 @@ def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     rows = [(*key, difference_term(F.coeff_a(*key), G.coeff_a(*key), "a", key),
              difference_term(F.coeff_b(*key), G.coeff_b(*key), "b", key))
             for key in sorted(keys, key=lambda nk: (nk[1], nk[0]))]
-    return weighted_sum(rows, _HS_WEIGHT,
+    return weighted_sum(rows, row1_weight(Fraction(0)),
                         difference_term(F.coeff_b(1, 1), G.coeff_b(1, 1), "b", (1, 1)))
 
 
@@ -145,9 +144,9 @@ def ch0_certificate(H: PolyharmonicMap) -> bool:
     """Necessary coefficient bounds for normalized convex harmonic maps.
 
     True iff H is effectively single-layer with b11 = 0 and every coefficient
-    satisfies 2|A_n| <= n+1 and 2|B_n| <= n-1 (checked exactly via squares for
-    exact coefficients, else by magnitude_term, whose NonFiniteError names the
-    entry). This certifies the coefficient hypothesis the
+    satisfies 2|A_n| <= n+1 and 2|B_n| <= n-1 (checked via squares, exactly for
+    exact coefficients; NonFiniteError names an entry whose square overflows
+    float64). This certifies the coefficient hypothesis the
     convolution-closure properties need; it is not a convexity proof.
     """
     if any(k >= 2 for _, k in list(H.a) + list(H.b)):
@@ -156,9 +155,11 @@ def ch0_certificate(H: PolyharmonicMap) -> bool:
         return False
     for name, table, excess in (("a", H.a, 1), ("b", H.b, -1)):
         for (n, k), c in table.items():
-            if n >= 2 and not (4 * c.magnitude_squared() <= (n + excess) ** 2 if c.exact
-                               else 2 * magnitude_term(c, name, (n, k)) <= n + excess):
-                return False
+            try:
+                if n >= 2 and not 4 * c.magnitude_squared() <= (n + excess) ** 2:
+                    return False
+            except OverflowError:  # an exact part beyond float64 meets a float part
+                raise _entry_error(name, (n, k), f"coefficient {c.brief()} overflows float64") from None
     return True
 
 
@@ -202,9 +203,10 @@ def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0
     report = _hs_lambda_member(F, lam)
     if report.exact and tol >= 0:
         return True
-    c2 = (1 - F.coeff_b(1, 1).magnitude()) / (2 * (1 + report.params.lam))
-    tails = (weighted_sum((row for row in rows if row[0] >= 2), lambda n, k: (1, 1))
-             for _, rows in groupby(F.magnitudes(), key=lambda row: row[1]))  # rows are layer-major
+    rows = F.magnitudes()  # layer-major, so the first row is (1, 1, |a11|, |b11|)
+    c2 = (1 - term_scalar(rows[0][3])) / (2 * (1 + report.params.lam))
+    tails = (weighted_sum((row for row in layer if row[0] >= 2), lambda n, k: (1, 1))
+             for _, layer in groupby(rows, key=lambda row: row[1]))
     return all(tail - c2 <= tol for tail in tails)
 
 

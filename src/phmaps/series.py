@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Callable, Iterable, Iterator, Mapping, Tuple
 
 from .errors import InvalidMapError, NonFiniteError
-from .exact import (Record, Scalar, as_scalar, brief_scalar, fold_sum, format_scalar, is_exact, set_field,
-                    sqrt_scalar, weighted_pair)
+from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, fold_sum, format_scalar, is_exact, set_field,
+                    sqrt_scalar, term_scalar, weighted_pair)
 
 Key = Tuple[int, int]  # (n, k): power n >= 1, layer k >= 1
-Term = Union[Tuple[int, int], float]  # a magnitude or weight as fold_sum takes it: an exact pair or a float
 Row = Tuple[int, int, Term, Term]  # (n, k, |a[n,k]|, |b[n,k]|)
 _ZERO_PART = Fraction(0)
 
@@ -92,8 +91,7 @@ class Coefficient(Record):
 
     def magnitude(self) -> Scalar:
         """|value|, by magnitude_term: a Fraction result is exact, a float result approximate."""
-        m = magnitude_term(self)
-        return Fraction(*m) if m.__class__ is tuple else m
+        return term_scalar(magnitude_term(self))
 
     def __str__(self) -> str:
         return f"{format_scalar(self.re)}{'+' if self.im >= 0 else '-'}{format_scalar(abs(self.im))}i"
@@ -273,7 +271,7 @@ class PolyharmonicMap(Record):
         """(n, k, |a[n,k]|, |b[n,k]|) over the support, layer-major, each magnitude from magnitude_term,
         whose NonFiniteError names the entry."""
         a, b = self.a, self.b
-        return [(*key, magnitude_term(a.get(key, ZERO), "a", key), magnitude_term(b.get(key, ZERO), "b", key))
+        return [(key[0], key[1], magnitude_term(a.get(key, ZERO), "a", key), magnitude_term(b.get(key, ZERO), "b", key))
                 for key in self.support()]
 
     def __repr__(self) -> str:
