@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .classes import hs_lambda, weight
-from .errors import MAX_GRID_POINTS, GridTooLargeError, ParamError
+from .errors import MAX_GRID_POINTS, GridTooLargeError, ParamError, as_integers
 from .exact import Record, Scalar, as_scalar, set_field
 from .series import Coefficient, PolyharmonicMap, make_map
 
@@ -59,19 +59,17 @@ class ExtremalSpec(Record):
     """
 
     __slots__ = ("n", "k", "lam", "kind", "phase")
+    _defaults = {"kind": "analytic", "phase": 0.0}
 
-    def __init__(self, n: int, k: int, lam: Scalar, kind: str = "analytic", phase: float = 0.0):
-        if n < 2:
-            raise ParamError(f"extremal slot needs n >= 2, got n={n}")
-        if k < 1:
-            raise ParamError(f"layer must be >= 1, got k={k}")
-        if kind not in ("analytic", "antianalytic"):
-            raise ParamError(f"kind must be analytic|antianalytic, got {kind!r}")
-        set_field(self, "n", n)
-        set_field(self, "k", k)
-        set_field(self, "lam", hs_lambda(lam).lam)
-        set_field(self, "kind", kind)
-        set_field(self, "phase", phase)
+    def _check(self):
+        as_integers(self, "n", "k")
+        if self.n < 2:
+            raise ParamError(f"extremal slot needs n >= 2, got n={self.n}")
+        if self.k < 1:
+            raise ParamError(f"layer must be >= 1, got k={self.k}")
+        if self.kind not in ("analytic", "antianalytic"):
+            raise ParamError(f"kind must be analytic|antianalytic, got {self.kind!r}")
+        set_field(self, "lam", hs_lambda(self.lam).lam)
 
 
 def extremal_point(spec: ExtremalSpec, p: int | None = None) -> PolyharmonicMap:

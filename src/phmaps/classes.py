@@ -38,17 +38,16 @@ class ClassParams(Record):
     """Class selector: family, lambda (hs fixes 0, hc fixes 1), and the superscript-0 flag."""
 
     __slots__ = ("family", "lam", "normalized")
+    _defaults = {"lam": Fraction(0), "normalized": False}
 
-    def __init__(self, family: Family, lam: Scalar = Fraction(0), normalized: bool = False):
-        lam = as_scalar(lam)
+    def _check(self):
+        lam = as_scalar(self.lam)
         if not 0 <= lam <= 1:
             raise ParamError(f"lambda must lie in [0,1], got {brief_scalar(lam)}")
-        fixed = {Family.HS: 0, Family.HC: 1}.get(family)
+        fixed = {Family.HS: 0, Family.HC: 1}.get(self.family)
         if fixed is not None and lam != fixed:
-            raise ParamError(f"class {family.value} fixes lambda = {fixed}, got {brief_scalar(lam)}")
-        set_field(self, "family", family)
+            raise ParamError(f"class {self.family.value} fixes lambda = {fixed}, got {brief_scalar(lam)}")
         set_field(self, "lam", lam)
-        set_field(self, "normalized", normalized)
 
 
 def hs_lambda(lam, normalized: bool = False) -> ClassParams:
@@ -91,22 +90,6 @@ class MembershipReport(Record):
 
     __slots__ = ("params", "row1_lhs", "row1_rhs", "row2_value", "row2_condition", "row2_lo", "row2_hi",
                  "row2_ok", "normalized_ok", "member", "exact", "used_epsilon")
-
-    def __init__(self, params: ClassParams, row1_lhs: Scalar, row1_rhs: Scalar, row2_value: Scalar,
-                 row2_condition: Scalar, row2_lo: Scalar, row2_hi: Scalar, row2_ok: bool, normalized_ok: bool,
-                 member: bool, exact: bool, used_epsilon: bool):
-        set_field(self, "params", params)
-        set_field(self, "row1_lhs", row1_lhs)
-        set_field(self, "row1_rhs", row1_rhs)
-        set_field(self, "row2_value", row2_value)
-        set_field(self, "row2_condition", row2_condition)
-        set_field(self, "row2_lo", row2_lo)
-        set_field(self, "row2_hi", row2_hi)
-        set_field(self, "row2_ok", row2_ok)
-        set_field(self, "normalized_ok", normalized_ok)
-        set_field(self, "member", member)
-        set_field(self, "exact", exact)
-        set_field(self, "used_epsilon", used_epsilon)
 
     @property
     def row1_margin(self) -> Scalar:

@@ -45,8 +45,8 @@ class NonFiniteError(PhmapsError):
 
 
 def as_integers(owner, *names: str) -> None:
-    """Store each named size field of the record ``owner`` as a Python int, so that
-    products of sizes cannot wrap; ParamError unless it is a Python or numpy integer."""
+    """Store each named size, degree or layer field of the record ``owner`` as a Python int, so
+    that products of sizes cannot wrap; ParamError unless it is a Python or numpy integer."""
     for name in names:
         value = getattr(owner, name)
         if not isinstance(value, Integral):

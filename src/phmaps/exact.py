@@ -15,7 +15,8 @@ Strict inequalities against class bounds are the one place approximation is
 dangerous, so ``strict_less`` fails closed: an approximate value passes a
 strict bound only if it clears the bound by ``EPS_STRICT``.
 
-``Record`` is the base of every value type in the package.
+``Record`` is the base of every value type in the package: fields are declared
+once, in ``__slots__``, defaults go in ``_defaults`` and checks in ``_check``.
 """
 
 from __future__ import annotations
@@ -40,22 +41,51 @@ _CHUNK_DIGITS = 4000  # per int/str conversion, below CPython's default 4300-dig
 _CHUNK = 10**_CHUNK_DIGITS
 _INT_LITERAL = r"\s*([+-]?)(\d+(?:_\d+)*)\s*"  # compiled on first use, not at import
 
-set_field = object.__setattr__  # how a record's __init__ stores a field
+set_field = object.__setattr__  # how a record's constructor or _check stores a field
 
 
 class Record:
     """Immutable value whose fields are its ``__slots__``.
 
-    A subclass's ``__init__`` stores each field with ``set_field``; assigning or
-    deleting an attribute afterwards raises AttributeError. Two records are
-    equal when they have the same class and equal fields, the hash goes by the
-    fields, and the repr is ``Name(field=value, ...)``.
+    ``Record(*values, **fields)`` binds values by position, then by keyword, then
+    from the class's ``_defaults``, stores each with ``set_field`` and calls
+    ``self._check()``, where a subclass raises its errors and stores normalised
+    values; a binding error is a TypeError. ``Coefficient``, built thousands of
+    times per op, keeps its own faster constructor. Assigning or deleting an
+    attribute afterwards raises AttributeError. Two records are equal when they
+    have the same class and equal fields, the hash goes by the fields, and the
+    repr is ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
+    _defaults: dict = {}  # field name -> value for the fields a caller may leave out
 
     def __init_subclass__(cls):
         cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes {len(fields)} values, got {len(args)}")
+        for field, value in zip(fields, args):
+            if field in kwargs:
+                raise TypeError(f"{self.__class__.__qualname__}() got field {field!r} twice")
+            set_field(self, field, value)
+        for field, value in kwargs.items():
+            try:
+                set_field(self, field, value)
+            except AttributeError:  # not a slot: a method, a property or no attribute at all
+                raise TypeError(f"{self.__class__.__qualname__}() has no field {field!r}") from None
+        if len(args) + len(kwargs) < len(fields):
+            for field in fields[len(args):]:
+                if field not in kwargs:
+                    if field not in self._defaults:
+                        raise TypeError(f"{self.__class__.__qualname__}() is missing field {field!r}")
+                    set_field(self, field, self._defaults[field])
+        self._check()
+
+    def _check(self):
+        """Validate the stored fields; a subclass raises its own error or stores normalised values."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable: cannot assign {name!r}")

@@ -143,20 +143,19 @@ class DiskGrid(Record):
     """
 
     __slots__ = ("rings", "rays", "r_max")
+    _defaults = {"rings": 32, "rays": 256, "r_max": 0.995}
 
-    def __init__(self, rings: int = 32, rays: int = 256, r_max: float = 0.995):
-        set_field(self, "rings", rings)
-        set_field(self, "rays", rays)
+    def _check(self):
         as_integers(self, "rings", "rays")
         if self.rings < 1:
             raise ParamError(f"rings must be >= 1, got {self.rings}")
         if self.rays < 3:
             raise ParamError(f"rays must be >= 3, got {self.rays}")
-        if not 0 < r_max < 1:
-            raise ParamError(f"r_max must lie in (0,1), got {brief_scalar(r_max)}")
-        set_field(self, "r_max", float(r_max))  # compared exactly above, so it converts
-        if self.r_max == 1:
-            raise ParamError(f"r_max={brief_scalar(r_max)} rounds to 1.0 in float64")
+        if not 0 < self.r_max < 1:  # compared exactly, before it converts
+            raise ParamError(f"r_max must lie in (0,1), got {brief_scalar(self.r_max)}")
+        if float(self.r_max) == 1:
+            raise ParamError(f"r_max={brief_scalar(self.r_max)} rounds to 1.0 in float64")
+        set_field(self, "r_max", float(self.r_max))
         try:
             gap = self.r_max / self.rings * 2 * np.sin(np.pi / self.rays)
         except OverflowError:
@@ -181,13 +180,6 @@ class Extremum(Record):
 
     __slots__ = ("value", "ring", "ray", "r", "theta")
 
-    def __init__(self, value: float, ring: int, ray: int, r: float, theta: float):
-        set_field(self, "value", value)
-        set_field(self, "ring", ring)
-        set_field(self, "ray", ray)
-        set_field(self, "r", r)
-        set_field(self, "theta", theta)
-
 
 class GeometryReport(Record):
     """Grid minima (with argmin locations) and the injectivity collision count.
@@ -199,17 +191,7 @@ class GeometryReport(Record):
 
     __slots__ = ("grid", "checks", "min_jacobian", "min_arg_derivative", "min_convexity_indicator",
                  "injectivity_collisions", "injectivity_certified")
-
-    def __init__(self, grid: DiskGrid, checks: tuple[str, ...], min_jacobian: Extremum | None = None,
-                 min_arg_derivative: Extremum | None = None, min_convexity_indicator: Extremum | None = None,
-                 injectivity_collisions: int | None = None, injectivity_certified: bool | None = None):
-        set_field(self, "grid", grid)
-        set_field(self, "checks", checks)
-        set_field(self, "min_jacobian", min_jacobian)
-        set_field(self, "min_arg_derivative", min_arg_derivative)
-        set_field(self, "min_convexity_indicator", min_convexity_indicator)
-        set_field(self, "injectivity_collisions", injectivity_collisions)
-        set_field(self, "injectivity_certified", injectivity_certified)
+    _defaults = dict.fromkeys(__slots__[2:])  # the minima and the collision count default to None
 
     def passed(self) -> bool:
         """Thresholds: jacobian > 0, starlike > 0, convex >= SIGN_TOL, zero collisions."""
@@ -605,11 +587,6 @@ class DistortionReport(Record):
     ``lower_margin`` is the min of |F(z)| - lower(|z|), ``upper_margin`` of upper(|z|) - |F(z)|."""
 
     __slots__ = ("branch", "lower_margin", "upper_margin")
-
-    def __init__(self, branch: str, lower_margin: float, upper_margin: float):
-        set_field(self, "branch", branch)
-        set_field(self, "lower_margin", lower_margin)
-        set_field(self, "upper_margin", upper_margin)
 
     def passed(self) -> bool:
         """Both margins at least -1e-12 (boundary-tight maps touch the envelope)."""

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .classes import MembershipReport, hc, hs_lambda, membership, row1_weight
 from .errors import NotMemberError, ParamError, WeightError
-from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines, set_field,
+from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines,
                     term_scalar)
 from .series import (Coefficient, Key, PolyharmonicMap, ZERO, _entry_error, difference_term, product_over,
                      weighted_sum)
@@ -120,11 +120,6 @@ def delta_bound(F: PolyharmonicMap, lam) -> Scalar:
 
 class NeighborhoodReport(Record):
     __slots__ = ("distance", "delta_bound", "inside")
-
-    def __init__(self, distance: Scalar, delta_bound: Scalar, inside: bool):
-        set_field(self, "distance", distance)
-        set_field(self, "delta_bound", delta_bound)
-        set_field(self, "inside", inside)
 
     @property
     def exact(self) -> bool:
@@ -224,12 +219,6 @@ class DistortionEnvelope(Record):
     """
 
     __slots__ = ("branch", "lower_coeffs", "upper_coeffs")
-
-    def __init__(self, branch: str, lower_coeffs: tuple[float, float, float],
-                 upper_coeffs: tuple[float, float, float]):
-        set_field(self, "branch", branch)
-        set_field(self, "lower_coeffs", lower_coeffs)
-        set_field(self, "upper_coeffs", upper_coeffs)
 
     def lower(self, r):
         return _cubic(self.lower_coeffs, r)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError, as_integers
-from .exact import Record, set_field
+from .exact import Record
 from .geometry import DiskGrid, evaluate
 from .series import PolyharmonicMap
 
@@ -29,17 +29,13 @@ class RenderSpec(Record):
     """Curve layout and integer canvas size; the margin and stroke widths are the constants above."""
 
     __slots__ = ("grid", "samples_per_curve", "width", "height")
+    _defaults = {"grid": DEFAULT_RENDER_GRID, "samples_per_curve": 256, "width": 800, "height": 800}
 
-    def __init__(self, grid: DiskGrid = DEFAULT_RENDER_GRID, samples_per_curve: int = 256, width: int = 800,
-                 height: int = 800):
-        if samples_per_curve < 64:
-            raise ParamError(f"samples_per_curve must be >= 64, got {samples_per_curve}")
-        if not (100 <= width <= MAX_GRID_POINTS and 100 <= height <= MAX_GRID_POINTS):  # NaN fails too
+    def _check(self):
+        if self.samples_per_curve < 64:
+            raise ParamError(f"samples_per_curve must be >= 64, got {self.samples_per_curve}")
+        if not (100 <= self.width <= MAX_GRID_POINTS and 100 <= self.height <= MAX_GRID_POINTS):  # NaN fails too
             raise ParamError(f"canvas width and height must lie in [100, {MAX_GRID_POINTS}]")
-        set_field(self, "grid", grid)
-        set_field(self, "samples_per_curve", samples_per_curve)
-        set_field(self, "width", width)
-        set_field(self, "height", height)
         as_integers(self, "samples_per_curve", "width", "height")
         vertices = (self.grid.rings + self.grid.rays) * (self.samples_per_curve + 1)
         if vertices > MAX_GRID_POINTS:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from .classes import weight
-from .exact import Record, Scalar, as_scalar, set_field
+from .exact import Record, Scalar, as_scalar
 from .series import Coefficient, Key, PolyharmonicMap, make_map
 
 AXES = ("re", "im")
@@ -53,12 +53,6 @@ class SlotPlan(Record):
     ``first_slots`` holds (letter, k>=2, axis) at n=1, ``row1_slots`` (letter, n>=2, k, axis)."""
 
     __slots__ = ("b11_axis", "first_slots", "row1_slots")
-
-    def __init__(self, b11_axis: str | None, first_slots: tuple[tuple[str, int, str], ...],
-                 row1_slots: tuple[tuple[str, int, int, str], ...]):
-        set_field(self, "b11_axis", b11_axis)
-        set_field(self, "first_slots", first_slots)
-        set_field(self, "row1_slots", row1_slots)
 
 
 def random_plan(rng: random.Random, p: int, normalized: bool,

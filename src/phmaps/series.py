@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Integral
 from typing import Callable, Iterable, Iterator, Mapping, Tuple
 
 from .errors import InvalidMapError, NonFiniteError
@@ -193,13 +194,15 @@ def _clean_table(name: str, table: Mapping[Key, object], p: int) -> dict[Key, Co
     out: dict[Key, Coefficient] = {}
     for key, raw in table.items():
         n, k = key
+        if not (n.__class__ is k.__class__ is int or isinstance(n, Integral) and isinstance(k, Integral)):
+            raise InvalidMapError(f"{name}[{n},{k}]: indices must be integers")
         if n < 1 or k < 1:
             raise InvalidMapError(f"{name}[{n},{k}]: indices must be >= 1")
         if k > p:
             raise InvalidMapError(f"{name}[{n},{k}]: layer exceeds p={p}")
         c = coeff(raw)
         if not c.is_zero:
-            out[(n, k)] = c
+            out[(int(n), int(k))] = c  # any Integral index is stored as int, as DiskGrid stores its sizes
     return out
 
 
@@ -212,12 +215,16 @@ class PolyharmonicMap(Record):
 
     __slots__ = ("p", "a", "b")
     __hash__ = None
+    _defaults = {"a": None, "b": None}
 
-    def __init__(self, p: int, a: Mapping[Key, object] | None = None, b: Mapping[Key, object] | None = None):
+    def _check(self):
+        if not (self.p.__class__ is int or isinstance(self.p, Integral)):
+            raise InvalidMapError(f"p must be an integer, got {self.p!r}")
+        p = int(self.p)
         if p < 1:
             raise InvalidMapError(f"p must be >= 1, got {p}")
-        a = _clean_table("a", a or {}, p)
-        b = _clean_table("b", b or {}, p)
+        a = _clean_table("a", self.a or {}, p)
+        b = _clean_table("b", self.b or {}, p)
         lead = a.get((1, 1), ZERO)
         if not (lead.re == 1 and lead.im == 0):
             raise InvalidMapError(f"a[1,1] must equal 1, got {lead.brief()}")

@@ -75,6 +75,11 @@ class TestExtremalPoint:
         with pytest.raises(ParamError):
             ExtremalSpec(n=1, k=1, lam=0)
 
+    @pytest.mark.parametrize("field, value", [("n", 3.0), ("n", 2.5), ("k", 1.0), ("k", "1")])
+    def test_degree_and_layer_must_be_integers(self, field, value):
+        with pytest.raises(ParamError, match=f"^{field} must be an integer, got {value!r}$"):
+            ExtremalSpec(**{"n": 3, "k": 1, "lam": 0, field: value})
+
     def test_layer_must_fit(self):
         with pytest.raises(ParamError):
             extremal_point(ExtremalSpec(n=2, k=3, lam=0), p=2)

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from phmaps import (ClassParams, Coefficient, DiskGrid, DistortionEnvelope, DistortionReport, ExtremalSpec,
-                    GeometryReport, MembershipReport, NeighborhoodReport, RenderSpec, example_F1, hs, hs_lambda,
-                    make_map, membership)
+from phmaps import (ClassParams, Coefficient, DiskGrid, DistortionEnvelope, DistortionReport, ExtremalSpec, Family,
+                    GeometryReport, MembershipReport, NeighborhoodReport, PhmapsError, RenderSpec, example_F1, hs,
+                    hs_lambda, make_map, membership)
 from phmaps.exact import Record
 from phmaps.geometry import Extremum
 from phmaps.sampling import SlotPlan
@@ -92,3 +92,91 @@ def test_positional_keyword_and_default_forms_agree():
     assert GeometryReport(DiskGrid(), ()).min_jacobian is None
     report = membership(example_F1(), hs())
     assert MembershipReport(*(getattr(report, field) for field in MembershipReport.__slots__)) == report
+
+
+# --- the one generic constructor ------------------------------------------------
+
+GENERIC = sorted(name for name, record in records().items() if type(record).__init__ is Record.__init__)
+
+# (record, field, value): one invalid field per validating record, the rest as records() builds them
+INVALID_FIELDS = [
+    ("ClassParams", "lam", 2),
+    ("ClassParams", "family", Family.HS),
+    ("ExtremalSpec", "n", 1),
+    ("ExtremalSpec", "n", 3.0),
+    ("ExtremalSpec", "kind", "neither"),
+    ("DiskGrid", "rays", 2),
+    ("DiskGrid", "r_max", 1),
+    ("RenderSpec", "samples_per_curve", 63),
+    ("RenderSpec", "width", 100.5),
+    ("PolyharmonicMap", "p", 0),
+    ("PolyharmonicMap", "p", 1.5),
+    ("PolyharmonicMap", "a", {(1, 1): 1, (2.5, 1): Fraction(1, 10)}),
+]
+
+
+def field_values(record):
+    return {field: getattr(record, field) for field in type(record).__slots__}
+
+
+def test_only_coefficient_writes_its_own_constructor():
+    assert set(records()) - set(GENERIC) == {"Coefficient"}
+    assert all("__init__" not in vars(type(records()[name])) for name in GENERIC)
+
+
+@pytest.mark.parametrize("name", sorted(records()))
+def test_rebuilt_from_its_fields_by_position_and_by_keyword(name):
+    record = records()[name]
+    values = field_values(record)
+    assert type(record)(*values.values()) == record
+    assert type(record)(**values) == record
+
+
+@pytest.mark.parametrize("name", sorted(records()))
+def test_binding_errors_are_type_errors(name):
+    record = records()[name]
+    cls, values = type(record), field_values(record)
+    first = next(iter(values))
+    with pytest.raises(TypeError):
+        cls(*values.values(), values[first])  # too many values
+    with pytest.raises(TypeError):
+        cls(**values, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*values.values(), **{first: values[first]})  # given twice
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_binding_error_messages(name):
+    record = records()[name]
+    cls, values = type(record), field_values(record)
+    first = next(iter(values))
+    with pytest.raises(TypeError, match=rf"^{name}\(\) takes {len(values)} values, got {len(values) + 1}$"):
+        cls(*values.values(), values[first])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) has no field 'no_such_field'$"):
+        cls(**values, no_such_field=1)
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got field '{first}' twice$"):
+        cls(*values.values(), **{first: values[first]})
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_a_missing_required_field_is_a_type_error(name):
+    record = records()[name]
+    cls, values = type(record), field_values(record)
+    required = [field for field in values if field not in cls._defaults]
+    for field in required:
+        with pytest.raises(TypeError, match=rf"^{name}\(\) is missing field '{field}'$"):
+            cls(**{other: value for other, value in values.items() if other != field})
+    if not required:
+        assert cls() == cls(**cls._defaults)
+
+
+@pytest.mark.parametrize("name, field, value", INVALID_FIELDS)
+def test_validating_records_raise_the_same_error_from_both_call_forms(name, field, value):
+    values = {**field_values(records()[name]), field: value}
+    cls = type(records()[name])
+    with pytest.raises(PhmapsError) as by_position:
+        cls(*values.values())
+    with pytest.raises(PhmapsError) as by_keyword:
+        cls(**values)
+    assert type(by_position.value) is type(by_keyword.value)
+    assert str(by_position.value) == str(by_keyword.value)

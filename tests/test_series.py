@@ -18,6 +18,8 @@ from phmaps import (
     identity_map,
     make_map,
     membership,
+    parse_map,
+    serialize_map,
     weight,
 )
 from phmaps.exact import is_exact
@@ -90,6 +92,25 @@ class TestMapValidation:
     def test_indices_start_at_one(self):
         with pytest.raises(InvalidMapError):
             make_map(1, a={(0, 1): Fraction(1, 8)})
+
+    @pytest.mark.parametrize("p, a, b, message", [
+        (1.5, {}, {}, r"p must be an integer, got 1\.5"),
+        (2.0, {}, {}, r"p must be an integer, got 2\.0"),
+        ("1", {}, {}, r"p must be an integer, got '1'"),
+        (1, {(2.5, 1): 0.1}, {}, r"a\[2\.5,1\]: indices must be integers"),
+        (2, {}, {(3, 1.0): 0.1}, r"b\[3,1\.0\]: indices must be integers"),
+        (1, {(1.0, 1): 1}, {}, r"a\[1\.0,1\]: indices must be integers"),
+    ], ids=["p-half", "p-float", "p-str", "a-degree", "b-layer", "a11-float"])
+    def test_degrees_and_layers_must_be_integers(self, p, a, b, message):
+        # a non-integer degree or layer has no .phm form, no membership weight and no grid monomial
+        with pytest.raises(InvalidMapError, match=f"^{message}$"):
+            make_map(p, a=a, b=b)
+
+    def test_integral_degrees_and_layers_are_stored_as_ints(self):
+        np = pytest.importorskip("numpy")
+        F = make_map(np.int64(2), a={(np.int64(3), np.int32(2)): Fraction(1, 8)})
+        assert F == make_map(2, a={(3, 2): Fraction(1, 8)}) == parse_map(serialize_map(F))
+        assert type(F.p) is int and all(type(i) is int for key in F.a for i in key)
 
     def test_zeros_are_dropped(self):
         F = make_map(2, a={(3, 1): 0, (1, 2): Fraction(1, 4)})
