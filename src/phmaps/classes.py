@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamError
-from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, is_exact, kv_lines, set_field, strict_less,
-                    term_scalar)
+from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, fold_terms, is_exact, kv_lines, set_field,
+                    strict_less, term_difference, term_scalar)
 from .series import PolyharmonicMap, weighted_sum
 
 
@@ -44,7 +44,7 @@ class ClassParams(Record):
         lam = as_scalar(self.lam)
         if not 0 <= lam <= 1:
             raise ParamError(f"lambda must lie in [0,1], got {brief_scalar(lam)}")
-        fixed = {Family.HS: 0, Family.HC: 1}.get(self.family)
+        fixed = 0 if self.family is Family.HS else 1 if self.family is Family.HC else None
         if fixed is not None and lam != fixed:
             raise ParamError(f"class {self.family.value} fixes lambda = {fixed}, got {brief_scalar(lam)}")
         set_field(self, "lam", lam)
@@ -104,49 +104,37 @@ class MembershipReport(Record):
 
 
 def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
-    """Evaluate both inequality rows of the selected family over the support."""
+    """Evaluate both inequality rows of the selected family over the support. Sums, sides and margins stay
+    Terms through every comparison, and float input takes the Fraction expressions' float steps bit for bit."""
     rows = F.magnitudes()
-    b11_mag = term_scalar(rows[0][3])  # rows are layer-major, so the first is (1, 1, |a11|, |b11|)
+    b11 = rows[0][3]  # rows are layer-major, so the first is (1, 1, |a11|, |b11|)
     first = [row for row in rows if row[0] == 1 < row[1]]  # a[1,k] and b[1,k] for k >= 2
     row1_lhs = weighted_sum([row for row in rows if row[0] >= 2], row1_weight(params.lam))
     # sum_k (2k-1)(|a[1,k]|+|b[1,k]|): the k >= 2 rows, then the k = 1 term |a[1,1]| + |b[1,1]| = 1 + |b11|
-    first_weighted = weighted_sum(first, lambda n, k: (2 * k - 1, 1), 1, b11_mag)
-    exact = is_exact(params.lam) and is_exact(row1_lhs) and is_exact(first_weighted)  # each |c| is in one sum
+    first_weighted = weighted_sum(first, lambda n, k: (2 * k - 1, 1), (1, 1), b11)
+    exact = row1_lhs.__class__ is first_weighted.__class__ is tuple and is_exact(params.lam)
 
-    row2_value = first_weighted
     if params.family is Family.HS_LAMBDA:
-        row1_rhs = 2 - first_weighted
-        row2_condition = first_weighted
-        row2_lo: Scalar = Fraction(1)
-        row2_hi: Scalar = Fraction(2)
+        row1_rhs, row2_condition, lo, hi = term_difference((2, 1), first_weighted), first_weighted, 1, 2
     else:
         # Classical form: RHS = 1 - |b11| - sum_{k>=2}(2k-1)(...), row 2 unweighted.
-        first_weighted_tail = first_weighted - 1 - b11_mag
-        row1_rhs = 1 - b11_mag - first_weighted_tail
-        row2_condition = b11_mag + weighted_sum(first, lambda n, k: (1, 1))  # plus sum_{k>=2} (|a[1,k]|+|b[1,k]|)
-        row2_lo = Fraction(0)
-        row2_hi = Fraction(1)
-
-    upper_ok, used_epsilon = strict_less(row2_condition, row2_hi)
-    row2_ok = bool(row2_condition >= row2_lo) and upper_ok
+        tail = term_difference(term_difference(first_weighted, (1, 1)), b11)
+        row1_rhs = term_difference(term_difference((1, 1), b11), tail)
+        row2_condition = fold_terms((b11, weighted_sum(first, lambda n, k: (1, 1))))  # |b11| + sum_{k>=2} (...)
+        lo, hi = 0, 1
+    upper_ok, used_epsilon = strict_less(row2_condition, hi)
+    row2_ok = (lo * row2_condition[1] <= row2_condition[0] if row2_condition.__class__ is tuple
+               else lo <= row2_condition) and upper_ok
+    margin = term_difference(row1_rhs, row1_lhs)
 
     normalized_ok = F.is_normalized
-    member = bool(row1_rhs - row1_lhs >= 0) and row2_ok and (normalized_ok or not params.normalized)
-
-    return MembershipReport(
-        params=params,
-        row1_lhs=row1_lhs,
-        row1_rhs=row1_rhs,
-        row2_value=row2_value,
-        row2_condition=row2_condition,
-        row2_lo=row2_lo,
-        row2_hi=row2_hi,
-        row2_ok=row2_ok,
-        normalized_ok=normalized_ok,
-        member=member,
-        exact=exact,
-        used_epsilon=used_epsilon and not exact,
-    )
+    member = (margin[0] if margin.__class__ is tuple else margin) >= 0 and row2_ok and (
+        normalized_ok or not params.normalized)
+    row2_value = term_scalar(first_weighted)
+    return MembershipReport(params, term_scalar(row1_lhs), term_scalar(row1_rhs), row2_value,
+                            row2_value if row2_condition is first_weighted else term_scalar(row2_condition),
+                            Fraction(lo), Fraction(hi), row2_ok, normalized_ok, member, exact,
+                            used_epsilon and not exact)
 
 
 def class_reduction_check(F: PolyharmonicMap) -> bool:

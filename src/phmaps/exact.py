@@ -4,10 +4,10 @@ A scalar is either a ``Fraction`` (exact) or a ``float`` (approximate).
 Mixing the two in ordinary arithmetic degrades to ``float``, which is exactly
 the propagation rule we want: a sum is exact iff every term was exact.
 
-``fold_sum`` adds long rows with integers: exact terms are (numerator,
-denominator) pairs over a running lcm, normalised once; from the first float
-term on it continues in float, in the same order. Its result is bit for bit
-the left fold ``Fraction(0) + t1 + t2 + ...``, exact or float. Integers are
+``fold_terms`` adds long rows with integers: exact terms are (numerator,
+denominator) pairs over a running lcm; from the first float term on it
+continues in float, in the same order. Its result is bit for bit the left fold
+``Fraction(0) + t1 + t2 + ...``, kept as a pair until a report needs its Fraction. Integers are
 converted to and from text in chunks below CPython's 4300-digit limit, up to
 ``MAX_SCALAR_DIGITS`` digits per integer part; more is a ValueError.
 
@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Tuple, Union
 from .errors import NonFiniteError
 
 Scalar = Union[Fraction, float]
-Term = Union[Tuple[int, int], float]  # a magnitude or weight as fold_sum takes it: an exact pair or a float
+Term = Union[Tuple[int, int], float]  # a magnitude, weight or sum as fold_terms takes it: exact pair or float
 
 # Margin for strict "<" comparisons once any input is approximate.
 EPS_STRICT = 1e-12
@@ -205,9 +205,10 @@ def kv_lines(fields: Iterable[tuple[str, object]]) -> str:
                                    else format_scalar(v)) for name, v in fields)
 
 
-def fold_sum(terms: Iterable[tuple[int, int] | Scalar]) -> Scalar:
-    """``Fraction(0) + t1 + t2 + ...`` bit for bit, each term a scalar or an
-    exact (numerator, denominator) pair with positive denominator."""
+def fold_terms(terms: Iterable[Term | Scalar]) -> Term:
+    """``Fraction(0) + t1 + t2 + ...`` bit for bit as a Term, each term a scalar or an exact
+    (numerator, denominator) pair with positive denominator: an exact sum is the unreduced pair
+    over the lcm of the denominators, and from the first float term on the sum is a float."""
     num, den = 0, 1
     terms = iter(terms)
     for t in terms:
@@ -222,16 +223,28 @@ def fold_sum(terms: Iterable[tuple[int, int] | Scalar]) -> Scalar:
             return total
         g = math.gcd(den, q)
         num, den = num * (q // g) + p * (den // g), den // g * q
-    return Fraction(num, den)
+    return num, den
+
+
+def fold_sum(terms: Iterable[Term | Scalar]) -> Scalar:
+    """fold_terms as a scalar: ``Fraction(0) + t1 + t2 + ...``, exact or float."""
+    return term_scalar(fold_terms(terms))
 
 
 def term_scalar(t: Term) -> Scalar:
-    """A fold_sum term as a scalar: the Fraction of an exact pair, else the float itself."""
+    """A fold_terms term as a scalar: the Fraction of an exact pair, else the float itself."""
     return Fraction(*t) if t.__class__ is tuple else t
 
 
+def term_difference(x: Term, y: Term) -> Term:
+    """x - y as the Fraction/float expression gives it: an exact pair when both are pairs, else the float."""
+    if x.__class__ is y.__class__ is tuple:
+        return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
+    return (x[0] / x[1] if x.__class__ is tuple else x) - (y[0] / y[1] if y.__class__ is tuple else y)
+
+
 def weighted_pair(w: Term, x: Term, y: Term) -> Term | Scalar:
-    """The fold_sum term ``w * (x + y)``, each factor an exact (numerator, denominator) pair or a
+    """The fold_terms term ``w * (x + y)``, each factor an exact (numerator, denominator) pair or a
     float: an exact pair when all three are pairs, else the float the Fraction expression gives."""
     if w.__class__ is x.__class__ is y.__class__ is tuple:
         return w[0] * (x[0] * y[1] + y[0] * x[1]), w[1] * x[1] * y[1]
@@ -270,12 +283,14 @@ def sqrt_scalar(q: Scalar) -> Scalar:
         raise NonFiniteError(f"the square root of an exact value near 2**{2 * s + 128} overflows float64") from None
 
 
-def strict_less(value: Scalar, bound: Scalar) -> tuple[bool, bool]:
-    """Evaluate value < bound, failing closed for approximate inputs.
+def strict_less(value: Term | Scalar, bound: Scalar) -> tuple[bool, bool]:
+    """Evaluate value < bound, failing closed for approximate inputs; value may be an exact pair.
 
     Returns (ok, used_epsilon). Exact inputs compare exactly and never touch
     EPS_STRICT.
     """
+    if value.__class__ is tuple:
+        return value[0] < bound * value[1], False
     if is_exact(value) and is_exact(bound):
         return value < bound, False
     return float(value) < float(bound) - EPS_STRICT, True

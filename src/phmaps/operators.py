@@ -91,8 +91,8 @@ def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     rows = [(*key, difference_term(F.coeff_a(*key), G.coeff_a(*key), "a", key),
              difference_term(F.coeff_b(*key), G.coeff_b(*key), "b", key))
             for key in sorted(keys, key=lambda nk: (nk[1], nk[0]))]
-    return weighted_sum(rows, row1_weight(Fraction(0)),
-                        difference_term(F.coeff_b(1, 1), G.coeff_b(1, 1), "b", (1, 1)))
+    return term_scalar(weighted_sum(rows, row1_weight(Fraction(0)),
+                                    difference_term(F.coeff_b(1, 1), G.coeff_b(1, 1), "b", (1, 1))))
 
 
 def _hs_lambda_member(F: PolyharmonicMap, lam) -> MembershipReport:
@@ -200,7 +200,7 @@ def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0
         return True
     rows = F.magnitudes()  # layer-major, so the first row is (1, 1, |a11|, |b11|)
     c2 = (1 - term_scalar(rows[0][3])) / (2 * (1 + report.params.lam))
-    tails = (weighted_sum((row for row in layer if row[0] >= 2), lambda n, k: (1, 1))
+    tails = (term_scalar(weighted_sum((row for row in layer if row[0] >= 2), lambda n, k: (1, 1)))
              for _, layer in groupby(rows, key=lambda row: row[1]))
     return all(tail - c2 <= tol for tail in tails)
 

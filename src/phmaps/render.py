@@ -60,12 +60,12 @@ class Image:
                 raise NonFiniteError("F's image is NaN, infinite or too wide for float64 on the render grid")
 
     def csv(self) -> bytes:
-        """The render_csv bytes."""
+        """The render_csv bytes: each family formats its theta or r column once, into one row template."""
         out = ["curve_id,theta_or_r,re,im\n"]
         for name, first, t, w in (("ring_%d", 1, self.theta, self.rings), ("ray_%d", 0, self.radial, self.rays)):
-            rows = np.stack([np.broadcast_to(t, w.shape), w.real, w.imag], axis=-1).reshape(len(w), -1)
-            out += [(f"{name % i},%.17g,%.17g,%.17g\n" * t.size) % tuple(row)
-                    for i, row in enumerate(rows.tolist(), start=first)]
+            template = "".join(["\0,%.17g,%%.17g,%%.17g\n" % x for x in t.tolist()])  # \0 stands for the curve id
+            values = np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1).tolist()
+            out += [template.replace("\0", name % i) % tuple(row) for i, row in enumerate(values, start=first)]
         return "".join(out).encode("utf-8")
 
     def svg(self) -> bytes:

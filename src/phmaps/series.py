@@ -10,7 +10,8 @@ All values are immutable after construction and every operation here is pure.
 Every weighted coefficient sum of the exact core (the membership rows, the
 neighborhood distance, the per-layer tails) is ``weighted_sum`` over rows
 (n, k, |a|, |b|), as ``PolyharmonicMap.magnitudes`` builds them once per call:
-each magnitude is a ``magnitude_term``, an exact pair where |c| is rational.
+each magnitude is a ``magnitude_term``, an exact pair where |c| is rational,
+and the sum a pair too when every term is exact.
 """
 
 from __future__ import annotations
@@ -18,15 +19,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Integral
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Tuple
 
 from .errors import InvalidMapError, NonFiniteError
-from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, fold_sum, format_scalar, is_exact, set_field,
+from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, fold_terms, format_scalar, is_exact, set_field,
                     sqrt_scalar, term_scalar, weighted_pair)
 
 Key = Tuple[int, int]  # (n, k): power n >= 1, layer k >= 1
 Row = Tuple[int, int, Term, Term]  # (n, k, |a[n,k]|, |b[n,k]|)
 _ZERO_PART = Fraction(0)
+_ZERO_TERM = (0, 1)  # magnitude_term(ZERO)
+_LAYER = itemgetter(1)
 
 
 class Coefficient(Record):
@@ -111,7 +115,7 @@ def _entry_error(table: str, key: Key | None, message: str) -> NonFiniteError:
 
 
 def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> Term:
-    """|c| as fold_sum takes it: an exact (numerator, denominator) pair when the magnitude is rational,
+    """|c| as fold_terms takes it: an exact (numerator, denominator) pair when the magnitude is rational,
     else a float. NonFiniteError, naming the entry ``table[n,k]`` when given its key, on overflow.
 
     An exact coefficient on an axis has the pair (|num|, den). Off the axes, with both parts
@@ -152,10 +156,13 @@ def difference_term(x: Coefficient, y: Coefficient, table: str, key: Key) -> Ter
     return magnitude_term(d, table, key)
 
 
-def weighted_sum(rows: Iterable[Row], weight: Callable[[int, int], Term], *last: Term | Scalar) -> Scalar:
-    """The weighted l1 sum of the exact core: fold_sum of weighted_pair(weight(n, k), |a|, |b|) over the
-    rows, in order, and then of the terms ``last``."""
-    return fold_sum([weighted_pair(weight(n, k), ma, mb) for n, k, ma, mb in rows] + list(last))
+def weighted_sum(rows: Iterable[Row], weight: Callable[[int, int], Term], *last: Term) -> Term:
+    """The weighted l1 sum of the exact core: fold_terms of weighted_pair(weight(n, k), |a|, |b|) over the
+    rows, in order, and then of the terms ``last``. NonFiniteError when a float sum overflows float64."""
+    total = fold_terms([weighted_pair(weight(n, k), ma, mb) for n, k, ma, mb in rows] + list(last))
+    if total.__class__ is float and not math.isfinite(total):
+        raise NonFiniteError("a weighted coefficient sum overflows float64")
+    return total
 
 
 def product_over(x: Coefficient, y: Coefficient, n: int = 1) -> Coefficient:
@@ -271,15 +278,14 @@ class PolyharmonicMap(Record):
 
     def support(self) -> Iterator[Key]:
         """All (n, k) with a nonzero a or b entry, sorted layer-major."""
-        keys = set(self.a) | set(self.b)
-        return iter(sorted(keys, key=lambda nk: (nk[1], nk[0])))
+        return iter(sorted(sorted(self.a.keys() | self.b.keys()), key=_LAYER))  # by n, then stably by k
 
     def magnitudes(self) -> list[Row]:
         """(n, k, |a[n,k]|, |b[n,k]|) over the support, layer-major, each magnitude from magnitude_term,
         whose NonFiniteError names the entry."""
         a, b = self.a, self.b
-        return [(key[0], key[1], magnitude_term(a.get(key, ZERO), "a", key), magnitude_term(b.get(key, ZERO), "b", key))
-                for key in self.support()]
+        return [(key[0], key[1], magnitude_term(a[key], "a", key) if key in a else _ZERO_TERM,
+                 magnitude_term(b[key], "b", key) if key in b else _ZERO_TERM) for key in self.support()]
 
     def __repr__(self) -> str:
         terms = [f"a[{n},{k}]={self.a[(n, k)]}" for n, k in sorted(self.a, key=lambda t: (t[1], t[0]))]

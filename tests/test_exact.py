@@ -15,6 +15,8 @@ from phmaps.exact import (
     parse_scalar,
     sqrt_scalar,
     strict_less,
+    term_difference,
+    term_scalar,
 )
 
 
@@ -92,6 +94,26 @@ def test_strict_less_approximate_fails_closed():
     assert not ok and used
     ok, used = strict_less(2.0 - 10 * EPS_STRICT, 2.0)
     assert ok and used
+
+
+def test_strict_less_decides_an_exact_pair_exactly():
+    assert strict_less((2 * 10**30 - 1, 10**30), 2) == (True, False)
+    assert strict_less((6, 3), 2) == (False, False)
+
+
+def as_term(x):
+    """An exact scalar as an unreduced (numerator, denominator) pair; a float as itself."""
+    return (2 * x.numerator, 2 * x.denominator) if isinstance(x, Fraction) else x
+
+
+terms = st.one_of(st.fractions(max_denominator=10**6), st.floats(-1e6, 1e6),
+                  st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30)))
+
+
+@given(terms, terms)
+def test_term_difference_rounds_as_the_expression(x, y):
+    got, want = term_scalar(term_difference(as_term(x), as_term(y))), x - y
+    assert type(got) is type(want) and (repr(got) == repr(want) if isinstance(want, float) else got == want)
 
 
 @st.composite

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from phmaps import (
@@ -81,6 +82,11 @@ REFERENCE_SPECS = {
                              height=150),
 }
 
+# Any curve layout: the CSV shares one theta or r column per family, whatever its values.
+RENDER_SPECS = st.builds(lambda rings, rays, samples, r_max: RenderSpec(DiskGrid(rings, rays, r_max), samples),
+                         st.integers(1, 6), st.integers(3, 9), st.integers(64, 130),
+                         st.floats(0.1, 0.99, exclude_min=True, exclude_max=True))
+
 
 class TestMatchesPerCurveReference:
     """The batched renderer writes the bytes of one evaluate call and one f-string per curve/vertex."""
@@ -101,10 +107,10 @@ class TestMatchesPerCurveReference:
             F = random_member(rng, rng.randint(1, 3), lam, normalized=rng.random() < 0.5, tight=rng.random() < 0.3)
             assert_matches_reference(F, SMALL)
 
-    @settings(max_examples=40, deadline=None)
-    @given(helpers.maps())
-    def test_hypothesis_maps(self, F):
-        assert_matches_reference(F, SMALL)
+    @settings(deadline=None)
+    @given(helpers.maps(), RENDER_SPECS)
+    def test_hypothesis_maps(self, F, spec):
+        assert_matches_reference(F, spec)
 
     def test_image_serialises_both_formats(self):
         image = Image(example_F2(), SMALL)
