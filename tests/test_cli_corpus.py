@@ -2,8 +2,9 @@
 argv, the exit code, stdout and stderr of one in-process ``cli.main`` call.
 
 A missing file is written from the current code and its test fails, naming the file; delete
-a file to regenerate it. Every file is exact-only (``check`` and ``neighborhood``), so the
-corpus also runs where numpy and pytest are absent:
+a file to regenerate it. Every file is exact-only (``check``, ``neighborhood``, and ``convolve``
+and ``iconvolve``, whose written map is the stdout), so the corpus also runs where numpy and
+pytest are absent:
 
     python tests/test_cli_corpus.py
 """
@@ -80,6 +81,8 @@ COMMANDS = {
        for lam in ("0", "1/2", "2/3", "1")},
     "neighborhood-to-f1": ["neighborhood", "{map}", "f1.phm", "--lambda", "1/2"],
     "neighborhood-from-f1": ["neighborhood", "f1.phm", "{map}", "--lambda", "2/3"],
+    "convolve-self": ["convolve", "{map}", "{map}"],
+    "iconvolve-f1": ["iconvolve", "{map}", "f1.phm"],
 }
 CASES = [(name, command) for name in MAPS for command in COMMANDS]
 
@@ -91,14 +94,17 @@ def case_file(name: str, command: str) -> Path:
 def transcript(name: str, command: str, directory: Path) -> str:
     """The corpus text of one call, with map paths written relative to ``directory``."""
     argv = [arg.format(map=f"{name}.phm") for arg in COMMANDS[command]]
-    stdout, stderr = io.StringIO(), io.StringIO()
+    # a text stream over bytes, so that a map written to sys.stdout.buffer lands in stdout too
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n", write_through=True)
+    stderr = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = main([str(directory / arg) if arg.endswith(".phm") else arg for arg in argv])
         except SystemExit as e:  # argparse's usage errors
             code = e.code
     prefix = str(directory) + "/"
-    return (f"argv: {' '.join(argv)}\nexit: {code}\n--- stdout\n{stdout.getvalue().replace(prefix, '')}"
+    out = stdout.buffer.getvalue().decode("utf-8")
+    return (f"argv: {' '.join(argv)}\nexit: {code}\n--- stdout\n{out.replace(prefix, '')}"
             f"--- stderr\n{stderr.getvalue().replace(prefix, '')}")
 
 
