@@ -34,8 +34,12 @@ class Family(Enum):
     HC = "hc"
 
 
+# hs and hc are the hs-lambda conditions at these lambdas (Avci and Zlotkiewicz)
+FIXED_LAMBDA = {Family.HS: Fraction(0), Family.HC: Fraction(1)}
+
+
 class ClassParams(Record):
-    """Class selector: family, lambda (hs fixes 0, hc fixes 1), and the superscript-0 flag."""
+    """Class selector: family, lambda (fixed for hs and hc by FIXED_LAMBDA), and the superscript-0 flag."""
 
     __slots__ = ("family", "lam", "normalized")
     _defaults = {"lam": Fraction(0), "normalized": False}
@@ -44,10 +48,14 @@ class ClassParams(Record):
         lam = as_scalar(self.lam)
         if not 0 <= lam <= 1:
             raise ParamError(f"lambda must lie in [0,1], got {brief_scalar(lam)}")
-        fixed = 0 if self.family is Family.HS else 1 if self.family is Family.HC else None
+        fixed = FIXED_LAMBDA.get(self.family)
         if fixed is not None and lam != fixed:
             raise ParamError(f"class {self.family.value} fixes lambda = {fixed}, got {brief_scalar(lam)}")
         set_field(self, "lam", lam)
+
+
+# the immutable hs and hc selectors, built once and indexed by bool(normalized)
+_FIXED = {family: (ClassParams(family, lam), ClassParams(family, lam, True)) for family, lam in FIXED_LAMBDA.items()}
 
 
 def hs_lambda(lam, normalized: bool = False) -> ClassParams:
@@ -55,11 +63,11 @@ def hs_lambda(lam, normalized: bool = False) -> ClassParams:
 
 
 def hs(normalized: bool = False) -> ClassParams:
-    return ClassParams(Family.HS, Fraction(0), normalized)
+    return _FIXED[Family.HS][bool(normalized)]
 
 
 def hc(normalized: bool = False) -> ClassParams:
-    return ClassParams(Family.HC, Fraction(1), normalized)
+    return _FIXED[Family.HC][bool(normalized)]
 
 
 def row1_weight(lam: Scalar) -> Callable[[int, int], Term]:
@@ -138,9 +146,5 @@ def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
 
 
 def class_reduction_check(F: PolyharmonicMap) -> bool:
-    """Do the lambda=0 and lambda=1 predicates agree with the hs/hc families on F?"""
-    via_lambda0 = membership(F, hs_lambda(Fraction(0))).member
-    via_hs = membership(F, hs()).member
-    via_lambda1 = membership(F, hs_lambda(Fraction(1))).member
-    via_hc = membership(F, hc()).member
-    return via_lambda0 == via_hs and via_lambda1 == via_hc
+    """Do the hs and hc families agree on F with hs-lambda at the lambda each fixes?"""
+    return all(membership(F, hs_lambda(params.lam)).member == membership(F, params).member for params in (hs(), hc()))

@@ -11,6 +11,8 @@ continues in float, in the same order. Its result is bit for bit the left fold
 converted to and from text in chunks below CPython's 4300-digit limit, up to
 ``MAX_SCALAR_DIGITS`` digits per integer part; more is a ValueError.
 
+``root_term`` is the one square root: sqrt(s)/d of integers, exact when s is a square.
+
 Strict inequalities against class bounds are the one place approximation is
 dangerous, so ``strict_less`` fails closed: an approximate value passes a
 strict bound only if it clears the bound by ``EPS_STRICT``.
@@ -25,7 +27,7 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from .errors import NonFiniteError
 
@@ -252,35 +254,22 @@ def weighted_pair(w: Term, x: Term, y: Term) -> Term | Scalar:
     return w * (x + y)
 
 
-def exact_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Square root of a nonnegative rational, or None if it is irrational."""
-    if q < 0:
-        raise ValueError("square root of a negative rational")
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def sqrt_scalar(q: Scalar) -> Scalar:
-    """Exact square root when the argument is a rational perfect square, else float.
-
-    An exact argument too large for a float gets its root within an ulp from a
-    64-bit isqrt, scaled; NonFiniteError when that root is too large too.
-    """
-    if is_exact(q):
-        root = exact_sqrt(Fraction(q))
-        if root is not None:
-            return root
+def root_term(s: int, d: int) -> Term:
+    """sqrt(s)/d for integers s >= 0 and d >= 1 as fold_terms takes it: the exact pair (isqrt(s), d) when s is a
+    square, else the float root of s/d^2 correctly rounded or, past float64, within an ulp from a 64-bit isqrt of
+    the reduced s/d^2, scaled. NonFiniteError when that root is too large for a float too."""
+    root = math.isqrt(s)
+    if root * root == s:
+        return root, d
     try:
-        return math.sqrt(float(q))
-    except OverflowError:  # q is exact: sqrt(q) = isqrt(q / 4**s) 2**s, to 64 bits
-        s = (q.numerator.bit_length() - q.denominator.bit_length()) // 2 - 64
+        return math.sqrt(s / (d * d))
+    except OverflowError:  # with s/d^2 = num/den reduced: sqrt(num/den) = isqrt(num / (den 4**e)) 2**e, to 64 bits
+        num, den = Fraction(s, d * d).as_integer_ratio()
+        e = (num.bit_length() - den.bit_length()) // 2 - 64
     try:
-        return math.ldexp(float(math.isqrt(q.numerator // (q.denominator << 2 * s))), s)
+        return math.ldexp(float(math.isqrt(num // (den << 2 * e))), e)
     except OverflowError:
-        raise NonFiniteError(f"the square root of an exact value near 2**{2 * s + 128} overflows float64") from None
+        raise NonFiniteError(f"the square root of an exact value near 2**{2 * e + 128} overflows float64") from None
 
 
 def strict_less(value: Term | Scalar, bound: Scalar) -> tuple[bool, bool]:

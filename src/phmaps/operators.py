@@ -22,12 +22,12 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Sequence
 
-from .classes import MembershipReport, hc, hs_lambda, membership, row1_weight
+from .classes import MembershipReport, hc, hs, hs_lambda, membership, row1_weight
 from .errors import NotMemberError, ParamError, WeightError
 from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines,
                     term_scalar)
-from .series import (Coefficient, Key, PolyharmonicMap, ZERO, _entry_error, difference_term, product_over,
-                     weighted_sum)
+from .series import (Coefficient, Key, PolyharmonicMap, ZERO, _entry_error, difference_term, layer_major,
+                     product_over, weighted_sum)
 
 
 def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
@@ -54,8 +54,8 @@ def combine(terms: Sequence[tuple[Scalar, PolyharmonicMap]]) -> PolyharmonicMap:
     if not terms:
         raise WeightError("empty combination")
     for t, _ in terms:
-        if t < 0:
-            raise WeightError(f"negative weight {brief_scalar(t)}")
+        if not t >= 0:  # negative, or NaN
+            raise WeightError(f"negative weight {brief_scalar(t)}" if t < 0 else "weight nan is not a number")
     total = fold_sum(t for t, _ in terms)
     if (total != 1) if is_exact(total) else abs(float(total) - 1.0) > EPS_STRICT:
         raise WeightError(f"weights sum to {brief_scalar(total)}, expected 1")
@@ -90,8 +90,8 @@ def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:
     keys = (F.a.keys() | G.a.keys() | F.b.keys() | G.b.keys()) - {(1, 1)}
     rows = [(*key, difference_term(F.coeff_a(*key), G.coeff_a(*key), "a", key),
              difference_term(F.coeff_b(*key), G.coeff_b(*key), "b", key))
-            for key in sorted(keys, key=lambda nk: (nk[1], nk[0]))]
-    return term_scalar(weighted_sum(rows, row1_weight(Fraction(0)),
+            for key in layer_major(keys)]
+    return term_scalar(weighted_sum(rows, row1_weight(hs().lam),
                                     difference_term(F.coeff_b(1, 1), G.coeff_b(1, 1), "b", (1, 1))))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .errors import InvalidMapError, MapSyntaxError
 from .exact import format_scalar, parse_scalar
-from .series import Coefficient, Key, PolyharmonicMap
+from .series import Coefficient, Key, PolyharmonicMap, layer_major
 
 
 def parse_map(data: bytes | str) -> PolyharmonicMap:
@@ -82,7 +82,7 @@ def serialize_map(F: PolyharmonicMap) -> bytes:
     """Deterministic text form: header, then a-lines, then b-lines, layer-major."""
     lines = [f"p {F.p}"]
     for table, letter in ((F.a, "a"), (F.b, "b")):
-        for n, k in sorted(table, key=lambda nk: (nk[1], nk[0])):
+        for n, k in layer_major(table):
             c = table[(n, k)]
             lines.append(f"{letter} {n} {k} {format_scalar(c.re)} {format_scalar(c.im)}")
     return ("\n".join(lines) + "\n").encode("utf-8")

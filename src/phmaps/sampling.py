@@ -186,7 +186,7 @@ def random_perturbation(rng: random.Random, F: PolyharmonicMap, budget) -> Polyh
         k = rng.randint(1, F.p)
         if letter == "a" and n == 1 and k == 1:
             letter = "b"
-        mag = fill * budget * share / (2 * (k - 1) + n)  # the neighborhood weight, 1 for b11
+        mag = fill * budget * share / weight(n, k, 0)  # the neighborhood weight, 1 for b11
         if not mag:
             continue
         table = a if letter == "a" else b

@@ -24,13 +24,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Tuple
 
 from .errors import InvalidMapError, NonFiniteError
 from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, fold_terms, format_scalar, is_exact, set_field,
-                    sqrt_scalar, term_scalar, weighted_pair)
+                    root_term, term_scalar, weighted_pair)
 
 Key = Tuple[int, int]  # (n, k): power n >= 1, layer k >= 1
 Row = Tuple[int, int, Term, Term]  # (n, k, |a[n,k]|, |b[n,k]|)
 _ZERO_PART = Fraction(0)
 _ZERO_TERM = (0, 1)  # magnitude_term(ZERO)
-_LAYER = itemgetter(1)
 
 
 class Coefficient(Record):
@@ -76,9 +75,6 @@ class Coefficient(Record):
             raise NonFiniteError(
                 f"difference of coefficients {self.brief()} and {other.brief()} overflows float64") from None
 
-    def __neg__(self) -> "Coefficient":
-        return Coefficient(-self.re, -self.im)
-
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         return product_over(self, other)
 
@@ -110,6 +106,11 @@ ZERO = Coefficient(0, 0)
 ONE = Coefficient(1, 0)
 
 
+def layer_major(keys: Iterable[Key]) -> list[Key]:
+    """The keys (n, k) sorted layer-major: by k, then by n."""
+    return sorted(sorted(keys), key=itemgetter(1))  # by n, then stably by k
+
+
 def _entry_error(table: str, key: Key | None, message: str) -> NonFiniteError:
     return NonFiniteError(message if key is None else f"{table}[{key[0]},{key[1]}]: {message}")
 
@@ -119,8 +120,8 @@ def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> T
     else a float. NonFiniteError, naming the entry ``table[n,k]`` when given its key, on overflow.
 
     An exact coefficient on an axis has the pair (|num|, den). Off the axes, with both parts
-    over their lcm d, |c| = sqrt(x^2 + y^2)/d is rational exactly when x^2 + y^2 is a square
-    (e.g. 3+4i); otherwise it honestly degrades to float, as does a float or mixed coefficient.
+    over their lcm d, |c| = sqrt(x^2 + y^2)/d is ``root_term(x^2 + y^2, d)``: rational exactly when
+    x^2 + y^2 is a square (e.g. 3+4i), otherwise a float, as for a float or mixed coefficient.
     """
     re, im = c.re, c.im
     if not (re.__class__ is im.__class__ is Fraction):
@@ -132,16 +133,8 @@ def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> T
         return abs(y), dy
     d = math.lcm(dx, dy)
     x, y = x * (d // dx), y * (d // dy)
-    s = x * x + y * y
-    root = math.isqrt(s)
-    if root * root == s:
-        return root, d
     try:
-        return math.sqrt(s / (d * d))  # as sqrt_scalar: float(|c|^2) is this correctly rounded quotient
-    except OverflowError:
-        pass
-    try:
-        return sqrt_scalar(c.magnitude_squared())
+        return root_term(x * x + y * y, d)
     except NonFiniteError as e:
         raise _entry_error(table, key, str(e)) from None
 
@@ -208,6 +201,8 @@ def _clean_table(name: str, table: Mapping[Key, object], p: int) -> dict[Key, Co
         if k > p:
             raise InvalidMapError(f"{name}[{n},{k}]: layer exceeds p={p}")
         c = coeff(raw)
+        if c.re.__class__ is float and not math.isfinite(c.re) or c.im.__class__ is float and not math.isfinite(c.im):
+            raise _entry_error(name, key, f"coefficient {c.brief()} is not finite")
         if not c.is_zero:
             out[(int(n), int(k))] = c  # any Integral index is stored as int, as DiskGrid stores its sizes
     return out
@@ -278,7 +273,7 @@ class PolyharmonicMap(Record):
 
     def support(self) -> Iterator[Key]:
         """All (n, k) with a nonzero a or b entry, sorted layer-major."""
-        return iter(sorted(sorted(self.a.keys() | self.b.keys()), key=_LAYER))  # by n, then stably by k
+        return iter(layer_major(self.a.keys() | self.b.keys()))
 
     def magnitudes(self) -> list[Row]:
         """(n, k, |a[n,k]|, |b[n,k]|) over the support, layer-major, each magnitude from magnitude_term,
@@ -288,8 +283,8 @@ class PolyharmonicMap(Record):
                  magnitude_term(b[key], "b", key) if key in b else _ZERO_TERM) for key in self.support()]
 
     def __repr__(self) -> str:
-        terms = [f"a[{n},{k}]={self.a[(n, k)]}" for n, k in sorted(self.a, key=lambda t: (t[1], t[0]))]
-        terms += [f"b[{n},{k}]={self.b[(n, k)]}" for n, k in sorted(self.b, key=lambda t: (t[1], t[0]))]
+        terms = [f"{name}[{n},{k}]={table[(n, k)]}" for name, table in (("a", self.a), ("b", self.b))
+                 for n, k in layer_major(table)]
         return f"PolyharmonicMap(p={self.p}, {', '.join(terms)})"
 
 

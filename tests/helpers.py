@@ -6,8 +6,8 @@ closed forms that do not use the library's monomial table, and evaluation
 itself from the loop over the support that fixes its bits; the polyline
 properties come from brute-force segment / ray-crossing geometry, and the
 injectivity collision count comes from comparing every pair of grid points.
-The exact core's magnitudes, sums and products are checked against the plain
-Fraction rule and loops they replaced, which define the results bit for bit,
+The exact core's magnitudes, square root, sums and products are checked against
+the plain Fraction rule and loops they replaced, which define the results bit for bit,
 and the batched renderer against the per-curve evaluation and per-vertex
 formatting it replaced, which define the SVG and CSV bytes. The grid
 report's hand-rolled serialisers and the numpy envelope cubic define the
@@ -19,6 +19,7 @@ octave of the pair threshold in its own cells.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from phmaps import evaluate, theta_derivative
 from phmaps.classes import Family, MembershipReport, hc, membership, weight
 from phmaps.errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError
-from phmaps.exact import as_scalar, is_exact, sqrt_scalar, strict_less
+from phmaps.exact import as_scalar, is_exact, strict_less
 from phmaps.operators import _hs_lambda_member, convexity_radius, rescale
 from phmaps.render import MARGIN, STROKE_WIDTH
 from phmaps.series import Coefficient, PolyharmonicMap
@@ -291,6 +292,33 @@ def reference_collision_count(w: np.ndarray, factor: float = COLLISION_FACTOR) -
 
 
 # --- Fraction-loop references for the exact core -------------------------------
+
+
+def exact_sqrt(q: Fraction):
+    """Square root of a nonnegative rational, or None if it is irrational."""
+    num, den = q.numerator, q.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def sqrt_scalar(q):
+    """The root that ``exact.root_term`` must give, from the reduced Fraction q: exact when q is a
+    rational square, else the float root of float(q), or past float64 within an ulp from a 64-bit
+    isqrt, scaled; NonFiniteError when that root is too large too."""
+    if is_exact(q):
+        root = exact_sqrt(Fraction(q))
+        if root is not None:
+            return root
+    try:
+        return math.sqrt(float(q))
+    except OverflowError:  # q is exact: sqrt(q) = isqrt(q / 4**s) 2**s, to 64 bits
+        s = (q.numerator.bit_length() - q.denominator.bit_length()) // 2 - 64
+    try:
+        return math.ldexp(float(math.isqrt(q.numerator // (q.denominator << 2 * s))), s)
+    except OverflowError:
+        raise NonFiniteError(f"the square root of an exact value near 2**{2 * s + 128} overflows float64") from None
 
 
 def reference_magnitude(c: Coefficient):

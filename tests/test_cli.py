@@ -221,6 +221,16 @@ class TestConvolve:
         assert line.startswith("error: product of coefficients [401 digits]+1e+308i and ")
         assert line.endswith(" overflows float64\n")
 
+    @pytest.mark.parametrize("command", ["convolve", "iconvolve"])
+    def test_a_product_beyond_float_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
+        # 1e200 * 1e200 rounds to inf, which no .phm file can hold
+        big = tmp_path / "big.phm"
+        big.write_text("p 1\na 1 1 1 0\na 2 1 1e200 0\n")
+        out = tmp_path / "big2.phm"
+        assert main([command, str(big), str(big), "-o", str(out)]) == 2
+        assert single_error_line(capsys) == "error: a[2,1]: coefficient inf+0.0i is not finite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, entries, message", [
         (["check", "--class", "hs"], "a 1 1 1 0\na 2 1 {big} 1e308", "coefficient {part}+1e+308i overflows float64"),
         (["convolve"], "a 1 1 1 0\na 2 1 {big} 1e308",

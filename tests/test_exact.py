@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sqrt_scalar
 from phmaps.errors import NonFiniteError
 from phmaps.exact import (
     EPS_STRICT,
     MAX_SCALAR_DIGITS,
-    exact_sqrt,
     format_scalar,
     is_exact,
     parse_scalar,
-    sqrt_scalar,
+    root_term,
     strict_less,
     term_difference,
     term_scalar,
@@ -49,12 +49,18 @@ def test_format_parse_round_trip_float(x):
     assert parse_scalar(format_scalar(x)) == x
 
 
+def root_of(q: Fraction):
+    """sqrt(q) by root_term, with q = num/den written as (num den)/den^2."""
+    return root_term(q.numerator * q.denominator, q.denominator)
+
+
 def test_exact_sqrt():
-    assert exact_sqrt(Fraction(25)) == 5
-    assert exact_sqrt(Fraction(9, 16)) == Fraction(3, 4)
-    assert exact_sqrt(Fraction(2)) is None
-    assert sqrt_scalar(Fraction(1, 4)) == Fraction(1, 2)
-    assert sqrt_scalar(Fraction(2)) == pytest.approx(2**0.5)
+    assert root_term(25, 1) == (5, 1)
+    assert root_term(9, 4) == (3, 4)
+    assert root_term(0, 7) == (0, 7)
+    assert term_scalar(root_of(Fraction(9, 16))) == Fraction(3, 4)
+    assert root_term(2, 1) == pytest.approx(2**0.5) and isinstance(root_term(2, 1), float)
+    assert root_term(3**2 + 4**2, 10) == (5, 10)  # |3/10 + 4/10 i|, off the axes
 
 
 def within_an_ulp(root: float, q: Fraction) -> bool:
@@ -66,20 +72,41 @@ def within_an_ulp(root: float, q: Fraction) -> bool:
 @given(st.integers(1045, 2047), st.integers(1, 10**30), st.integers(1, 2**20))
 def test_sqrt_of_a_rational_beyond_float_range(bits, low, den):
     q = Fraction(2**bits + low, den)  # at least 2**1025, so float(q) overflows; its root does not
-    root = sqrt_scalar(q)
+    root = root_of(q)
     assert isinstance(root, float) and within_an_ulp(root, q)
 
 
 def test_sqrt_keeps_the_float_root_where_the_argument_fits():
-    for q in (Fraction(2), Fraction(2**1023 + 1), Fraction(10**300 + 1, 3), 1e300):
-        assert sqrt_scalar(q) == math.sqrt(float(q))
+    for q in (Fraction(2), Fraction(2**1023 + 1), Fraction(10**300 + 1, 3), Fraction(1e300)):
+        assert root_of(q) == math.sqrt(float(q))
 
 
 def test_sqrt_raises_only_where_the_root_overflows():
-    assert within_an_ulp(sqrt_scalar(Fraction(2**2047 + 1)), Fraction(2**2047 + 1))
+    assert within_an_ulp(root_of(Fraction(2**2047 + 1)), Fraction(2**2047 + 1))
+    message = r"^the square root of an exact value near 2\*\*\d+ overflows float64$"
     for q in (Fraction(9 * 10**800 + 1), Fraction(2**2048 - 1)):  # the second root rounds to 2**1024
-        with pytest.raises(NonFiniteError, match="overflows float64"):
-            sqrt_scalar(q)
+        with pytest.raises(NonFiniteError, match=message):
+            root_of(q)
+
+
+def _outcome(root, *args):
+    """(value, error message) of one root call."""
+    try:
+        return term_scalar(root(*args)), None
+    except NonFiniteError as e:
+        return None, str(e)
+
+
+@given(st.integers(1, 2**80), st.integers(-60, 2099), st.integers(0, 2**60), st.booleans())
+def test_root_term_matches_the_reference_root(d, e, m, square):
+    """root_term(s, d) against the Fraction root of s/d^2, for s/d^2 from about 2**-60 to 2**2100:
+    the same exact value or float bits, or the same error message."""
+    scaled = d * d * (2**60 + m)  # s/d^2 in [2**e, 2**(e + 1)) up to the rounding of s
+    s = max(1, scaled << e >> 60 if e >= 0 else scaled >> 60 - e)
+    if square:
+        s = math.isqrt(s) ** 2
+    got, want = _outcome(root_term, s, d), _outcome(sqrt_scalar, Fraction(s, d * d))
+    assert got == want and type(got[0]) is type(want[0])
 
 
 def test_strict_less_exact_never_uses_epsilon():

@@ -74,6 +74,15 @@ class TestConvolve:
         assert out.p == 2 and out == identity_map(2)
 
 
+def test_a_product_beyond_float_raises_instead_of_holding_inf():
+    # 1e200 * 1e200 is inf in float arithmetic; a map never holds it, so every result round-trips
+    F = make_map(1, a={(2, 1): 1e200})
+    for op in (convolve, integral_convolve):
+        with pytest.raises(NonFiniteError, match=r"^a\[2,1\]: coefficient inf\+0\.0i is not finite$"):
+            op(F, F)
+    assert convolve(F, make_map(1, a={(2, 1): 1e-200})) == make_map(1, a={(2, 1): 1e200 * 1e-200})
+
+
 class TestIntegralConvolve:
     def test_figure_coefficients(self):
         out = integral_convolve(example_F1(), H2)
@@ -109,6 +118,13 @@ class TestConvexCombine:
             combine([(Fraction(3, 2), example_F1()), (Fraction(-1, 2), example_F2())])
         with pytest.raises(WeightError):
             combine([])
+
+    @pytest.mark.parametrize("weights", [(float("nan"), 1.0), (1.0, float("nan")), (float("nan"), Fraction(1))],
+                             ids=["first", "second", "with-exact"])
+    def test_a_nan_weight_is_rejected(self, weights):
+        # NaN passes both t < 0 and the sum check's comparisons, and would scale every coefficient to NaN
+        with pytest.raises(WeightError, match="^weight nan is not a number$"):
+            combine([(weights[0], example_F1()), (weights[1], example_F2())])
 
     def test_float_weights_within_tolerance(self):
         out = combine([(0.5, example_F1()), (0.5, example_F1())])
