@@ -20,7 +20,7 @@ closed disk |z| <= r_max, not only on the grid.
 Every value comes from one monomial table per map, F(z) = sum c z^alpha
 conj(z)^beta, which d/dtheta, d/dz and d/dzbar reweight, and two kernels read
 it. `_pointwise` sums it term by term at any points; its order fixes the bits
-of `evaluate`, which the render goldens pin. `_on_grid` serves DiskGrid
+of `evaluate`, which the render goldens pin. `_grids` serves DiskGrid
 points, where a monomial is r^(alpha+beta) e^{2 pi i (alpha-beta) s / rays}:
 each ring is one inverse FFT of a spectrum holding c r^(alpha+beta) at
 frequency (alpha-beta) mod rays, exactly, as s is an integer. Its sums run in
@@ -30,6 +30,7 @@ digits and an argmin can move between tied points.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable
 
 import numpy as np
@@ -292,8 +293,8 @@ def _collision_count(w: np.ndarray) -> int:
     if not np.isfinite(np.hypot(*extent)):  # then every distance below is finite
         raise NonFiniteError("F's image is too wide for float64: distances between grid points overflow")
     reach = _NEIGHBOR_REACH
-    spacing = np.full((R, S), np.inf)
-    diff, d = np.empty_like(w), np.empty((R, S))  # reused for every offset
+    spacing, d, diff = _pass_buffers(w)  # d and diff are reused for every offset
+    spacing.fill(np.inf)
     for dr in range(0, min(reach, R - 1) + 1):
         for ds in range(-reach, reach + 1):
             if dr == 0 and ds <= 0:
@@ -305,7 +306,6 @@ def _collision_count(w: np.ndarray) -> int:
             np.minimum(spacing[dr:], np.abs(diff[:k], out=d[:k]), out=spacing[dr:])
             if dr:
                 np.minimum(spacing[:k], d[:k], out=spacing[:k])
-    del diff, d  # out of the search's peak
 
     diam = max(*extent, 1e-300)
     t = spacing.ravel()  # becomes the thresholds in place
@@ -326,9 +326,15 @@ def _collision_count(w: np.ndarray) -> int:
     # Cell coordinates in the finest cells, 2**(lowest+1), from the bounding-box
     # corner; shifting right by hi - lowest gives those in cells of 2**(hi+1).
     # They stay below diam / (2 floor) = 5e8, so a band's keys fit int64.
+    # diff's memory holds them, computed in d: floor((part[rank] - part.min()) / finest).
     finest = np.ldexp(1.0, lowest + 1)
-    cx = np.floor((wf.real[rank] - wf.real.min()) / finest).astype(np.int64)
-    cy = np.floor((wf.imag[rank] - wf.imag.min()) / finest).astype(np.int64)
+    cx, cy = diff.view(np.int64).reshape(2, -1)
+    for cells, part in ((cx, wf.real), (cy, wf.imag)):
+        x = np.take(part, rank, out=d.reshape(-1))
+        x -= part.min()
+        x /= finest
+        cells[...] = np.floor(x, out=x)
+    del diff, d, x  # out of the search's peak
     chunk = max(wf.size // 8, 1)  # queries per lookup, three needles each, to bound its memory
 
     collisions = held = 0
@@ -459,23 +465,66 @@ def _injectivity_certified(table, grid: DiskGrid) -> bool:
     return bool(m > c * M * (1 + 32 * rho / s + 2 * u * R + 8 * u))
 
 
-def _on_grid(table, radii: np.ndarray, rays: int) -> np.ndarray:
-    """The table's sum at radii[j] e^{2 pi i s / rays}: one inverse DFT per ring.
+_local = threading.local()  # .workspace: this thread's _Workspace
+
+
+class _Workspace:
+    """One thread's grid buffers for one grid shape (R, S): ``complex`` (3, R, S) and
+    ``moduli`` (2, R, S) float, 64 bytes a point, 2 MiB at MAX_GRID_POINTS. ``slots``
+    holds complex[0], complex[1] and complex[2] as views made once, so that the
+    collision pass knows verify_geometry's F, slot 0, by identity."""
+
+    __slots__ = ("complex", "moduli", "slots")
+
+    def __init__(self, shape: tuple[int, int]):
+        self.complex = np.empty((3, *shape), dtype=complex)
+        self.moduli = np.empty((2, *shape))
+        self.slots = tuple(self.complex)
+
+
+def _workspace(shape: tuple[int, int]) -> _Workspace:
+    """This thread's workspace for grids of ``shape``: kept between calls with that shape,
+    replaced (the old one released first) when the shape changes."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.complex.shape[1:] != shape:
+        _local.workspace = None
+        ws = _local.workspace = _Workspace(shape)
+    return ws
+
+
+def _pass_buffers(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spacing, d, diff) for the collision pass over w: two real grids and a complex one. When w
+    is verify_geometry's F, the workspace slots its checks are done with; else new arrays."""
+    ws = getattr(_local, "workspace", None)
+    if ws is not None and w is ws.slots[0]:
+        return ws.moduli[0], ws.moduli[1], ws.slots[1]
+    return np.empty(w.shape), np.empty(w.shape), np.empty(w.shape, dtype=complex)
+
+
+def _grids(tables, radii: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each table's sum at radii[j] e^{2 pi i s / rays}, written into out[q], shape (rings, rays),
+    and all of them inverted by one in-place inverse FFT call. Returns out.
 
     There a monomial is r^(alpha+beta) e^{2 pi i (alpha-beta) s / rays}, so ring j
     is the unscaled inverse DFT of a spectrum holding c r_j^(alpha+beta) at
     frequency (alpha-beta) mod rays. The wrap is exact, not aliasing, because s
-    is an integer. The spectrum is filled _TERM_BLOCK ring-monomial values at a
+    is an integer. Each spectrum is filled _TERM_BLOCK ring-monomial values at a
     time, so memory stays bounded however large the support.
     """
-    alpha, beta, c = table
-    spectrum = np.zeros((radii.size, rays), dtype=complex)
+    rays = out.shape[-1]
     ring = np.arange(radii.size)[:, None]
     step = max(1, _TERM_BLOCK // radii.size)
-    for lo in range(0, c.size, step):
-        a, b = alpha[lo:lo + step], beta[lo:lo + step]
-        np.add.at(spectrum, (ring, (a - b) % rays), c[lo:lo + step] * radii[:, None] ** (a + b))
-    return np.fft.ifft(spectrum, axis=1, norm="forward")
+    for spectrum, (alpha, beta, c) in zip(out, tables):
+        spectrum.fill(0)
+        for lo in range(0, c.size, step):
+            a, b = alpha[lo:lo + step], beta[lo:lo + step]
+            np.add.at(spectrum, (ring, (a - b) % rays), c[lo:lo + step] * radii[:, None] ** (a + b))
+    return np.fft.ifft(out, axis=-1, norm="forward", out=out)
+
+
+def _on_grid(table, radii: np.ndarray, rays: int) -> np.ndarray:
+    """The table's sum at radii[j] e^{2 pi i s / rays}, one inverse DFT per ring (see _grids), as a new array."""
+    return _grids((table,), radii, np.empty((1, radii.size, rays), dtype=complex))[0]
 
 
 def _finite(name: str, values: np.ndarray) -> np.ndarray:
@@ -487,11 +536,21 @@ def _finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _angular_rate(num: np.ndarray, den: np.ndarray, degenerate: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Im(num / den), -inf where |den| <= degenerate. The quotient is taken only at the
-    other points and written into ``out``, whose imaginary part is returned as a view."""
-    bad = np.abs(den) <= degenerate
-    rate = np.divide(num, den, out=out, where=~bad).imag
+def _finite_stack(names: tuple[str, ...], stack: np.ndarray) -> np.ndarray:
+    """stack, unless a value is NaN or infinite: then `_finite`'s error for the first quantity, in
+    ``names`` order, that holds one. One scan covers the stack; only a failing one looks again."""
+    if not np.isfinite(stack).all():
+        for name, values in zip(names, stack):
+            _finite(name, values)
+    return stack
+
+
+def _angular_rate(num: np.ndarray, den: np.ndarray, degenerate: np.ndarray, out: np.ndarray,
+                  rate: np.ndarray) -> np.ndarray:
+    """Im(num / den), -inf where |den| <= degenerate, written into the real grid ``rate`` (which
+    holds |den| first) and returned. The quotient is taken only at the other points, into ``out``."""
+    bad = np.abs(den, out=rate) <= degenerate
+    rate[...] = np.divide(num, den, out=out, where=~bad).imag  # contiguous, so argmin copies nothing
     rate[bad] = -np.inf
     return rate
 
@@ -503,19 +562,28 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     """Fill a GeometryReport with grid minima for the requested checks.
 
     F, F_theta, F_thetatheta and the Jacobian come from the map's monomial table
-    by one inverse FFT per ring (_on_grid), each computed once. Degenerate
+    by one inverse FFT per ring (_grids), each computed once. Degenerate
     sample points (|F| <= EPS_ZERO r for the starlike check, |F_theta| <=
     EPS_ZERO r for the convex check, r the ring radius) record a -inf minimum
     instead of raising, so such a map still gets a report, which fails its
     thresholds. A NaN or infinite grid value, or an image too wide for float64
     distances (coefficients that overflow it), raises NonFiniteError instead.
 
-    Each full-grid array lives only while a check needs it: F_z and F_zbar are
-    dropped once their moduli are taken, each angular rate divides into an
-    existing buffer, and F is dropped before F_thetatheta is built unless the
-    collision pass still needs it. So a call holds at most three complex grids
-    at once (an inverse FFT's spectrum and output next to F or F_theta), plus a
-    real grid of moduli; the collision pass, when it searches, holds more.
+    Every grid quantity is written into this thread's workspace (`_workspace`):
+    three complex and two real grids, 64 bytes a point, 2 MiB at
+    MAX_GRID_POINTS. It is kept between calls on grids of one shape and replaced
+    when the shape changes; each thread has its own, as numpy releases the GIL.
+    Quantities alive together share one inverse FFT call: F_z and F_zbar in
+    complex slots 0 and 1, their moduli in the real slots; then F and F_theta in
+    slots 0 and 1. Each angular rate divides into a complex slot (F's own unless
+    the collision pass still needs F) with |den| in a real slot, and
+    F_thetatheta fills slot 2. So a call allocates no grid of its own, only
+    boolean masks and the finiteness scan (one byte a point each), numpy's
+    iteration buffers and the spectrum's ring-by-monomial terms: under one
+    complex grid on a certified member (0.6 traced at 32x256). The collision
+    pass, when it searches, takes its spacing, distance and difference grids
+    and its cell coordinates from the slots the checks are done with, and
+    allocates its sort and hash tables itself.
 
     The injective check first tries the coefficient certificate
     (`_injectivity_certified`); when it holds, the count is 0 without a search.
@@ -532,39 +600,37 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     radii = grid.radii()
     angles = grid.angles()
     table = _monomials(F)
-
-    def values(name, tab):
-        return _finite(name, _on_grid(tab, radii, angles.size))
+    ws = _workspace((grid.rings, grid.rays))
+    f_slot, theta_slot, spare = ws.slots
+    rate = ws.moduli[0]
 
     min_jac = min_arg = min_conv = None
     collisions = certified = None
     degenerate = EPS_ZERO * radii[:, None]
     with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
         if "jacobian" in checks:
-            # |F_z| and |F_zbar|: each complex grid is dropped as soon as its modulus is taken
-            jac, fzb = (np.abs(_on_grid(tab, radii, angles.size)) for tab in _d_wirtinger(table))
-            np.square(jac, out=jac)
-            jac -= np.square(fzb, out=fzb)
+            fz, fzb = _grids(_d_wirtinger(table), radii, ws.complex[:2])
+            jac, fzb_modulus = ws.moduli
+            np.square(np.abs(fz, out=jac), out=jac)
+            jac -= np.square(np.abs(fzb, out=fzb_modulus), out=fzb_modulus)
             min_jac = _minimum(_finite("Jacobian", jac), radii, angles)
-            del jac, fzb
         if "injective" in checks:
             certified = _injectivity_certified(table, grid)
-        w = d1 = None  # F and F_theta, each computed once for the checks sharing it
-        if "starlike" in checks or certified is False:
-            w = values("F", table)
-        if "starlike" in checks or "convex" in checks:
-            d1 = values("F_theta", _d_theta(table, 1))
+        # F in slot 0 and F_theta in slot 1, each computed once for the checks sharing it
+        need_w = "starlike" in checks or certified is False
+        need_d1 = "starlike" in checks or "convex" in checks
+        lo, hi = 0 if need_w else 1, 2 if need_d1 else 1
+        if lo < hi:
+            tables = (table, _d_theta(table, 1) if need_d1 else None)[lo:hi]
+            _finite_stack(("F", "F_theta")[lo:hi], _grids(tables, radii, ws.complex[lo:hi]))
+        w = f_slot if need_w else None
+        d1 = theta_slot if need_d1 else None
         if "starlike" in checks:  # the quotient overwrites F unless the collision pass needs F
-            quotient = np.empty_like(w) if certified is False else w
-            min_arg = _minimum(_angular_rate(d1, w, degenerate, quotient), radii, angles)
-            del quotient
-        if certified is not False:
-            w = None  # before F_thetatheta is built
+            quotient = spare if certified is False else w
+            min_arg = _minimum(_angular_rate(d1, w, degenerate, quotient, rate), radii, angles)
         if "convex" in checks:
-            d2 = values("F_thetatheta", _d_theta(table, 2))
-            min_conv = _minimum(_angular_rate(d2, d1, degenerate, d2), radii, angles)
-            del d2
-        d1 = None  # before the collision pass
+            _finite_stack(("F_thetatheta",), _grids((_d_theta(table, 2),), radii, ws.complex[2:]))
+            min_conv = _minimum(_angular_rate(spare, d1, degenerate, spare, rate), radii, angles)
         if "injective" in checks:
             collisions = 0 if certified else _collision_count(w)
 

@@ -191,7 +191,11 @@ def coeff(value) -> Coefficient:
 
 
 def _clean_table(name: str, table: Mapping[Key, object], p: int) -> dict[Key, Coefficient]:
+    """The nonzero entries of ``table`` under int keys. InvalidMapError for the first bad index in the
+    table's own order; then NonFiniteError for the layer-major first entry with a NaN or infinite
+    part, so that the entry it names does not depend on how the table was built."""
     out: dict[Key, Coefficient] = {}
+    bad: dict[Key, Coefficient] = {}
     for key, raw in table.items():
         n, k = key
         if not (n.__class__ is k.__class__ is int or isinstance(n, Integral) and isinstance(k, Integral)):
@@ -202,9 +206,12 @@ def _clean_table(name: str, table: Mapping[Key, object], p: int) -> dict[Key, Co
             raise InvalidMapError(f"{name}[{n},{k}]: layer exceeds p={p}")
         c = coeff(raw)
         if c.re.__class__ is float and not math.isfinite(c.re) or c.im.__class__ is float and not math.isfinite(c.im):
-            raise _entry_error(name, key, f"coefficient {c.brief()} is not finite")
-        if not c.is_zero:
+            bad[(int(n), int(k))] = c
+        elif not c.is_zero:
             out[(int(n), int(k))] = c  # any Integral index is stored as int, as DiskGrid stores its sizes
+    if bad:  # sorted only on this error path
+        key = layer_major(bad)[0]
+        raise _entry_error(name, key, f"coefficient {bad[key].brief()} is not finite")
     return out
 
 

@@ -83,6 +83,14 @@ def test_a_product_beyond_float_raises_instead_of_holding_inf():
     assert convolve(F, make_map(1, a={(2, 1): 1e-200})) == make_map(1, a={(2, 1): 1e200 * 1e-200})
 
 
+def test_the_product_error_names_the_layer_major_first_overflowing_entry():
+    # the product tables follow set order, which puts a[3,1] first here; the map names a[2,1]
+    F = make_map(1, a={(3, 1): 1e200, (2, 1): 1e200}, b={(2, 1): 1e200})
+    for op in (convolve, integral_convolve):
+        with pytest.raises(NonFiniteError, match=r"^a\[2,1\]: coefficient inf\+0\.0i is not finite$"):
+            op(F, F)
+
+
 class TestIntegralConvolve:
     def test_figure_coefficients(self):
         out = integral_convolve(example_F1(), H2)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,17 @@ class TestMapValidation:
         with pytest.raises(NonFiniteError) as e:
             make_map(1, a=a, b=b)
         assert str(e.value) == message
+
+    def test_the_layer_major_first_non_finite_entry_is_named(self):
+        # however the table was built: by k, then by n, whatever the insertion order
+        a = {(5, 2): float("inf"), (4, 1): float("nan"), (2, 2): float("inf"), (6, 1): 0.5, (3, 1): (1, float("inf"))}
+        for order in itertools.permutations(a):
+            with pytest.raises(NonFiniteError, match=r"^a\[3,1\]: coefficient 1\+infi is not finite$"):
+                make_map(2, a={key: a[key] for key in order})
+
+    def test_a_bad_index_is_named_before_a_non_finite_entry(self):
+        with pytest.raises(InvalidMapError, match=r"^a\[0,1\]: indices must be >= 1$"):
+            make_map(1, a={(2, 1): float("inf"), (0, 1): 1})
 
     def test_an_exact_part_beyond_float_stays_legal(self):
         F = make_map(1, a={(2, 1): (10**400, 0.5)})
