@@ -231,13 +231,7 @@ class GeometryReport(Record):
 def _minimum(values: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> Extremum:
     flat = int(np.argmin(values))  # C order: ties break to lowest ring, then ray
     ring, ray = divmod(flat, values.shape[1])
-    return Extremum(
-        value=float(values[ring, ray]),
-        ring=ring,
-        ray=ray,
-        r=float(radii[ring]),
-        theta=float(angles[ray]),
-    )
+    return Extremum(float(values[ring, ray]), ring, ray, float(radii[ring]), float(angles[ray]))
 
 
 _NEIGHBOR_REACH = 2  # Chebyshev radius that counts as grid-adjacent
@@ -548,10 +542,12 @@ def _finite_stack(names: tuple[str, ...], stack: np.ndarray) -> np.ndarray:
 def _angular_rate(num: np.ndarray, den: np.ndarray, degenerate: np.ndarray, out: np.ndarray,
                   rate: np.ndarray) -> np.ndarray:
     """Im(num / den), -inf where |den| <= degenerate, written into the real grid ``rate`` (which
-    holds |den| first) and returned. The quotient is taken only at the other points, into ``out``."""
-    bad = np.abs(den, out=rate) <= degenerate
-    rate[...] = np.divide(num, den, out=out, where=~bad).imag  # contiguous, so argmin copies nothing
-    rate[bad] = -np.inf
+    holds |den| first) and returned. The quotient is taken only at the other points, into ``out``.
+    den is finite, so |den| is never NaN and those points are where |den| > degenerate."""
+    good = np.abs(den, out=rate) > degenerate
+    rate[...] = np.divide(num, den, out=out, where=good).imag  # contiguous, so argmin copies nothing
+    if not good.all():
+        rate[~good] = -np.inf
     return rate
 
 
