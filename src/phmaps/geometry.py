@@ -328,7 +328,7 @@ def _collision_count(w: np.ndarray) -> int:
         x -= part.min()
         x /= finest
         cells[...] = np.floor(x, out=x)
-    del diff, d, x  # out of the search's peak
+    del d, x  # out of the search's peak; diff's memory lives on as cx and cy
     chunk = max(wf.size // 8, 1)  # queries per lookup, three needles each, to bound its memory
 
     collisions = held = 0

@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -868,7 +870,8 @@ def runs_on_one_shape(draw):
     """A grid shape and two to four (map, r_max, checks) calls on it: random maps, or maps
     whose grid values overflow, so that a failing call also leaves the workspace behind."""
     rings, rays = draw(st.integers(1, 8)), draw(st.integers(3, 64))
-    call = st.tuples(st.one_of(helpers.maps(), st.sampled_from(FIXED_MAPS[-5:])),
+    overflowing = FIXED_MAPS[-5:]  # reference_maps lists the five overflow maps last
+    call = st.tuples(st.one_of(helpers.maps(), st.sampled_from(overflowing)),
                      st.sampled_from((0.5, 0.9, 0.995)), st.sampled_from(CHECK_SUBSETS))
     return rings, rays, draw(st.lists(call, min_size=2, max_size=4))
 
@@ -884,25 +887,34 @@ def test_consecutive_calls_match_the_reference_verifier(run):
 
 
 def test_threads_get_the_reports_of_sequential_calls():
-    # each thread has its own workspace, so concurrent calls on different grids do not mix
+    # each thread has its own workspace, so concurrent calls on different grids do not mix;
+    # more threads than cores and a short switch interval make them interleave
     jobs = [(half_plane_map(3), DiskGrid(32, 256, 0.995), geometry.ALL_CHECKS),
-            (example_F1(), DiskGrid(32, 1024, 0.995), ("jacobian", "starlike", "convex"))]
+            (example_F1(), DiskGrid(32, 1024, 0.995), ("jacobian", "starlike", "convex")),
+            (half_plane_map(2), DiskGrid(16, 512, 0.99), ("starlike", "injective"))]
     want = [verify_geometry(F, grid, checks).to_kv() for F, grid, checks in jobs]
-    barrier = threading.Barrier(len(jobs))
-    got = [[] for _ in jobs]
+    count = min((os.cpu_count() or 1) + 1, 16)
+    barrier = threading.Barrier(count)
+    got = [[] for _ in range(count)]
 
     def work(i):
-        F, grid, checks = jobs[i]
+        F, grid, checks = jobs[i % len(jobs)]
         barrier.wait()
-        for _ in range(10):
+        for _ in range(5):
             got[i].append(verify_geometry(F, grid, checks).to_kv())
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert got == [[kv] * 10 for kv in want]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[want[i % len(jobs)]] * 5 for i in range(count)]
 
 
 def test_workspace_is_four_complex_grids_and_follows_the_grid_shape():
