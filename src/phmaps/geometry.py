@@ -231,7 +231,13 @@ class GeometryReport(Record):
 def _minimum(values: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> Extremum:
     flat = int(np.argmin(values))  # C order: ties break to lowest ring, then ray
     ring, ray = divmod(flat, values.shape[1])
-    return Extremum(float(values[ring, ray]), ring, ray, float(radii[ring]), float(angles[ray]))
+    return Extremum(
+        value=float(values[ring, ray]),
+        ring=ring,
+        ray=ray,
+        r=float(radii[ring]),
+        theta=float(angles[ray]),
+    )
 
 
 _NEIGHBOR_REACH = 2  # Chebyshev radius that counts as grid-adjacent
@@ -497,7 +503,7 @@ def _pass_buffers(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _grids(tables, radii: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Each table's sum at radii[j] e^{2 pi i s / rays}, written into out[q], shape (rings, rays),
-    and all of them inverted by one in-place inverse FFT call. Returns out.
+    and all of them inverted by one in-place inverse FFT call (``out=``, numpy >= 2.0). Returns out.
 
     There a monomial is r^(alpha+beta) e^{2 pi i (alpha-beta) s / rays}, so ring j
     is the unscaled inverse DFT of a spectrum holding c r_j^(alpha+beta) at
