@@ -123,7 +123,7 @@ def as_scalar(x) -> Scalar:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        return x
+        return float(x)  # a subclass such as numpy.float64 as a plain float, as the NaN/inf checks expect
     if isinstance(x, str):
         return parse_scalar(x)
     raise TypeError(f"cannot interpret {x!r} as a scalar")

@@ -223,10 +223,6 @@ class GeometryReport(Record):
         fields += [(name, value) for name, value in injectivity if value is not None]
         return kv_lines(fields + [("passed", self.passed())])
 
-    def to_csv(self) -> str:
-        rows = [f"{name},{e.ring},{e.ray},{e.r:.17g},{e.theta:.17g},{e.value:.17g}" for name, e in self._extrema()]
-        return "\n".join(["quantity,ring,ray,r,theta,value", *rows]) + "\n"
-
 
 def _minimum(values: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> Extremum:
     flat = int(np.argmin(values))  # C order: ties break to lowest ring, then ray
@@ -284,6 +280,10 @@ def _collision_count(w: np.ndarray) -> int:
     cell keys for 8192 queries, under a third of the 41371 that keying every
     point of higher octave would sort. One sort of the grid by octave precedes them.
 
+    The spacing, distance and difference grids, and then the cell coordinates,
+    are this thread's workspace (`_workspace`): moduli[0], moduli[1] and
+    complex[1], so w must not be one of them; verify_geometry passes complex[0].
+
     An image whose bounding-box diagonal overflows float64 raises NonFiniteError:
     its distances, and with them the floor, would be infinite.
     """
@@ -293,7 +293,8 @@ def _collision_count(w: np.ndarray) -> int:
     if not np.isfinite(np.hypot(*extent)):  # then every distance below is finite
         raise NonFiniteError("F's image is too wide for float64: distances between grid points overflow")
     reach = _NEIGHBOR_REACH
-    spacing, d, diff = _pass_buffers(w)  # d and diff are reused for every offset
+    grids, (spacing, d) = _workspace(w.shape)
+    diff = grids[1]  # d and diff are reused for every offset
     spacing.fill(np.inf)
     for dr in range(0, min(reach, R - 1) + 1):
         for ds in range(-reach, reach + 1):
@@ -334,7 +335,6 @@ def _collision_count(w: np.ndarray) -> int:
         x -= part.min()
         x /= finest
         cells[...] = np.floor(x, out=x)
-    del d, x  # out of the search's peak; diff's memory lives on as cx and cy
     chunk = max(wf.size // 8, 1)  # queries per lookup, three needles each, to bound its memory
 
     collisions = held = 0
@@ -465,40 +465,18 @@ def _injectivity_certified(table, grid: DiskGrid) -> bool:
     return bool(m > c * M * (1 + 32 * rho / s + 2 * u * R + 8 * u))
 
 
-_local = threading.local()  # .workspace: this thread's _Workspace
+_local = threading.local()  # .workspace: this thread's (complex, moduli) grids
 
 
-class _Workspace:
-    """One thread's grid buffers for one grid shape (R, S): ``complex`` (3, R, S) and
-    ``moduli`` (2, R, S) float, 64 bytes a point, 2 MiB at MAX_GRID_POINTS. ``slots``
-    holds complex[0], complex[1] and complex[2] as views made once, so that the
-    collision pass knows verify_geometry's F, slot 0, by identity."""
-
-    __slots__ = ("complex", "moduli", "slots")
-
-    def __init__(self, shape: tuple[int, int]):
-        self.complex = np.empty((3, *shape), dtype=complex)
-        self.moduli = np.empty((2, *shape))
-        self.slots = tuple(self.complex)
-
-
-def _workspace(shape: tuple[int, int]) -> _Workspace:
-    """This thread's workspace for grids of ``shape``: kept between calls with that shape,
-    replaced (the old one released first) when the shape changes."""
+def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's grid buffers for grids of ``shape`` (R, S): ``complex`` (3, R, S) and
+    ``moduli`` (2, R, S) float, 64 bytes a point, 2 MiB at MAX_GRID_POINTS. Kept between calls
+    with that shape, replaced (the old pair released first) when the shape changes."""
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.complex.shape[1:] != shape:
+    if ws is None or ws[0].shape[1:] != shape:
         _local.workspace = None
-        ws = _local.workspace = _Workspace(shape)
+        ws = _local.workspace = (np.empty((3, *shape), dtype=complex), np.empty((2, *shape)))
     return ws
-
-
-def _pass_buffers(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(spacing, d, diff) for the collision pass over w: two real grids and a complex one. When w
-    is verify_geometry's F, the workspace slots its checks are done with; else new arrays."""
-    ws = getattr(_local, "workspace", None)
-    if ws is not None and w is ws.slots[0]:
-        return ws.moduli[0], ws.moduli[1], ws.slots[1]
-    return np.empty(w.shape), np.empty(w.shape), np.empty(w.shape, dtype=complex)
 
 
 def _grids(tables, radii: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -522,26 +500,13 @@ def _grids(tables, radii: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.ifft(out, axis=-1, norm="forward", out=out)
 
 
-def _on_grid(table, radii: np.ndarray, rays: int) -> np.ndarray:
-    """The table's sum at radii[j] e^{2 pi i s / rays}, one inverse DFT per ring (see _grids), as a new array."""
-    return _grids((table,), radii, np.empty((1, radii.size, rays), dtype=complex))[0]
-
-
-def _finite(name: str, values: np.ndarray) -> np.ndarray:
-    """values, unless one is NaN or infinite: then NonFiniteError at the first (ring-major)."""
-    finite = np.isfinite(values)
+def _finite(names: tuple[str, ...], stack: np.ndarray) -> np.ndarray:
+    """stack, unless a value is NaN or infinite: then NonFiniteError at the first, in ``names``
+    order of the quantities and ring-major order of each one's points."""
+    finite = np.isfinite(stack)
     if not finite.all():
-        ring, ray = divmod(int(np.argmin(finite)), values.shape[1])
-        raise NonFiniteError(f"{name} is NaN or infinite at grid ring {ring}, ray {ray}")
-    return values
-
-
-def _finite_stack(names: tuple[str, ...], stack: np.ndarray) -> np.ndarray:
-    """stack, unless a value is NaN or infinite: then `_finite`'s error for the first quantity, in
-    ``names`` order, that holds one. One scan covers the stack; only a failing one looks again."""
-    if not np.isfinite(stack).all():
-        for name, values in zip(names, stack):
-            _finite(name, values)
+        which, ring, ray = np.unravel_index(int(np.argmin(finite)), finite.shape)
+        raise NonFiniteError(f"{names[which]} is NaN or infinite at grid ring {ring}, ray {ray}")
     return stack
 
 
@@ -576,16 +541,17 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     MAX_GRID_POINTS. It is kept between calls on grids of one shape and replaced
     when the shape changes; each thread has its own, as numpy releases the GIL.
     Quantities alive together share one inverse FFT call: F_z and F_zbar in
-    complex slots 0 and 1, their moduli in the real slots; then F and F_theta in
-    slots 0 and 1. Each angular rate divides into a complex slot (F's own unless
-    the collision pass still needs F) with |den| in a real slot, and
-    F_thetatheta fills slot 2. So a call allocates no grid of its own, only
-    boolean masks and the finiteness scan (one byte a point each), numpy's
-    iteration buffers and the spectrum's ring-by-monomial terms: under one
-    complex grid on a certified member (0.6 traced at 32x256). The collision
-    pass, when it searches, takes its spacing, distance and difference grids
-    and its cell coordinates from the slots the checks are done with, and
-    allocates its sort and hash tables itself.
+    complex slots 0 and 1, their moduli in the real slots; then, when a check
+    reads F or F_theta, F and F_theta in slots 0 and 1. Only the quantities the
+    requested checks read must be finite. Each angular rate divides into the
+    spare slot 2 with |den| in a real slot, and F_thetatheta fills slot 2 after
+    the starlike quotient. So a call allocates no grid of its own, only boolean
+    masks and the finiteness scan (one byte a point each), numpy's iteration
+    buffers and the spectrum's ring-by-monomial terms: under one complex grid
+    on a certified member (0.6 traced at 32x256). The collision pass, when it
+    searches, is handed F in slot 0 and takes its spacing, distance and
+    difference grids and its cell coordinates from the other slots, which the
+    checks are done with; it allocates its sort and hash tables itself.
 
     The injective check first tries the coefficient certificate
     (`_injectivity_certified`); when it holds, the count is 0 without a search.
@@ -602,36 +568,32 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     radii = grid.radii()
     angles = grid.angles()
     table = _monomials(F)
-    ws = _workspace((grid.rings, grid.rays))
-    f_slot, theta_slot, spare = ws.slots
-    rate = ws.moduli[0]
+    grids, moduli = _workspace((grid.rings, grid.rays))
+    w, d1, spare = grids
+    rate = moduli[0]
 
     min_jac = min_arg = min_conv = None
     collisions = certified = None
     degenerate = EPS_ZERO * radii[:, None]
     with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
         if "jacobian" in checks:
-            fz, fzb = _grids(_d_wirtinger(table), radii, ws.complex[:2])
-            jac, fzb_modulus = ws.moduli
+            fz, fzb = _grids(_d_wirtinger(table), radii, grids[:2])
+            jac, fzb_modulus = moduli
             np.square(np.abs(fz, out=jac), out=jac)
             jac -= np.square(np.abs(fzb, out=fzb_modulus), out=fzb_modulus)
-            min_jac = _minimum(_finite("Jacobian", jac), radii, angles)
+            min_jac = _minimum(_finite(("Jacobian",), moduli[:1])[0], radii, angles)
         if "injective" in checks:
             certified = _injectivity_certified(table, grid)
-        # F in slot 0 and F_theta in slot 1, each computed once for the checks sharing it
-        need_w = "starlike" in checks or certified is False
-        need_d1 = "starlike" in checks or "convex" in checks
-        lo, hi = 0 if need_w else 1, 2 if need_d1 else 1
-        if lo < hi:
-            tables = (table, _d_theta(table, 1) if need_d1 else None)[lo:hi]
-            _finite_stack(("F", "F_theta")[lo:hi], _grids(tables, radii, ws.complex[lo:hi]))
-        w = f_slot if need_w else None
-        d1 = theta_slot if need_d1 else None
-        if "starlike" in checks:  # the quotient overwrites F unless the collision pass needs F
-            quotient = spare if certified is False else w
-            min_arg = _minimum(_angular_rate(d1, w, degenerate, quotient, rate), radii, angles)
+        reads_w = "starlike" in checks or certified is False
+        reads_d1 = "starlike" in checks or "convex" in checks
+        if reads_w or reads_d1:  # F in slot 0 and F_theta in slot 1, by one FFT call
+            _grids((table, _d_theta(table, 1)), radii, grids[:2])
+            lo, hi = 0 if reads_w else 1, 2 if reads_d1 else 1
+            _finite(("F", "F_theta")[lo:hi], grids[lo:hi])
+        if "starlike" in checks:
+            min_arg = _minimum(_angular_rate(d1, w, degenerate, spare, rate), radii, angles)
         if "convex" in checks:
-            _finite_stack(("F_thetatheta",), _grids((_d_theta(table, 2),), radii, ws.complex[2:]))
+            _finite(("F_thetatheta",), _grids((_d_theta(table, 2),), radii, grids[2:]))
             min_conv = _minimum(_angular_rate(spare, d1, degenerate, spare, rate), radii, angles)
         if "injective" in checks:
             collisions = 0 if certified else _collision_count(w)

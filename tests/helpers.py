@@ -10,7 +10,7 @@ The exact core's magnitudes, square root, sums and products are checked against
 the plain Fraction rule and loops they replaced, which define the results bit for bit,
 and the batched renderer against the per-curve evaluation and per-vertex
 formatting it replaced, which define the SVG and CSV bytes. The grid
-report's hand-rolled serialisers and the numpy envelope cubic define the
+report's hand-rolled serialiser and the numpy envelope cubic define the
 `verify` report bytes the same way, and the sampled per-layer loop is the
 witness for the coefficient form of the per-layer bound. The collision pass
 is checked against its one-octave-at-a-time search, which hashes every
@@ -44,10 +44,10 @@ from phmaps.geometry import (
     _d_theta,
     _d_wirtinger,
     _finite,
+    _grids,
     _injectivity_certified,
     _minimum,
     _monomials,
-    _on_grid,
     _pointwise,
 )
 
@@ -444,6 +444,11 @@ def assert_same_report(got, want) -> None:
     assert got.to_kv() == want.to_kv()
 
 
+def on_grid(table, radii, rays):
+    """The table's sum at radii[j] e^{2 pi i s / rays}, by geometry's grid kernel, in an array of its own."""
+    return _grids((table,), radii, np.empty((1, radii.size, rays), dtype=complex))[0]
+
+
 def reference_verify_geometry(F, grid, checks=ALL_CHECKS) -> GeometryReport:
     """verify_geometry with F, F_theta, F_thetatheta, F_z and F_zbar all held until it returns."""
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))
@@ -456,15 +461,15 @@ def reference_verify_geometry(F, grid, checks=ALL_CHECKS) -> GeometryReport:
     table = _monomials(F)
 
     def values(name, tab):
-        return _finite(name, _on_grid(tab, radii, angles.size))
+        return _finite((name,), on_grid(tab, radii, angles.size)[None])[0]
 
     min_jac = min_arg = min_conv = None
     collisions = certified = None
     degenerate = EPS_ZERO * radii[:, None]
     with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
         if "jacobian" in checks:
-            fz, fzb = (_on_grid(tab, radii, angles.size) for tab in _d_wirtinger(table))
-            jac = _finite("Jacobian", np.abs(fz) ** 2 - np.abs(fzb) ** 2)
+            fz, fzb = (on_grid(tab, radii, angles.size) for tab in _d_wirtinger(table))
+            jac = _finite(("Jacobian",), (np.abs(fz) ** 2 - np.abs(fzb) ** 2)[None])[0]
             min_jac = _minimum(jac, radii, angles)
         if "injective" in checks:
             certified = _injectivity_certified(table, grid)
@@ -518,15 +523,6 @@ def reference_geometry_kv(rep) -> str:
         lines.append(f"injectivity_certified={'true' if rep.injectivity_certified else 'false'}")
     lines.append(f"passed={'true' if rep.passed() else 'false'}")
     return "\n".join(lines)
-
-
-def reference_geometry_csv(rep) -> str:
-    """GeometryReport.to_csv as it was written out row by row."""
-    rows = ["quantity,ring,ray,r,theta,value"]
-    for name, ext in _reference_extrema(rep):
-        if ext is not None:
-            rows.append(f"{name},{ext.ring},{ext.ray},{ext.r:.17g},{ext.theta:.17g},{ext.value:.17g}")
-    return "\n".join(rows) + "\n"
 
 
 def reference_cubic(coeffs, r):

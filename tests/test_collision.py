@@ -39,7 +39,7 @@ from phmaps import (
 )
 from phmaps import geometry
 from phmaps.cli import main
-from phmaps.geometry import _collision_count, _injectivity_certified, _lipschitz_bounds, _monomials, _on_grid, verify_geometry
+from phmaps.geometry import _collision_count, _injectivity_certified, _lipschitz_bounds, _monomials, verify_geometry
 from phmaps.sampling import random_certified_map, random_member
 
 SMALL_GRIDS = [
@@ -234,7 +234,7 @@ def verify_halfplane_r_max(stratum):
 
 def grid_image(F, grid):
     """The image verify_geometry hands to the pass."""
-    return _on_grid(_monomials(F), grid.radii(), grid.rays)
+    return helpers.on_grid(_monomials(F), grid.radii(), grid.rays)
 
 
 @pytest.mark.parametrize("stratum", range(6))
@@ -439,7 +439,7 @@ def test_certificate_soundness(case):
     table = _monomials(F)
     if not _injectivity_certified(table, grid):
         return
-    assert _collision_count(_on_grid(table, grid.radii(), grid.rays)) == 0  # verify_geometry's image
+    assert _collision_count(helpers.on_grid(table, grid.radii(), grid.rays)) == 0  # verify_geometry's image
     w = evaluate(F, grid.points())
     assert _collision_count(w) == 0
     if w.size <= 256:

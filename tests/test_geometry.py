@@ -47,7 +47,7 @@ from phmaps import (
 from phmaps import geometry
 from phmaps.exact import as_scalar
 from phmaps.geometry import (EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger,
-                             _injectivity_certified, _monomials, _on_grid)
+                             _injectivity_certified, _monomials)
 from phmaps.sampling import random_member, random_valid_map
 from phmaps.series import Coefficient, PolyharmonicMap
 
@@ -324,9 +324,6 @@ class TestVerifyGeometry:
         rep = verify_geometry(identity_map(), DiskGrid(4, 8, 0.9))
         kv = dict(line.split("=", 1) for line in rep.to_kv().splitlines())
         assert kv["passed"] == "true" and kv["injectivity_collisions"] == "0"
-        csv = rep.to_csv().splitlines()
-        assert csv[0] == "quantity,ring,ray,r,theta,value"
-        assert len(csv) == 4  # three extrema
 
     def test_deterministic(self):
         rep1 = verify_geometry(example_F2(), DiskGrid(16, 128, 0.99))
@@ -641,9 +638,9 @@ class TestConvexityRadius:
 def kernel_grid(F, grid):
     """(F, F_theta, F_thetatheta, Jacobian) on the grid from the monomial table and per-ring FFTs."""
     table, radii, rays = _monomials(F), grid.radii(), grid.rays
-    fz, fzb = (_on_grid(t, radii, rays) for t in _d_wirtinger(table))
-    return (_on_grid(table, radii, rays), _on_grid(_d_theta(table, 1), radii, rays),
-            _on_grid(_d_theta(table, 2), radii, rays), np.abs(fz) ** 2 - np.abs(fzb) ** 2)
+    fz, fzb = (helpers.on_grid(t, radii, rays) for t in _d_wirtinger(table))
+    return (helpers.on_grid(table, radii, rays), helpers.on_grid(_d_theta(table, 1), radii, rays),
+            helpers.on_grid(_d_theta(table, 2), radii, rays), np.abs(fz) ** 2 - np.abs(fzb) ** 2)
 
 
 def kernel_maps():
@@ -801,7 +798,6 @@ def test_report_serialisers_match_the_line_by_line_reference(grid):
         for checks in CHECK_SUBSETS:
             rep = verify_geometry(F, grid, checks)
             assert rep.to_kv() == helpers.reference_geometry_kv(rep), checks
-            assert rep.to_csv() == helpers.reference_geometry_csv(rep), checks
 
 
 def reference_maps():
@@ -825,12 +821,12 @@ def reference_maps():
 
 
 def outcome(verify, F, grid, checks):
-    """A report's kv and CSV text, or the class and message of the error it raised."""
+    """A report's kv text and repr, or the class and message of the error it raised."""
     try:
         rep = verify(F, grid, checks)
     except Exception as e:
         return type(e), str(e)
-    return rep.to_kv(), rep.to_csv()
+    return rep.to_kv(), repr(rep)
 
 
 FIXED_MAPS, MEMBERS = reference_maps()
@@ -920,9 +916,29 @@ def test_threads_get_the_reports_of_sequential_calls():
 def test_workspace_is_four_complex_grids_and_follows_the_grid_shape():
     for grid in (DiskGrid(32, 256, 0.995), DiskGrid(4, 8192, 0.995), DiskGrid(7, 13, 0.9)):
         verify_geometry(half_plane_map(2), grid)
-        ws = geometry._local.workspace
-        assert ws.complex.shape[1:] == ws.moduli.shape[1:] == (grid.rings, grid.rays)  # replaced, not kept
-        assert ws.complex.nbytes + ws.moduli.nbytes == 64 * grid.rings * grid.rays <= 64 * MAX_GRID_POINTS
+        grids, moduli = geometry._local.workspace
+        assert grids.shape[1:] == moduli.shape[1:] == (grid.rings, grid.rays)  # replaced, not kept
+        assert grids.nbytes + moduli.nbytes == 64 * grid.rings * grid.rays <= 64 * MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("between", [DiskGrid(16, 128, 0.995), DiskGrid(8, 96, 0.99)], ids=["same-shape", "other-shape"])
+def test_a_standalone_pass_between_calls_leaks_nothing(between):
+    # the pass takes its scratch grids from this thread's workspace, on an array of its own too,
+    # so it must leave neither the verify_geometry call after it nor its own input a stale value
+    grid = DiskGrid(16, 128, 0.995)
+    first, second = half_plane_map(3), make_map(1, b={(1, 1): Fraction(999, 1000)})
+    w = helpers.on_grid(_monomials(half_plane_map(2)), between.radii(), between.rays)
+    image = w.copy()
+    reports = [verify_geometry(first, grid)]
+    count = _collision_count(w)
+    reports.append(verify_geometry(second, grid))
+    assert np.array_equal(w, image)
+    assert count == helpers.brute_force_collisions(w) == (23 if between == grid else 10)
+    for F, rep in zip((first, second), reports):
+        assert rep.injectivity_certified is False  # both calls ran the pass
+        assert repr(rep) == repr(helpers.reference_verify_geometry(F, grid))
+        assert rep.injectivity_collisions == helpers.brute_force_collisions(
+            helpers.on_grid(_monomials(F), grid.radii(), grid.rays))
 
 
 @pytest.mark.parametrize("grid", [DiskGrid(32, 256, 0.995), DiskGrid(32, 1024, 0.995)], ids=grid_id)

@@ -123,6 +123,16 @@ class TestMapValidation:
             make_map(1, a=a, b=b)
         assert str(e.value) == message
 
+    def test_numpy_float_parts_are_checked_and_stored_as_floats(self):
+        np = pytest.importorskip("numpy")
+        for value in (np.float64("nan"), np.float64("inf"), np.complex128(complex("inf"))):
+            with pytest.raises(NonFiniteError, match=r"^a\[2,1\]: coefficient .* is not finite$"):
+                make_map(1, a={(2, 1): value})
+        F = make_map(1, a={(2, 1): np.float64(0.25)}, b={(2, 1): np.complex128(0.5 - 0.125j)})
+        assert all(type(part) is float for part in (F.a[(2, 1)].re, F.b[(2, 1)].re, F.b[(2, 1)].im))
+        assert F == make_map(1, a={(2, 1): 0.25}, b={(2, 1): (0.5, -0.125)}) == parse_map(serialize_map(F))
+        assert serialize_map(F) == serialize_map(make_map(1, a={(2, 1): 0.25}, b={(2, 1): (0.5, -0.125)}))
+
     def test_the_layer_major_first_non_finite_entry_is_named(self):
         # however the table was built: by k, then by n, whatever the insertion order
         a = {(5, 2): float("inf"), (4, 1): float("nan"), (2, 2): float("inf"), (6, 1): 0.5, (3, 1): (1, float("inf"))}
