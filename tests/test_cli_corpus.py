@@ -89,7 +89,8 @@ COMMANDS = {
     "neighborhood-from-f1": ["neighborhood", "f1.phm", "{map}", "--lambda", "2/3"],
     "convolve-self": ["convolve", "{map}", "{map}"],
     "iconvolve-f1": ["iconvolve", "{map}", "f1.phm"],
-    **{f"verify-{suite}": ["verify", "{map}", "--suite", suite] for suite in ("jacobian", "starlike", "convex", "injective")},
+    **{f"verify-{suite}": ["verify", "{map}", "--suite", suite]
+       for suite in ("jacobian", "starlike", "convex", "injective")},
     "verify-all-lambda-1_2": ["verify", "{map}", "--suite", "all", "--lambda", "1/2"],
 }
 HAS_NUMPY = importlib.util.find_spec("numpy") is not None

@@ -921,7 +921,8 @@ def test_workspace_is_four_complex_grids_and_follows_the_grid_shape():
         assert grids.nbytes + moduli.nbytes == 64 * grid.rings * grid.rays <= 64 * MAX_GRID_POINTS
 
 
-@pytest.mark.parametrize("between", [DiskGrid(16, 128, 0.995), DiskGrid(8, 96, 0.99)], ids=["same-shape", "other-shape"])
+@pytest.mark.parametrize("between", [DiskGrid(16, 128, 0.995), DiskGrid(8, 96, 0.99)],
+                         ids=["same-shape", "other-shape"])
 def test_a_standalone_pass_between_calls_leaks_nothing(between):
     # the pass takes its scratch grids from this thread's workspace, on an array of its own too,
     # so it must leave neither the verify_geometry call after it nor its own input a stale value
