@@ -1,20 +1,22 @@
 """The CLI golden corpus: one file under ``tests/golden/cli/`` per (map, argv), holding the
-argv, the exit code, stdout and stderr of one in-process ``cli.main`` call.
+argv, the exit code, stdout and stderr of one in-process ``cli.main`` call, and for ``render``
+the SHA-256 and size of each file it wrote (``none`` when it wrote none).
 
 A missing file is written from the current code and its test fails, naming the file; delete
 a file to regenerate it. The exact-only files (``check``, ``neighborhood``, and ``convolve``
 and ``iconvolve``, whose written map is the stdout) also run where numpy and pytest are
-absent; the ``verify`` files need numpy and are skipped without it:
+absent; the ``verify`` and ``render`` files need numpy and are skipped without it:
 
     python tests/test_cli_corpus.py
 
-The ``verify`` files pin digits of grid minima that come from numpy's FFT, so a numpy upgrade
-can move their last digits without any change here. ``reflection_999_1000`` is recorded with
-its current verdict: it passes ``check --class hs``, yet its ``verify --suite injective``
-counts collisions and fails.
+The ``verify`` and ``render`` files pin digits that come from numpy (the grid minima from its
+FFT), so a numpy upgrade can move their last digits without any change here. Today's wrong
+verdicts are recorded as they are and listed in ``tests/golden/wrong_verdicts.txt``, with the
+ROADMAP item that fixes each.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import math
@@ -92,7 +94,14 @@ COMMANDS = {
     **{f"verify-{suite}": ["verify", "{map}", "--suite", suite]
        for suite in ("jacobian", "starlike", "convex", "injective")},
     "verify-all-lambda-1_2": ["verify", "{map}", "--suite", "all", "--lambda", "1/2"],
+    "verify-all-8x64-r9_10-lambda-1_2": ["verify", "{map}", "--suite", "all", "--grid", "8x64", "--r", "9/10",
+                                         "--lambda", "1/2"],
+    "verify-convex-4x512": ["verify", "{map}", "--suite", "convex", "--grid", "4x512"],
+    # the layout of tests/golden/f2_render.*
+    "render-4x8-64": ["render", "{map}", "-o", "out.svg", "--csv", "out.csv", "--rings", "4", "--rays", "8",
+                      "--rmax", "0.9", "--samples", "64"],
 }
+OUTPUTS = (".svg", ".csv")  # files a call writes, named relative to its directory
 HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 CASES = [(name, command) for name in MAPS for command in COMMANDS]
 
@@ -104,18 +113,28 @@ def case_file(name: str, command: str) -> Path:
 def transcript(name: str, command: str, directory: Path) -> str:
     """The corpus text of one call, with map paths written relative to ``directory``."""
     argv = [arg.format(map=f"{name}.phm") for arg in COMMANDS[command]]
+    outputs = [directory / arg for arg in argv if arg.endswith(OUTPUTS)]
     # a text stream over bytes, so that a map written to sys.stdout.buffer lands in stdout too
     stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n", write_through=True)
     stderr = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
-            code = main([str(directory / arg) if arg.endswith(".phm") else arg for arg in argv])
+            code = main([str(directory / arg) if arg.endswith((".phm", *OUTPUTS)) else arg for arg in argv])
         except SystemExit as e:  # argparse's usage errors
             code = e.code
     prefix = str(directory) + "/"
     out = stdout.buffer.getvalue().decode("utf-8")
-    return (f"argv: {' '.join(argv)}\nexit: {code}\n--- stdout\n{out.replace(prefix, '')}"
+    text = (f"argv: {' '.join(argv)}\nexit: {code}\n--- stdout\n{out.replace(prefix, '')}"
             f"--- stderr\n{stderr.getvalue().replace(prefix, '')}")
+    if not outputs:
+        return text
+    written = []
+    for path in outputs:  # removed once recorded, so the next call in the directory starts without them
+        if path.exists():
+            data = path.read_bytes()
+            written.append(f"{path.name} sha256={hashlib.sha256(data).hexdigest()} bytes={len(data)}\n")
+            path.unlink()
+    return text + "--- files\n" + ("".join(written) or "none\n")
 
 
 def write_maps(directory: Path, names=MAPS) -> None:
@@ -142,13 +161,13 @@ def pytest_generate_tests(metafunc):
 
 
 def needs_numpy(command: str) -> bool:
-    return COMMANDS[command][0] == "verify"
+    return COMMANDS[command][0] in ("verify", "render")
 
 
 def test_cli_corpus(case, tmp_path):
     if needs_numpy(case[1]) and not HAS_NUMPY:
         import pytest
-        pytest.skip("verify needs numpy")
+        pytest.skip("verify and render need numpy")
     write_maps(tmp_path, {case[0], "f1"})
     failure = check_case(*case, tmp_path)
     assert failure is None, failure
@@ -157,6 +176,24 @@ def test_cli_corpus(case, tmp_path):
 def test_corpus_has_only_known_files():
     known = {case_file(*case).name for case in CASES}
     assert sorted(path.name for path in CORPUS.iterdir() if path.name not in known) == []
+
+
+WRONG_VERDICTS = CORPUS.parent / "wrong_verdicts.txt"
+
+
+def wrong_verdicts() -> list[tuple[str, str, str]]:
+    """(file, wrong line, ROADMAP item) for each entry of the index."""
+    lines = WRONG_VERDICTS.read_text().splitlines()
+    return [tuple(line.split("\t")) for line in lines if line and not line.startswith("#")]
+
+
+def test_each_indexed_wrong_verdict_is_still_recorded():
+    entries = wrong_verdicts()
+    assert entries and all(len(entry) == 3 and entry[2].startswith("item ") for entry in entries)
+    known = {case_file(*case).name for case in CASES}
+    for name, line, _ in entries:
+        assert name in known, name
+        assert line in (CORPUS / name).read_text().splitlines(), f"{name} no longer holds {line!r}"
 
 
 def runnable_cases() -> list[tuple[str, str]]:
@@ -176,6 +213,6 @@ if __name__ == "__main__":
     for failure in failures:
         print(failure, file=sys.stderr)
     run = len(runnable_cases())
-    skipped = f", {len(CASES) - run} verify files skipped without numpy" if run < len(CASES) else ""
+    skipped = f", {len(CASES) - run} verify and render files skipped without numpy" if run < len(CASES) else ""
     print(f"{run - len(failures)} of {run} corpus files unchanged{skipped}")
     sys.exit(1 if failures else 0)
