@@ -27,6 +27,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from numbers import Integral, Real
 from typing import Iterable, Tuple, Union
 
 from .errors import NonFiniteError
@@ -115,15 +116,18 @@ def is_exact(x) -> bool:
 
 
 def as_scalar(x) -> Scalar:
-    """Coerce to Fraction (ints, Fractions) or float; strings go through parse_scalar."""
+    """Coerce to Fraction (Fractions, any Integral such as numpy.int64) or float (any other Real,
+    such as numpy.float32); strings go through parse_scalar. bool and numpy.bool_ are refused."""
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, float):  # the concrete types first: they skip the ABC checks
         return float(x)  # a subclass such as numpy.float64 as a plain float, as the NaN/inf checks expect
+    if isinstance(x, (int, Integral)):
+        return Fraction(int(x))
+    if isinstance(x, Real):
+        return float(x)
     if isinstance(x, str):
         return parse_scalar(x)
     raise TypeError(f"cannot interpret {x!r} as a scalar")

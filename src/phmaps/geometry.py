@@ -177,9 +177,9 @@ class DiskGrid(Record):
 
 
 class Extremum(Record):
-    """A grid minimum and where it lies: 0-based ``ring`` index into grid.radii() and ``ray`` index."""
+    """A grid minimum and where it lies: 0-based indices into the report grid's radii() and angles()."""
 
-    __slots__ = ("value", "ring", "ray", "r", "theta")
+    __slots__ = ("value", "ring", "ray")
 
 
 class GeometryReport(Record):
@@ -224,16 +224,9 @@ class GeometryReport(Record):
         return kv_lines(fields + [("passed", self.passed())])
 
 
-def _minimum(values: np.ndarray, radii: np.ndarray, angles: np.ndarray) -> Extremum:
-    flat = int(np.argmin(values))  # C order: ties break to lowest ring, then ray
-    ring, ray = divmod(flat, values.shape[1])
-    return Extremum(
-        value=float(values[ring, ray]),
-        ring=ring,
-        ray=ray,
-        r=float(radii[ring]),
-        theta=float(angles[ray]),
-    )
+def _minimum(values: np.ndarray) -> Extremum:
+    ring, ray = divmod(int(np.argmin(values)), values.shape[1])  # C order: ties break to lowest ring, then ray
+    return Extremum(float(values[ring, ray]), ring, ray)
 
 
 _NEIGHBOR_REACH = 2  # Chebyshev radius that counts as grid-adjacent
@@ -513,8 +506,8 @@ def _finite(names: tuple[str, ...], stack: np.ndarray) -> np.ndarray:
 def _angular_rate(num: np.ndarray, den: np.ndarray, degenerate: np.ndarray, out: np.ndarray,
                   rate: np.ndarray) -> np.ndarray:
     """Im(num / den), -inf where |den| <= degenerate, written into the real grid ``rate`` (which
-    holds |den| first) and returned. The quotient is taken only at the other points, into ``out``.
-    den is finite, so |den| is never NaN and those points are where |den| > degenerate."""
+    holds |den| first) and returned. The quotient is taken only at the other points, into ``out`` (which
+    may be num). den is finite, so |den| is never NaN and those points are where |den| > degenerate."""
     good = np.abs(den, out=rate) > degenerate
     rate[...] = np.divide(num, den, out=out, where=good).imag  # contiguous, so argmin copies nothing
     if not good.all():
@@ -529,8 +522,8 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     """Fill a GeometryReport with grid minima for the requested checks.
 
     F, F_theta, F_thetatheta and the Jacobian come from the map's monomial table
-    by one inverse FFT per ring (_grids), each computed once. Degenerate
-    sample points (|F| <= EPS_ZERO r for the starlike check, |F_theta| <=
+    by one inverse FFT per ring (_grids), each computed once if a check reads it.
+    Degenerate sample points (|F| <= EPS_ZERO r for the starlike check, |F_theta| <=
     EPS_ZERO r for the convex check, r the ring radius) record a -inf minimum
     instead of raising, so such a map still gets a report, which fails its
     thresholds. A NaN or infinite grid value, or an image too wide for float64
@@ -541,17 +534,19 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     MAX_GRID_POINTS. It is kept between calls on grids of one shape and replaced
     when the shape changes; each thread has its own, as numpy releases the GIL.
     Quantities alive together share one inverse FFT call: F_z and F_zbar in
-    complex slots 0 and 1, their moduli in the real slots; then, when a check
-    reads F or F_theta, F and F_theta in slots 0 and 1. Only the quantities the
-    requested checks read must be finite. Each angular rate divides into the
-    spare slot 2 with |den| in a real slot, and F_thetatheta fills slot 2 after
-    the starlike quotient. So a call allocates no grid of its own, only boolean
-    masks and the finiteness scan (one byte a point each), numpy's iteration
-    buffers and the spectrum's ring-by-monomial terms: under one complex grid
-    on a certified member (0.6 traced at 32x256). The collision pass, when it
-    searches, is handed F in slot 0 and takes its spacing, distance and
-    difference grids and its cell coordinates from the other slots, which the
-    checks are done with; it allocates its sort and hash tables itself.
+    complex slots 0 and 1, their moduli in the real slots; then the slots of F,
+    F_theta and F_thetatheta (0, 1, 2) that the checks read, always one range:
+    starlike reads F and F_theta, convex F_theta and F_thetatheta, a searched
+    injective check F. Only that range is computed and checked for finiteness.
+    The convex quotient replaces F_thetatheta, then the starlike quotient takes
+    slot 2, each with |den| in a real slot. So a call allocates no grid of its
+    own, only boolean masks and the finiteness scan (one byte a point each),
+    numpy's iteration buffers and the spectrum's ring-by-monomial terms: under
+    one complex grid on a certified member (0.6 traced at 32x256). The
+    collision pass, when it searches, is handed F in slot 0 and takes its
+    spacing, distance and difference grids and its cell coordinates from the
+    other slots, which the checks are done with; it allocates its sort and
+    hash tables itself.
 
     The injective check first tries the coefficient certificate
     (`_injectivity_certified`); when it holds, the count is 0 without a search.
@@ -566,10 +561,9 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
     if grid.rings * grid.rays > MAX_GRID_POINTS:  # counted before any array is built
         raise GridTooLargeError(f"{grid.rings}x{grid.rays} grid exceeds {MAX_GRID_POINTS} points")
     radii = grid.radii()
-    angles = grid.angles()
     table = _monomials(F)
     grids, moduli = _workspace((grid.rings, grid.rays))
-    w, d1, spare = grids
+    w, d1, d2 = grids
     rate = moduli[0]
 
     min_jac = min_arg = min_conv = None
@@ -581,20 +575,19 @@ def verify_geometry(F: PolyharmonicMap, grid: DiskGrid, checks: Iterable[str] = 
             jac, fzb_modulus = moduli
             np.square(np.abs(fz, out=jac), out=jac)
             jac -= np.square(np.abs(fzb, out=fzb_modulus), out=fzb_modulus)
-            min_jac = _minimum(_finite(("Jacobian",), moduli[:1])[0], radii, angles)
+            min_jac = _minimum(_finite(("Jacobian",), moduli[:1])[0])
         if "injective" in checks:
             certified = _injectivity_certified(table, grid)
-        reads_w = "starlike" in checks or certified is False
-        reads_d1 = "starlike" in checks or "convex" in checks
-        if reads_w or reads_d1:  # F in slot 0 and F_theta in slot 1, by one FFT call
-            _grids((table, _d_theta(table, 1)), radii, grids[:2])
-            lo, hi = 0 if reads_w else 1, 2 if reads_d1 else 1
-            _finite(("F", "F_theta")[lo:hi], grids[lo:hi])
-        if "starlike" in checks:
-            min_arg = _minimum(_angular_rate(d1, w, degenerate, spare, rate), radii, angles)
-        if "convex" in checks:
-            _finite(("F_thetatheta",), _grids((_d_theta(table, 2),), radii, grids[2:]))
-            min_conv = _minimum(_angular_rate(spare, d1, degenerate, spare, rate), radii, angles)
+        starlike, convex = "starlike" in checks, "convex" in checks
+        read = [q for q, used in enumerate((starlike or certified is False, starlike or convex, convex)) if used]
+        if read:  # the slots from F to F_thetatheta that a check reads, by one FFT call
+            lo, hi = read[0], read[-1] + 1
+            tables = (table, _d_theta(table, 1), _d_theta(table, 2))[lo:hi]
+            _finite(("F", "F_theta", "F_thetatheta")[lo:hi], _grids(tables, radii, grids[lo:hi]))
+        if convex:
+            min_conv = _minimum(_angular_rate(d2, d1, degenerate, d2, rate))
+        if starlike:
+            min_arg = _minimum(_angular_rate(d1, w, degenerate, d2, rate))
         if "injective" in checks:
             collisions = 0 if certified else _collision_count(w)
 

@@ -1,6 +1,6 @@
 """Deterministic SVG and CSV rendering of the disk image under a mapping.
 
-An `Image` evaluates F once on all grid rings and once on all rays, and raises
+An `Image` evaluates F once, on every grid ring and ray together, and raises
 NonFiniteError on a NaN, infinite or float64-overflowing image. The SVG is a
 fixed 1.1 subset: one polyline per ring (closed) and per ray (from the origin
 outward), %.6f coordinates, no external references. CSV rows carry
@@ -44,16 +44,17 @@ class RenderSpec(Record):
 
 
 class Image:
-    """F along every grid ring (rings x m) and ray (rays x (m + 1)), serialised by csv() and svg()."""
+    """``curves``: F along every grid ring, closed by theta = 0 again so that its last vertex is exactly its
+    first, then every ray; (rings + rays) x (m + 1) vertices, serialised by csv() and svg()."""
 
     def __init__(self, F: PolyharmonicMap, spec: RenderSpec = RenderSpec()):
         m, self.spec = spec.samples_per_curve, spec
         self.theta = 2.0 * np.pi * np.arange(m) / m
         self.radial = spec.grid.r_max * np.arange(m + 1) / m
+        rings = spec.grid.radii()[:, None] * np.exp(1j * np.append(self.theta, 0.0))
+        rays = self.radial * np.exp(1j * spec.grid.angles())[:, None]
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
-            self.rings = evaluate(F, spec.grid.radii()[:, None] * np.exp(1j * self.theta))
-            self.rays = evaluate(F, self.radial * np.exp(1j * spec.grid.angles())[:, None])
-            w = np.concatenate([self.rings.ravel(), self.rays.ravel()])
+            w = self.curves = evaluate(F, np.concatenate([rings, rays]))
             self.bbox = float(w.real.min()), float(w.real.max()), float(w.imag.min()), float(w.imag.max())
             x_min, x_max, y_min, y_max = self.bbox
             if not np.isfinite(np.hypot(x_max - x_min, y_max - y_min)):  # also for any NaN or infinite vertex
@@ -61,8 +62,9 @@ class Image:
 
     def csv(self) -> bytes:
         """The render_csv bytes: each family formats its theta or r column once, into one row template."""
-        out = ["curve_id,theta_or_r,re,im\n"]
-        for name, first, t, w in (("ring_%d", 1, self.theta, self.rings), ("ray_%d", 0, self.radial, self.rays)):
+        out, rings = ["curve_id,theta_or_r,re,im\n"], self.spec.grid.rings
+        for name, first, t, w in (("ring_%d", 1, self.theta, self.curves[:rings, :-1]),  # without the closing vertex
+                                  ("ray_%d", 0, self.radial, self.curves[rings:])):
             template = "".join(["\0,%.17g,%%.17g,%%.17g\n" % x for x in t.tolist()])  # \0 stands for the curve id
             values = np.stack([w.real, w.imag], axis=-1).reshape(len(w), -1).tolist()
             out += [template.replace("\0", name % i) % tuple(row) for i, row in enumerate(values, start=first)]
@@ -70,17 +72,15 @@ class Image:
 
     def svg(self) -> bytes:
         """The render_svg bytes."""
-        spec, (x_min, x_max, y_min, y_max) = self.spec, self.bbox
+        spec, w, (x_min, x_max, y_min, y_max) = self.spec, self.curves, self.bbox
         fit = 1.0 - 2.0 * MARGIN
         scale = min(spec.width * fit / max(x_max - x_min, 1e-12), spec.height * fit / max(y_max - y_min, 1e-12))
         off_x = (spec.width - scale * (x_min + x_max)) / 2.0
         off_y = (spec.height + scale * (y_min + y_max)) / 2.0  # SVG y axis points down
-        # Closing each ring on its exact first vertex gives every curve m + 1 vertices.
-        w = np.concatenate([np.concatenate([self.rings, self.rings[:, :1]], axis=1), self.rays])
         xy = np.stack([off_x + scale * w.real, off_y - scale * w.imag], axis=-1).reshape(len(w), -1)
         pts = " ".join(["%.6f,%.6f"] * w.shape[1])
         widths = [STROKE_WIDTH] * len(w)
-        widths[len(self.rings) - 1] = BOUNDARY_STROKE_WIDTH
+        widths[spec.grid.rings - 1] = BOUNDARY_STROKE_WIDTH
         head = (f'<?xml version="1.0" encoding="UTF-8"?>\n<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
                 f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">\n')
         body = "".join(f'<polyline fill="none" stroke="black" stroke-width="{sw:.6f}" points="{pts % tuple(row)}"/>\n'

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Integral
+from numbers import Complex, Integral, Real
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Tuple
 
@@ -180,10 +180,10 @@ def product_over(x: Coefficient, y: Coefficient, n: int = 1) -> Coefficient:
 
 
 def coeff(value) -> Coefficient:
-    """Coerce int/Fraction/float/complex/(re, im) pairs to a Coefficient."""
+    """Coerce a real scalar (see as_scalar), a non-real Complex such as numpy.complex64 or an (re, im) pair."""
     if isinstance(value, Coefficient):
         return value
-    if isinstance(value, complex):
+    if isinstance(value, Complex) and not isinstance(value, Real):
         return Coefficient(value.real, value.imag)
     if isinstance(value, tuple) and len(value) == 2:
         return Coefficient(value[0], value[1])

@@ -470,7 +470,7 @@ def reference_verify_geometry(F, grid, checks=ALL_CHECKS) -> GeometryReport:
         if "jacobian" in checks:
             fz, fzb = (on_grid(tab, radii, angles.size) for tab in _d_wirtinger(table))
             jac = _finite(("Jacobian",), (np.abs(fz) ** 2 - np.abs(fzb) ** 2)[None])[0]
-            min_jac = _minimum(jac, radii, angles)
+            min_jac = _minimum(jac)
         if "injective" in checks:
             certified = _injectivity_certified(table, grid)
         w = d1 = None  # F and F_theta, each computed once for the checks sharing it
@@ -480,11 +480,11 @@ def reference_verify_geometry(F, grid, checks=ALL_CHECKS) -> GeometryReport:
             d1 = values("F_theta", _d_theta(table, 1))
         if "starlike" in checks:
             bad = np.abs(w) <= degenerate
-            min_arg = _minimum(np.where(bad, -np.inf, np.imag(d1 / np.where(bad, 1.0, w))), radii, angles)
+            min_arg = _minimum(np.where(bad, -np.inf, np.imag(d1 / np.where(bad, 1.0, w))))
         if "convex" in checks:
             d2 = values("F_thetatheta", _d_theta(table, 2))
             bad = np.abs(d1) <= degenerate
-            min_conv = _minimum(np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1))), radii, angles)
+            min_conv = _minimum(np.where(bad, -np.inf, np.imag(d2 / np.where(bad, 1.0, d1))))
         if "injective" in checks:
             collisions = 0 if certified else _collision_count(w)
 

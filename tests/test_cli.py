@@ -542,7 +542,7 @@ class TestRender:
         assert "does not fit int64" in single_error_line(capsys)
         assert not svg.exists()
 
-    def test_csv_render_evaluates_once_per_curve_family(self, f2, tmp_path, monkeypatch):
+    def test_csv_render_evaluates_once(self, f2, tmp_path, monkeypatch):
         import phmaps.render
 
         calls = []
@@ -556,7 +556,7 @@ class TestRender:
         argv = ["render", f2, "-o", str(svg), "--csv", str(csv), "--rings", "4", "--rays", "8", "--rmax", "0.9",
                 "--samples", "64"]
         assert main(argv) == 0
-        assert calls == [(4, 64), (8, 65)]  # all rings at once, then all rays
+        assert calls == [(12, 65)]  # all 4 closed rings and 8 rays at once
         assert svg.read_bytes() == (GOLDEN / "f2_render.svg").read_bytes()
         assert csv.read_bytes() == (GOLDEN / "f2_render.csv").read_bytes()
 

@@ -46,7 +46,7 @@ from phmaps import (
 )
 from phmaps import geometry
 from phmaps.exact import as_scalar
-from phmaps.geometry import (EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger,
+from phmaps.geometry import (ALL_CHECKS, EPS_ZERO, MAX_GRID_POINTS, SIGN_TOL, _collision_count, _d_theta, _d_wirtinger,
                              _injectivity_certified, _monomials)
 from phmaps.sampling import random_member, random_valid_map
 from phmaps.series import Coefficient, PolyharmonicMap
@@ -331,14 +331,19 @@ class TestVerifyGeometry:
         assert rep1.to_kv() == rep2.to_kv()
 
     def test_minima_attained_at_recorded_points(self):
-        rep = verify_geometry(example_F1(), DiskGrid(16, 128, 0.99))
+        grid = DiskGrid(16, 128, 0.99)
+        rep = verify_geometry(example_F1(), grid)
+
+        def where(ext):
+            return grid.radii()[ext.ring], grid.angles()[ext.ray]
+
         ext = rep.min_arg_derivative
-        assert theta_rate(example_F1(), ext.r, ext.theta, 1) == pytest.approx(ext.value)
+        assert theta_rate(example_F1(), *where(ext), 1) == pytest.approx(ext.value)
         ext = rep.min_convexity_indicator
-        assert theta_rate(example_F1(), ext.r, ext.theta, 2) == pytest.approx(ext.value)
+        assert theta_rate(example_F1(), *where(ext), 2) == pytest.approx(ext.value)
         ext = rep.min_jacobian
-        z = ext.r * np.exp(1j * ext.theta)
-        assert jacobian(example_F1(), z) == pytest.approx(ext.value)
+        r, theta = where(ext)
+        assert jacobian(example_F1(), r * np.exp(1j * theta)) == pytest.approx(ext.value)
 
 
 OVERFLOW = make_map(1, a={(2, 1): 1e308, (3, 1): 1e308}, b={(2, 1): 1e308})  # coefficients overflow float64
@@ -919,6 +924,38 @@ def test_workspace_is_four_complex_grids_and_follows_the_grid_shape():
         grids, moduli = geometry._local.workspace
         assert grids.shape[1:] == moduli.shape[1:] == (grid.rings, grid.rays)  # replaced, not kept
         assert grids.nbytes + moduli.nbytes == 64 * grid.rings * grid.rays <= 64 * MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("name,F,checks,want", [
+    ("f1", example_F1(), ("convex",), [("F_theta", "F_thetatheta")]),
+    ("half-plane-2", half_plane_map(2), ("injective",), [("F",)]),
+    ("f1", example_F1(), ("injective",), []),  # certified, so no search reads F
+    ("half-plane-2", half_plane_map(2), ALL_CHECKS, [("F_z", "F_zbar"), ("F", "F_theta", "F_thetatheta")]),
+    ("f1", example_F1(), ALL_CHECKS, [("F_z", "F_zbar"), ("F", "F_theta", "F_thetatheta")]),
+    ("f1", example_F1(), ("starlike",), [("F", "F_theta")]),
+    ("half-plane-2", half_plane_map(2), ("convex", "injective"), [("F", "F_theta", "F_thetatheta")]),
+], ids=["f1-convex", "h2-injective", "f1-injective-certified", "h2-all", "f1-all", "f1-starlike",
+        "h2-convex-injective"])
+def test_grid_kernel_computes_only_what_the_checks_read(monkeypatch, name, F, checks, want):
+    grid = DiskGrid(32, 256, 0.995)
+    table = _monomials(F)
+    assert _injectivity_certified(table, grid) is (name == "f1")
+    quantities = {"F": table, "F_theta": _d_theta(table, 1), "F_thetatheta": _d_theta(table, 2),
+                  **dict(zip(("F_z", "F_zbar"), _d_wirtinger(table)))}
+
+    def named(tab):
+        return next(q for q, ref in quantities.items() if all(map(np.array_equal, tab, ref)))
+
+    calls, kernel = [], geometry._grids
+
+    def recording_grids(tables, radii, out):
+        calls.append(tuple(map(named, tables)))
+        return kernel(tables, radii, out)
+
+    monkeypatch.setattr(geometry, "_grids", recording_grids)
+    rep = verify_geometry(F, grid, checks)
+    assert calls == want
+    assert repr(rep) == repr(helpers.reference_verify_geometry(F, grid, checks))
 
 
 @pytest.mark.parametrize("between", [DiskGrid(16, 128, 0.995), DiskGrid(8, 96, 0.99)],

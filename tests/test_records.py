@@ -15,7 +15,7 @@ from phmaps.sampling import SlotPlan
 def records():
     """One instance of every record type, built as the package and the benchmark build them."""
     grid = DiskGrid(32, 256, 0.9)
-    extremum = Extremum(0.5, 1, 2, 0.25, 0.125)
+    extremum = Extremum(0.5, 1, 2)
     return {
         "Coefficient": Coefficient(1, 2),
         "PolyharmonicMap": example_F1(),
@@ -64,7 +64,7 @@ def test_equality_needs_the_same_class_and_equal_fields():
     assert Coefficient(1, 2) != Coefficient(2, 1)
     assert Coefficient(1, 2) != (Fraction(1), Fraction(2))
     assert DiskGrid(32, 256, 0.9) != DiskGrid(32, 256, 0.8)
-    assert Extremum(0.5, 1, 2, 0.25, 0.125) != Extremum(0.5, 1, 3, 0.25, 0.125)
+    assert Extremum(0.5, 1, 2) != Extremum(0.5, 1, 3)
     assert hs() != ClassParams(hs().family, 0, normalized=True)
     assert membership(example_F1(), hs()) != membership(example_F1(), hs_lambda(0))
 

@@ -133,6 +133,26 @@ class TestMapValidation:
         assert F == make_map(1, a={(2, 1): 0.25}, b={(2, 1): (0.5, -0.125)}) == parse_map(serialize_map(F))
         assert serialize_map(F) == serialize_map(make_map(1, a={(2, 1): 0.25}, b={(2, 1): (0.5, -0.125)}))
 
+    def test_numpy_numbers_are_taken_as_their_python_equivalents(self):
+        np = pytest.importorskip("numpy")
+        from phmaps import combine, rescale
+
+        for value, python in ((np.int64(1), 1), (np.uint8(1), 1), (np.float32(0.25), 0.25), (np.float16(0.25), 0.25),
+                              (np.longdouble(0.25), 0.25), (np.complex64(0.25 - 0.5j), (0.25, -0.5))):
+            F = make_map(1, a={(2, 1): value}, b={(3, 1): value})
+            assert F == make_map(1, a={(2, 1): python}, b={(3, 1): python}) == parse_map(serialize_map(F))
+            assert {type(part) for c in (F.a[(2, 1)], F.b[(3, 1)]) for part in (c.re, c.im)} <= {Fraction, float}
+        part = make_map(1, a={(2, 1): np.float32(0.25)}).a[(2, 1)].re
+        assert type(part) is float and part == 0.25
+        with pytest.raises(NonFiniteError, match=r"^a\[2,1\]: coefficient .* is not finite$"):
+            make_map(1, a={(2, 1): np.longdouble("1e400")})
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(TypeError):
+                make_map(1, a={(2, 1): flag})
+        assert hs_lambda(np.int64(1)) == hs_lambda(1)
+        assert rescale(example_F1(), np.float32(0.5)) == rescale(example_F1(), 0.5)
+        assert combine([(np.int64(1), example_F1())]) == example_F1()
+
     def test_the_layer_major_first_non_finite_entry_is_named(self):
         # however the table was built: by k, then by n, whatever the insertion order
         a = {(5, 2): float("inf"), (4, 1): float("nan"), (2, 2): float("inf"), (6, 1): 0.5, (3, 1): (1, float("inf"))}
