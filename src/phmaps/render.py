@@ -51,10 +51,10 @@ class Image:
         m, self.spec = spec.samples_per_curve, spec
         self.theta = 2.0 * np.pi * np.arange(m) / m
         self.radial = spec.grid.r_max * np.arange(m + 1) / m
-        rings = spec.grid.radii()[:, None] * np.exp(1j * np.append(self.theta, 0.0))
-        rays = self.radial * np.exp(1j * spec.grid.angles())[:, None]
+        points = np.concatenate([spec.grid.radii()[:, None] * np.exp(1j * np.append(self.theta, 0.0)),  # rings
+                                 self.radial * np.exp(1j * spec.grid.angles())[:, None]])  # rays
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError, not as a warning
-            w = self.curves = evaluate(F, np.concatenate([rings, rays]))
+            w = self.curves = evaluate(F, points)
             self.bbox = float(w.real.min()), float(w.real.max()), float(w.imag.min()), float(w.imag.max())
             x_min, x_max, y_min, y_max = self.bbox
             if not np.isfinite(np.hypot(x_max - x_min, y_max - y_min)):  # also for any NaN or infinite vertex

@@ -178,17 +178,9 @@ def test_corpus_has_only_known_files():
     assert sorted(path.name for path in CORPUS.iterdir() if path.name not in known) == []
 
 
-WRONG_VERDICTS = CORPUS.parent / "wrong_verdicts.txt"
-
-
-def wrong_verdicts() -> list[tuple[str, str, str]]:
-    """(file, wrong line, ROADMAP item) for each entry of the index."""
-    lines = WRONG_VERDICTS.read_text().splitlines()
-    return [tuple(line.split("\t")) for line in lines if line and not line.startswith("#")]
-
-
 def test_each_indexed_wrong_verdict_is_still_recorded():
-    entries = wrong_verdicts()
+    lines = (CORPUS.parent / "wrong_verdicts.txt").read_text().splitlines()
+    entries = [line.split("\t") for line in lines if line and not line.startswith("#")]  # file, line, item
     assert entries and all(len(entry) == 3 and entry[2].startswith("item ") for entry in entries)
     known = {case_file(*case).name for case in CASES}
     for name, line, _ in entries:
