@@ -63,6 +63,8 @@ def _maps():
                                           Coefficient(Fraction(3, 5), Fraction(-4, 5))),
             "irrational_over": _irrational(Fraction(1, 10**25)),
             "irrational_under": _irrational(Fraction(-1, 10**25)),
+            # z + |z|^2 z/3: hs and hc put its row-1 sum 1/3 below 1, hs-lambda(0) and (1) put 2 at 2
+            "first_row_tight": make_map(2, a={(1, 2): Fraction(1, 3)}),
             **{f"reflection_{b.numerator}_{b.denominator}": make_map(1, b={(1, 1): b})
                for b in (Fraction(9355, 10000), Fraction(39, 40), Fraction(999, 1000))},
             "beyond_float": make_map(1, a={(2, 1): BIG}),
