@@ -75,7 +75,6 @@ _LAZY = {
             "jacobian",
             "theta_derivative",
             "verify_geometry",
-            "wirtinger_derivatives",
         ),
         "geometry",
     ),

@@ -16,7 +16,7 @@ import sys
 from . import catalog
 from .classes import hc, hs, hs_lambda, membership
 from .errors import MAX_GRID_POINTS, GridTooLargeError, NotMemberError, ParamError, PhmapsError
-from .exact import brief_scalar, parse_scalar
+from .exact import brief_scalar, brief_text, kv_lines, parse_scalar
 from .operators import convolve, integral_convolve, neighborhood_report
 from .phmio import load_map, save_map, serialize_map
 from .series import PolyharmonicMap
@@ -38,7 +38,7 @@ def _grid_arg(text: str) -> tuple[int, int]:
         rings, _, rays = text.lower().partition("x")
         return int(rings), int(rays)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected RINGSxRAYS, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected RINGSxRAYS, got {brief_text(text)}") from None
 
 
 def _write_map(F: PolyharmonicMap, path: str | None) -> None:
@@ -194,7 +194,7 @@ def _cmd_verify(args) -> int:
         dist = distortion_check(F, args.lam, args.samples, args.seed)
         print(dist.to_kv())
         ok &= dist.passed()
-    print(f"suite_passed={'true' if ok else 'false'}")
+    print(kv_lines([("suite_passed", ok)]))
     return EXIT_OK if ok else EXIT_FAIL
 
 

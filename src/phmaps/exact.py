@@ -177,14 +177,17 @@ def parse_scalar(text: str) -> Scalar:
         try:
             return Fraction(_parse_int(num), _parse_int(den))
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
+            raise ValueError(f"zero denominator in {brief_text(text)}") from None
     try:
         return Fraction(_parse_int(s))
     except ValueError:
         pass
-    value = float(s)  # raises ValueError on garbage
+    try:
+        value = float(s)
+    except ValueError:  # float's own message would quote all of s
+        raise ValueError(f"could not convert string to float: {brief_text(s)}") from None
     if math.isnan(value) or math.isinf(value):
-        raise ValueError(f"non-finite literal {text!r}")
+        raise ValueError(f"non-finite literal {brief_text(text)}")
     return value
 
 
@@ -194,6 +197,11 @@ def format_scalar(x: Scalar) -> str:
         num, den = x.numerator, x.denominator
         return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
     return repr(float(x))
+
+
+def brief_text(text: str) -> str:
+    """repr(text) up to 40 characters; past that, the repr of its first 20 and the length, so messages stay short."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... [{len(text)} characters]"
 
 
 def brief_scalar(x: Scalar) -> str:

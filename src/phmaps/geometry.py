@@ -120,13 +120,8 @@ def theta_derivative(F: PolyharmonicMap, r, theta, order: int = 1):
     return _unwrap(_pointwise(_d_theta(_monomials(F), order), z))
 
 
-def wirtinger_derivatives(F: PolyharmonicMap, z):
-    """(F_z, F_zbar) from the monomial table; 0^0 = 1 keeps k=2 layers finite at 0."""
-    return tuple(_unwrap(_pointwise(table, z)) for table in _d_wirtinger(_monomials(F)))
-
-
 def jacobian(F: PolyharmonicMap, z):
-    """|F_z|^2 - |F_zbar|^2; positive where F is sense-preserving."""
+    """|F_z|^2 - |F_zbar|^2; positive where F is sense-preserving. 0^0 = 1 keeps it finite at 0."""
     fz, fzb = (_pointwise(table, z) for table in _d_wirtinger(_monomials(F)))
     return _unwrap(np.abs(fz) ** 2 - np.abs(fzb) ** 2)
 
@@ -154,9 +149,10 @@ class DiskGrid(Record):
             raise ParamError(f"rays must be >= 3, got {self.rays}")
         if not 0 < self.r_max < 1:  # compared exactly, before it converts
             raise ParamError(f"r_max must lie in (0,1), got {brief_scalar(self.r_max)}")
-        if float(self.r_max) == 1:
-            raise ParamError(f"r_max={brief_scalar(self.r_max)} rounds to 1.0 in float64")
-        set_field(self, "r_max", float(self.r_max))
+        r_max = float(self.r_max)
+        if r_max in (0, 1):
+            raise ParamError(f"r_max={brief_scalar(self.r_max)} rounds to {r_max} in float64")
+        set_field(self, "r_max", r_max)
         try:
             gap = self.r_max / self.rings * 2 * np.sin(np.pi / self.rays)
         except OverflowError:

@@ -11,15 +11,13 @@ is pure and exactness-preserving.
 
 The paper's coefficient results for members of hs-lambda live here too: the
 convexity radius with its exact rescaling certificate, the per-layer bound
-(each layer's tail a ``weighted_sum`` over the map's magnitude table), and
-the distortion envelope, whose float coefficients `geometry.distortion_check`
-samples.
+(which membership decides), and the distortion envelope, whose float
+coefficients `geometry.distortion_check` samples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 from typing import Sequence
 
 from .classes import MembershipReport, hc, hs, hs_lambda, membership, row1_weight
@@ -182,27 +180,20 @@ def rescale_convexity_certificate(F: PolyharmonicMap, lam, r) -> bool:
     return bool(membership(rescale(F, r), hc()).row1_margin >= 0)
 
 
-def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0, tol: float = 1e-12) -> bool:
+def layer_bound_check(F: PolyharmonicMap, lam, samples: int = 500, seed: int = 0) -> bool:
     """Per-layer bound |G_k(z)| <= (|a[1,k]|+|b[1,k]|)|z| + c2 |z|^2 on |z| <= 1, from the coefficients.
 
-    F must lie in hs-lambda (NotMemberError). Then each layer F has must keep
-    tail_k = sum_{n>=2} (|a[n,k]|+|b[n,k]|) <= c2 + tol, c2 = (1-|b11|)/(2(1+lambda)).
-    Members pass at tol = 0 for every lambda in [0, 1]: each n >= 2 entry has row-1
-    weight 2(k-1) + n(lambda n + 1 - lambda) >= 2(1+lambda), and row 1 bounds the
-    weighted sum by 2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|) <= 1 - |b11|, so
-    sum_k tail_k <= c2 and |G_k(z)| <= lead_k |z| + tail_k |z|^2. So an exact
-    membership report with tol >= 0 decides; otherwise each tail is compared.
+    F must lie in hs-lambda (NotMemberError); then the bound holds, with
+    c2 = (1-|b11|)/(2(1+lambda)). Each n >= 2 entry has row-1 weight
+    2(k-1) + n(lambda n + 1 - lambda) >= 2(1+lambda), and row 1 bounds the weighted
+    sum by 2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|) <= 1 - |b11|, so the layer tails
+    tail_k = sum_{n>=2} (|a[n,k]|+|b[n,k]|) have sum_k tail_k <= c2, and
+    |G_k(z)| <= lead_k |z| + tail_k |z|^2.
 
     ``samples`` and ``seed`` are unused, kept for callers of the sampled check this replaced.
     """
-    report = _hs_lambda_member(F, lam)
-    if report.exact and tol >= 0:
-        return True
-    rows = F.magnitudes()  # layer-major, so the first row is (1, 1, |a11|, |b11|)
-    c2 = (1 - term_scalar(rows[0][3])) / (2 * (1 + report.params.lam))
-    tails = (term_scalar(weighted_sum((row for row in layer if row[0] >= 2), lambda n, k: (1, 1)))
-             for _, layer in groupby(rows, key=lambda row: row[1]))
-    return all(tail - c2 <= tol for tail in tails)
+    _hs_lambda_member(F, lam)
+    return True
 
 
 def _cubic(coeffs: tuple[float, float, float], r):

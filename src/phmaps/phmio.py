@@ -19,7 +19,7 @@ Round trip: parse_map(serialize_map(F)) == F, exactness preserved.
 from __future__ import annotations
 
 from .errors import InvalidMapError, MapSyntaxError
-from .exact import format_scalar, parse_scalar
+from .exact import brief_text, format_scalar, parse_scalar
 from .series import Coefficient, Key, PolyharmonicMap, layer_major
 
 
@@ -48,7 +48,7 @@ def parse_map(data: bytes | str) -> PolyharmonicMap:
             try:
                 p = int(fields[1])
             except ValueError:
-                raise MapSyntaxError(f"bad layer count {fields[1]!r}", lineno) from None
+                raise MapSyntaxError(f"bad layer count {brief_text(fields[1])}", lineno) from None
             if p < 1:
                 raise MapSyntaxError(f"p must be >= 1, got {p}", lineno)
             continue
@@ -58,7 +58,7 @@ def parse_map(data: bytes | str) -> PolyharmonicMap:
         try:
             n, k = int(fields[1]), int(fields[2])
         except ValueError:
-            raise MapSyntaxError(f"bad indices {fields[1]!r} {fields[2]!r}", lineno) from None
+            raise MapSyntaxError(f"bad indices {brief_text(fields[1])} {brief_text(fields[2])}", lineno) from None
         if n < 1 or k < 1:
             raise MapSyntaxError(f"indices must be >= 1, got ({n}, {k})", lineno)
         if k > p:

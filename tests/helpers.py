@@ -449,6 +449,11 @@ def on_grid(table, radii, rays):
     return _grids((table,), radii, np.empty((1, radii.size, rays), dtype=complex))[0]
 
 
+def grid_wirtinger(F, grid):
+    """(F_z, F_zbar) at grid.points(), by geometry's grid kernel on the Wirtinger tables."""
+    return tuple(on_grid(table, grid.radii(), grid.rays) for table in _d_wirtinger(_monomials(F)))
+
+
 def reference_verify_geometry(F, grid, checks=ALL_CHECKS) -> GeometryReport:
     """verify_geometry with F, F_theta, F_thetatheta, F_z and F_zbar all held until it returns."""
     checks = tuple(c for c in ALL_CHECKS if c in set(checks))

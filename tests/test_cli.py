@@ -357,6 +357,10 @@ class TestVerify:
         assert main(["verify", f1, "--r", BEYOND_FLOAT]) == 2
         assert "--r must lie in (0,1)" in single_error_line(capsys)
 
+    def test_radius_rounding_to_zero_names_the_given_value(self, f1, capsys):
+        assert main(["verify", f1, "--r", f"1/{BEYOND_FLOAT}"]) == 2
+        assert single_error_line(capsys) == "error: r_max=[1/401 digits] rounds to 0.0 in float64\n"
+
     @pytest.mark.parametrize("grid", [f"4x{BEYOND_FLOAT}", f"{BEYOND_FLOAT}x4"], ids=["rays", "rings"])
     def test_grid_beyond_float_exits_two(self, f1, capsys, grid):
         assert main(["verify", f1, "--grid", grid]) == 2
@@ -489,6 +493,32 @@ def test_a_501_digit_lambda_gives_a_short_error_line(f1, capsys, command):
             "extremal": ["extremal", "--n", "2"], "verify": ["verify", f1, "--suite", "distortion"]}[command]
     assert main([*argv, "--lambda", "3" + "0" * 500]) == 2
     assert len(single_error_line(capsys)) < 200
+
+
+LONG_TOKEN = "x" * 100_000  # non-numeric, so every parser rejects it
+LONG_TOKEN_FILES = {
+    "p": f"p {LONG_TOKEN}\n",
+    "index": f"p 1\na 1 1 1 0\na 2 {LONG_TOKEN} 1 0\n",
+    "value": f"p 1\na 1 1 1 0\na 2 1 {LONG_TOKEN} 0\n",
+    "non-finite-value": f"p 1\na 1 1 1 0\na 2 1 1e{'9' * 5000} 0\n",
+    "zero-denominator": f"p 1\na 1 1 1 0\na 2 1 1/{'0' * 5000} 0\n",
+}
+
+
+@pytest.mark.parametrize("where", [*LONG_TOKEN_FILES, "lambda", "grid"])
+def test_a_long_token_gives_a_short_error_line(f1, tmp_path, capsys, where):
+    path = tmp_path / "long.phm"
+    path.write_text(LONG_TOKEN_FILES.get(where, ""))
+    argv = {"lambda": ["check", "--class", "hs-lambda", "--lambda", LONG_TOKEN, f1],
+            "grid": ["verify", f1, "--grid", LONG_TOKEN]}.get(where, ["check", "--class", "hs", str(path)])
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's usage error: usage lines, then the one error line
+        code = e.code
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert code == 2 and len(errors) == 1
+    assert len(errors[0].encode()) < 200, errors[0][:300]
+    assert " characters]" in errors[0]
 
 
 class TestRender:

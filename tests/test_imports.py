@@ -28,8 +28,7 @@ EXPORTS = {
     "errors": ["GridTooLargeError", "InvalidMapError", "MapSyntaxError", "NonFiniteError", "NotMemberError",
                "ParamError", "PhmapsError", "WeightError"],
     "exact": ["EPS_STRICT", "Scalar", "format_scalar", "parse_scalar"],
-    "geometry": ["DiskGrid", "GeometryReport", "evaluate", "jacobian", "theta_derivative", "verify_geometry",
-                 "wirtinger_derivatives"],
+    "geometry": ["DiskGrid", "GeometryReport", "evaluate", "jacobian", "theta_derivative", "verify_geometry"],
     "operators": ["DistortionEnvelope", "NeighborhoodReport", "ch0_certificate", "combine", "convexity_radius",
                   "convolve", "delta_bound", "distortion_envelope", "integral_convolve", "layer_bound_check",
                   "neighborhood_distance", "neighborhood_report", "rescale", "rescale_convexity_certificate"],

@@ -70,6 +70,25 @@ def test_syntax_errors_carry_line_numbers(text, line):
     assert exc.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p x", "line 1: bad layer count 'x'"),
+        ("p 1\na 1 1 1 0\na 2 - 1 0", "line 3: bad indices '2' '-'"),
+        ("p 1\na 1 1 1 0\na 2 1 foo 0", "line 3: could not convert string to float: 'foo'"),
+        ("p 1\na 1 1 1 0\na 2 1 inf 0", "line 3: non-finite literal 'inf'"),
+        ("p 1\na 1 1 1 0\na 2 1 1/0 0", "line 3: zero denominator in '1/0'"),
+        # 40 characters are quoted in full, 41 by their first 20 and the length
+        (f"p {'y' * 40}", f"line 1: bad layer count '{'y' * 40}'"),
+        (f"p {'y' * 20}z{'y' * 20}", f"line 1: bad layer count '{'y' * 20}'... [41 characters]"),
+    ],
+)
+def test_a_bad_token_is_quoted_up_to_40_characters(text, message):
+    with pytest.raises(MapSyntaxError) as exc:
+        parse_map(text)
+    assert str(exc.value) == message
+
+
 def test_empty_input():
     with pytest.raises(MapSyntaxError):
         parse_map("")
