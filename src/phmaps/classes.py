@@ -6,11 +6,10 @@ Three families of weighted l1 conditions on the coefficient table:
                   <= 2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|),
               with 1 <= sum_k (2k-1)(|a[1,k]|+|b[1,k]|) < 2,   L in [0,1];
 
-  hs:         lambda = 0 weights (2(k-1)+n), written in its classical form
-              with RHS 1 - |b11| - sum_{k>=2} (2k-1)(...) and second row
-              0 <= |b11| + sum_{k>=2} (|a[1,k]|+|b[1,k]|) < 1;
+  hs:         hs-lambda's row 1 at lambda = 0, weights (2(k-1)+n); only its second
+              row is classical: |b11| + sum_{k>=2} (|a[1,k]|+|b[1,k]|) < 1;
 
-  hc:         same as hs with weights (2(k-1)+n^2).
+  hc:         the same at lambda = 1, weights (2(k-1)+n^2).
 
 A report records both rows with signed margins, plus exactness and whether a
 strict comparison consulted the epsilon guard (never for all-exact input).
@@ -90,10 +89,11 @@ class MembershipReport(Record):
     """Exact left/right sides and signed margins of the two inequality rows.
 
     ``row2_value`` is always the weighted first-coefficient sum
-    sum_k (2k-1)(|a[1,k]|+|b[1,k]|). The hs/hc families test a different row-2
-    quantity (|b11| plus the unweighted tail), carried in ``row2_condition``
-    together with its [row2_lo, row2_hi) bounds; for hs-lambda the two
-    coincide.
+    sum_k (2k-1)(|a[1,k]|+|b[1,k]|), and ``row1_rhs`` is 2 - ``row2_value`` for
+    every family. Only row 2 differs: hs and hc test |b11| plus the unweighted
+    tail, carried in ``row2_condition`` together with its [row2_lo, row2_hi)
+    bounds; for hs-lambda the two coincide. ``row2_ok`` tests only the strict
+    upper bound: a11 = 1 and magnitudes >= 0 make the lower one hold.
     """
 
     __slots__ = ("params", "row1_lhs", "row1_rhs", "row2_value", "row2_condition", "row2_lo", "row2_hi",
@@ -122,17 +122,12 @@ def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
     first_weighted = weighted_sum(first, lambda n, k: (2 * k - 1, 1), (1, 1), b11)
     exact = row1_lhs.__class__ is first_weighted.__class__ is tuple and is_exact(params.lam)
 
+    row1_rhs = term_difference((2, 1), first_weighted)  # one right side: hs and hc are hs-lambda at 0 and 1
     if params.family is Family.HS_LAMBDA:
-        row1_rhs, row2_condition, lo, hi = term_difference((2, 1), first_weighted), first_weighted, 1, 2
-    else:
-        # Classical form: RHS = 1 - |b11| - sum_{k>=2}(2k-1)(...), row 2 unweighted.
-        tail = term_difference(term_difference(first_weighted, (1, 1)), b11)
-        row1_rhs = term_difference(term_difference((1, 1), b11), tail)
-        row2_condition = fold_terms((b11, weighted_sum(first, lambda n, k: (1, 1))))  # |b11| + sum_{k>=2} (...)
-        lo, hi = 0, 1
-    upper_ok, used_epsilon = strict_less(row2_condition, hi)
-    row2_ok = (lo * row2_condition[1] <= row2_condition[0] if row2_condition.__class__ is tuple
-               else lo <= row2_condition) and upper_ok
+        row2_condition, lo, hi = first_weighted, 1, 2
+    else:  # |b11| + sum_{k>=2} (|a[1,k]|+|b[1,k]|)
+        row2_condition, lo, hi = fold_terms((b11, weighted_sum(first, lambda n, k: (1, 1)))), 0, 1
+    row2_ok, used_epsilon = strict_less(row2_condition, hi)
     margin = term_difference(row1_rhs, row1_lhs)
 
     normalized_ok = F.is_normalized

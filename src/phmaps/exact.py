@@ -284,14 +284,11 @@ def root_term(s: int, d: int) -> Term:
         raise NonFiniteError(f"the square root of an exact value near 2**{2 * e + 128} overflows float64") from None
 
 
-def strict_less(value: Term | Scalar, bound: Scalar) -> tuple[bool, bool]:
-    """Evaluate value < bound, failing closed for approximate inputs; value may be an exact pair.
+def strict_less(value: Term, bound: int) -> tuple[bool, bool]:
+    """Evaluate value < bound for an exact pair or a float value, failing closed for the float.
 
-    Returns (ok, used_epsilon). Exact inputs compare exactly and never touch
-    EPS_STRICT.
+    Returns (ok, used_epsilon). An exact pair compares exactly and never touches EPS_STRICT.
     """
     if value.__class__ is tuple:
         return value[0] < bound * value[1], False
-    if is_exact(value) and is_exact(bound):
-        return value < bound, False
-    return float(value) < float(bound) - EPS_STRICT, True
+    return value < bound - EPS_STRICT, True

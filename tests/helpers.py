@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from phmaps import evaluate, theta_derivative
 from phmaps.classes import Family, MembershipReport, hc, membership, weight
 from phmaps.errors import MAX_GRID_POINTS, GridTooLargeError, NonFiniteError, ParamError
-from phmaps.exact import as_scalar, is_exact, strict_less
+from phmaps.exact import EPS_STRICT, as_scalar, is_exact
 from phmaps.operators import _hs_lambda_member, convexity_radius, rescale
 from phmaps.render import MARGIN, STROKE_WIDTH
 from phmaps.series import Coefficient, PolyharmonicMap
@@ -409,13 +409,13 @@ def reference_membership(F, params) -> MembershipReport:
             first_weighted = first_weighted + (2 * k - 1) * pair
             first_plain = first_plain + pair
     first_weighted = first_weighted + 1 + b11_mag
+    row1_rhs = 2 - first_weighted
     if params.family is Family.HS_LAMBDA:
-        row1_rhs, row2_condition, row2_lo, row2_hi = 2 - first_weighted, first_weighted, Fraction(1), Fraction(2)
+        row2_condition, row2_lo, row2_hi = first_weighted, Fraction(1), Fraction(2)
     else:
-        tail = first_weighted - 1 - b11_mag
-        row1_rhs, row2_condition = 1 - b11_mag - tail, b11_mag + first_plain
-        row2_lo, row2_hi = Fraction(0), Fraction(1)
-    upper_ok, used_epsilon = strict_less(row2_condition, row2_hi)
+        row2_condition, row2_lo, row2_hi = b11_mag + first_plain, Fraction(0), Fraction(1)
+    used_epsilon = not is_exact(row2_condition)  # a float must clear the strict bound by EPS_STRICT
+    upper_ok = row2_condition < (float(row2_hi) - EPS_STRICT if used_epsilon else row2_hi)
     row2_ok = bool(row2_condition >= row2_lo) and upper_ok
     member = bool(row1_rhs - row1_lhs >= 0) and row2_ok and (F.is_normalized or not params.normalized)
     return MembershipReport(params, row1_lhs, row1_rhs, first_weighted, row2_condition, row2_lo, row2_hi,
