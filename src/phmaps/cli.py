@@ -11,6 +11,7 @@ Only `verify` and `render` import the numeric layer (numpy, `geometry`,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import catalog
@@ -48,8 +49,16 @@ def _write_map(F: PolyharmonicMap, path: str | None) -> None:
         save_map(F, path)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, and so each subcommand's, with every quoted token of more than 40 characters in
+    an error line written as exact.brief_text writes it."""
+
+    def error(self, message):
+        super().error(re.sub(r"'([^'\n]{41,})'|\"([^\"\n]{41,})\"", lambda m: brief_text(m[1] or m[2]), message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="phmaps",
         description="Construct, classify, combine, and geometrically verify "
         "polyharmonic mappings of the unit disk.",

@@ -173,9 +173,14 @@ def parse_scalar(text: str) -> Scalar:
                                           for part in s.split("/")):
         raise ValueError(f"numeric literal has more than MAX_SCALAR_DIGITS={MAX_SCALAR_DIGITS} digits")
     if "/" in s:
-        num, _, den = s.partition("/")
+        parts = []
+        for part in s.split("/", 1):
+            try:
+                parts.append(_parse_int(part))
+            except ValueError:  # int()'s own message quotes up to 200 characters of the part
+                raise ValueError(f"invalid literal for int() with base 10: {brief_text(part)}") from None
         try:
-            return Fraction(_parse_int(num), _parse_int(den))
+            return Fraction(*parts)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {brief_text(text)}") from None
     try:
