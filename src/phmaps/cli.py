@@ -50,8 +50,7 @@ def _write_map(F: PolyharmonicMap, path: str | None) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, and so each subcommand's, with every quoted token of more than 40 characters in
-    an error line written as exact.brief_text writes it."""
+    """argparse's parser, which the subparsers inherit, quoting error tokens over 40 characters by brief_text."""
 
     def error(self, message):
         super().error(re.sub(r"'([^'\n]{41,})'|\"([^\"\n]{41,})\"", lambda m: brief_text(m[1] or m[2]), message))
