@@ -7,7 +7,8 @@ the propagation rule we want: a sum is exact iff every term was exact.
 ``fold_terms`` adds long rows with integers: exact terms are (numerator,
 denominator) pairs over a running lcm; from the first float term on it
 continues in float, in the same order. Its result is bit for bit the left fold
-``Fraction(0) + t1 + t2 + ...``, kept as a pair until a report needs its Fraction. Integers are
+``Fraction(0) + t1 + t2 + ...``, kept as a pair until a report needs its Fraction.
+``parse_term`` reads a literal as such a pair or a float. Integers are
 converted to and from text in chunks below CPython's 4300-digit limit, up to
 ``MAX_SCALAR_DIGITS`` digits per integer part; more is a ValueError.
 
@@ -48,13 +49,15 @@ set_field = object.__setattr__  # how a record's constructor or _check stores a 
 
 
 class Record:
-    """Immutable value whose fields are its ``__slots__``.
+    """Immutable value whose fields are its ``__slots__``, or its ``_fields``
+    where it stores them in another form.
 
     ``Record(*values, **fields)`` binds values by position, then by keyword, then
-    from the class's ``_defaults``, stores each with ``set_field`` and calls
+    from the class's ``_defaults``, stores each in its slot and calls
     ``self._check()``, where a subclass raises its errors and stores normalised
-    values; a binding error is a TypeError. ``Coefficient``, built thousands of
-    times per op, keeps its own faster constructor. Assigning or deleting an
+    values; a binding error is a TypeError. A call with every value by position
+    skips the keyword and default checks. ``Coefficient``, built thousands of
+    times per op, keeps its own constructor. Assigning or deleting an
     attribute afterwards raises AttributeError. Two records are equal when they
     have the same class and equal fields, the hash goes by the fields, and the
     repr is ``Name(field=value, ...)``.
@@ -64,27 +67,31 @@ class Record:
     _defaults: dict = {}  # field name -> value for the fields a caller may leave out
 
     def __init_subclass__(cls):
-        cls._values = operator.attrgetter(*cls.__slots__)
+        cls._fields = vars(cls).get("_fields", cls.__slots__)
+        cls._values = operator.attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, field).__set__ for field in cls.__slots__)  # set_field, one slot each
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
-        if len(args) > len(fields):
-            raise TypeError(f"{self.__class__.__qualname__}() takes {len(fields)} values, got {len(args)}")
-        for field, value in zip(fields, args):
-            if field in kwargs:
-                raise TypeError(f"{self.__class__.__qualname__}() got field {field!r} twice")
-            set_field(self, field, value)
-        for field, value in kwargs.items():
-            try:
-                set_field(self, field, value)
-            except AttributeError:  # not a slot: a method, a property or no attribute at all
-                raise TypeError(f"{self.__class__.__qualname__}() has no field {field!r}") from None
-        if len(args) + len(kwargs) < len(fields):
-            for field in fields[len(args):]:
-                if field not in kwargs:
-                    if field not in self._defaults:
-                        raise TypeError(f"{self.__class__.__qualname__}() is missing field {field!r}")
-                    set_field(self, field, self._defaults[field])
+        if kwargs or len(args) != len(fields):  # keywords, defaults or a binding error
+            if len(args) > len(fields):
+                raise TypeError(f"{self.__class__.__qualname__}() takes {len(fields)} values, got {len(args)}")
+            for field in fields[:len(args)]:
+                if field in kwargs:
+                    raise TypeError(f"{self.__class__.__qualname__}() got field {field!r} twice")
+            for field, value in kwargs.items():
+                try:
+                    set_field(self, field, value)
+                except AttributeError:  # not a slot: a method, a property or no attribute at all
+                    raise TypeError(f"{self.__class__.__qualname__}() has no field {field!r}") from None
+            if len(args) + len(kwargs) < len(fields):
+                for field in fields[len(args):]:
+                    if field not in kwargs:
+                        if field not in self._defaults:
+                            raise TypeError(f"{self.__class__.__qualname__}() is missing field {field!r}")
+                        set_field(self, field, self._defaults[field])
+        for store, value in zip(self._setters, args):
+            store(self, value)
         self._check()
 
     def _check(self):
@@ -106,7 +113,7 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
 
@@ -161,7 +168,13 @@ def _digit_count(n: int) -> int:
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse "num/den" and integer literals exactly; decimal literals as floats.
+    """parse_term(text) as a scalar: a Fraction for an exact literal, else the float."""
+    return term_scalar(parse_term(text))
+
+
+def parse_term(text: str) -> Term:
+    """Parse "num/den" and integer literals exactly, as a (numerator, denominator)
+    pair with positive denominator, not reduced; decimal literals as floats.
 
     Raises ValueError on anything else, and on a literal or part of one with
     more than MAX_SCALAR_DIGITS digits.
@@ -179,12 +192,12 @@ def parse_scalar(text: str) -> Scalar:
                 parts.append(_parse_int(part))
             except ValueError:  # int()'s own message quotes up to 200 characters of the part
                 raise ValueError(f"invalid literal for int() with base 10: {brief_text(part)}") from None
-        try:
-            return Fraction(*parts)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {brief_text(text)}") from None
+        num, den = parts
+        if not den:
+            raise ValueError(f"zero denominator in {brief_text(text)}")
+        return (num, den) if den > 0 else (-num, -den)
     try:
-        return Fraction(_parse_int(s))
+        return _parse_int(s), 1
     except ValueError:
         pass
     try:
@@ -198,10 +211,12 @@ def parse_scalar(text: str) -> Scalar:
 
 def format_scalar(x: Scalar) -> str:
     """Inverse of parse_scalar: exact values as num/den (or int), floats via repr."""
-    if is_exact(x):
-        num, den = x.numerator, x.denominator
-        return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
-    return repr(float(x))
+    return format_ratio(x.numerator, x.denominator) if is_exact(x) else repr(float(x))
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_scalar(Fraction(num, den)) for num/den in lowest terms with den >= 1: the integer alone for den 1."""
+    return _int_text(num) if den == 1 else f"{_int_text(num)}/{_int_text(den)}"
 
 
 def brief_text(text: str) -> str:

@@ -10,7 +10,9 @@ Line-based UTF-8:
 
 Header "p <int>" comes first; coefficient lines are "a|b <n> <k> <re> <im>"
 where <re>/<im> are "num/den", integer, or decimal literals. Rational and
-integer literals stay exact; decimals make the coefficient approximate.
+integer literals stay exact, read as integer pairs straight into a
+coefficient's triple and written from it; decimals make the coefficient
+approximate.
 Duplicate (letter, n, k) is a syntax error. a 1 1 must appear with value 1 0.
 
 Round trip: parse_map(serialize_map(F)) == F, exactness preserved.
@@ -19,8 +21,8 @@ Round trip: parse_map(serialize_map(F)) == F, exactness preserved.
 from __future__ import annotations
 
 from .errors import InvalidMapError, MapSyntaxError
-from .exact import brief_text, format_scalar, parse_scalar
-from .series import Coefficient, Key, PolyharmonicMap, layer_major
+from .exact import brief_text, parse_term
+from .series import Coefficient, Key, PolyharmonicMap, built_map, layer_major, term_coefficient
 
 
 def parse_map(data: bytes | str) -> PolyharmonicMap:
@@ -66,16 +68,16 @@ def parse_map(data: bytes | str) -> PolyharmonicMap:
         if (n, k) in table:
             raise MapSyntaxError(f"duplicate coefficient {letter} {n} {k}", lineno)
         try:
-            re, im = parse_scalar(fields[3]), parse_scalar(fields[4])
+            re, im = parse_term(fields[3]), parse_term(fields[4])
         except ValueError as e:
             raise MapSyntaxError(str(e), lineno) from None
-        table[(n, k)] = Coefficient(re, im)
+        table[(n, k)] = term_coefficient(re, im)
 
     if p is None:
         raise MapSyntaxError("missing header 'p <int>'", 1)
     if (1, 1) not in a:
         raise InvalidMapError("a 1 1 must appear with value 1 0")
-    return PolyharmonicMap(p, a, b)
+    return built_map(p, a, b)
 
 
 def serialize_map(F: PolyharmonicMap) -> bytes:
@@ -83,8 +85,8 @@ def serialize_map(F: PolyharmonicMap) -> bytes:
     lines = [f"p {F.p}"]
     for table, letter in ((F.a, "a"), (F.b, "b")):
         for n, k in layer_major(table):
-            c = table[(n, k)]
-            lines.append(f"{letter} {n} {k} {format_scalar(c.re)} {format_scalar(c.im)}")
+            re, im = table[(n, k)].texts()
+            lines.append(f"{letter} {n} {k} {re} {im}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -7,6 +7,12 @@ A map is stored as two sparse tables indexed by (n, k):
 with the normalization a[1,1] = 1 and |b[1,1]| < 1. Unlisted entries are zero.
 All values are immutable after construction and every operation here is pure.
 
+An exact ``Coefficient`` is stored as one reduced integer triple (x, y, d),
+the value (x + yi)/d, from parse to report: products, sums, scaling,
+magnitudes and the .phm text read the integers, and its ``re`` and ``im`` are
+read-only Fractions built on each read. A float or mixed coefficient keeps
+its two parts.
+
 Every weighted coefficient sum of the exact core (the membership rows, the
 neighborhood distance, the per-layer tails) is ``weighted_sum`` over rows
 (n, k, |a|, |b|), as ``PolyharmonicMap.magnitudes`` builds them once per call:
@@ -23,76 +29,106 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Tuple
 
 from .errors import InvalidMapError, NonFiniteError
-from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, fold_terms, format_scalar, is_exact, set_field,
-                    root_term, term_scalar, weighted_pair)
+from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, fold_terms, format_ratio, format_scalar,
+                    root_term, set_field, term_scalar, weighted_pair)
 
 Key = Tuple[int, int]  # (n, k): power n >= 1, layer k >= 1
 Row = Tuple[int, int, Term, Term]  # (n, k, |a[n,k]|, |b[n,k]|)
-_ZERO_PART = Fraction(0)
 _ZERO_TERM = (0, 1)  # magnitude_term(ZERO)
+_new = object.__new__
 
 
 class Coefficient(Record):
-    """One complex coefficient, exact (Fraction parts) or approximate (float parts)."""
+    """One complex coefficient re + im i, exact or approximate.
 
-    __slots__ = ("re", "im")
+    An exact one is stored as one integer triple (x, y, d), the value (x + yi)/d with d >= 1 and
+    gcd(x, y, d) = 1, so equal values store equal triples. A float or mixed one (a float part)
+    stores (re, im, 0). ``re`` and ``im`` are read-only: a Fraction for an exact part, else the
+    float. Equality and hash go by (re, im), so an exact coefficient equals its float twin where
+    the values agree.
+    """
 
-    def __init__(self, re: Scalar = _ZERO_PART, im: Scalar = _ZERO_PART):
-        if not (re.__class__ is im.__class__ is Fraction):
+    __slots__ = ("_triple",)
+    _fields = ("re", "im")
+
+    def __init__(self, re: Scalar = 0, im: Scalar = 0):
+        if not (re.__class__ in (int, Fraction) and im.__class__ in (int, Fraction)):
             re, im = as_scalar(re), as_scalar(im)
-        set_field(self, "re", re)
-        set_field(self, "im", im)
+        if re.__class__ is float or im.__class__ is float:
+            set_field(self, "_triple", (re, im, 0))
+        else:  # parts in lowest terms, so the triple over the lcm of their denominators is reduced too
+            (x, dx), (y, dy) = re.as_integer_ratio(), im.as_integer_ratio()
+            d = math.lcm(dx, dy)
+            set_field(self, "_triple", (x * (d // dx), y * (d // dy), d))
 
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.re) and is_exact(self.im)
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
+    re = property(lambda self: Fraction(self._triple[0], self._triple[2]) if self._triple[2] else self._triple[0])
+    im = property(lambda self: Fraction(self._triple[1], self._triple[2]) if self._triple[2] else self._triple[1])
+    exact = property(lambda self: self._triple[2] > 0)
+    is_zero = property(lambda self: not (self._triple[0] or self._triple[1]))
 
     def as_complex(self, table: str = "", key: Key | None = None) -> complex:
-        """The value as a float complex; NonFiniteError if an exact part overflows float64,
-        naming the entry ``table[n,k]`` when given its key."""
+        """The value as a float complex, x/d rounded as float(Fraction) rounds it; NonFiniteError if an
+        exact part overflows float64, naming the entry ``table[n,k]`` when given its key."""
+        x, y, d = self._triple
         try:
-            return complex(float(self.re), float(self.im))
+            return complex(x / d, y / d) if d else complex(float(x), float(y))
         except OverflowError:
             raise _entry_error(table, key, f"coefficient {self.brief()} overflows float64") from None
 
     def conjugate(self) -> "Coefficient":
-        return Coefficient(self.re, -self.im)
+        x, y, d = self._triple
+        return _reduced(x, -y, d) if d else Coefficient(x, -y)
+
+    def __eq__(self, other):
+        if other.__class__ is Coefficient and self._triple[2] and other._triple[2]:
+            return self._triple == other._triple
+        return Record.__eq__(self, other)
+
+    __hash__ = Record.__hash__
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
-        try:
-            return Coefficient(self.re + other.re, self.im + other.im)
-        except OverflowError:  # an exact part beyond float64 meets a float part
-            raise NonFiniteError(f"sum of coefficients {self.brief()} and {other.brief()} overflows float64") from None
+        return self._plus(other, 1, "sum")
 
     def __sub__(self, other: "Coefficient") -> "Coefficient":
-        try:
-            return Coefficient(self.re - other.re, self.im - other.im)
-        except OverflowError:
+        return self._plus(other, -1, "difference")
+
+    def _plus(self, other: "Coefficient", sign: int, name: str) -> "Coefficient":
+        (x, y, d), (u, v, e) = self._triple, other._triple
+        if d and e:
+            return _reduced(x * e + sign * u * d, y * e + sign * v * d, d * e)
+        try:  # float a + (-b) is a - b, bit for bit
+            return Coefficient(self.re + sign * other.re, self.im + sign * other.im)
+        except OverflowError:  # an exact part beyond float64 meets a float part
             raise NonFiniteError(
-                f"difference of coefficients {self.brief()} and {other.brief()} overflows float64") from None
+                f"{name} of coefficients {self.brief()} and {other.brief()} overflows float64") from None
 
     def __mul__(self, other: "Coefficient") -> "Coefficient":
         return product_over(self, other)
 
     def scale(self, s: Scalar) -> "Coefficient":
-        re, im = self.re, self.im
-        if s.__class__ is re.__class__ is im.__class__ is Fraction:
-            return Coefficient(re * s if re else re, im * s if im else im)
+        x, y, d = self._triple
+        if d and s.__class__ is Fraction:
+            return _reduced(x * s.numerator, y * s.numerator, d * s.denominator)
         try:
-            return Coefficient(re * s, im * s)
+            return Coefficient(self.re * s, self.im * s)
         except OverflowError:
             raise NonFiniteError(f"coefficient {self.brief()} times {brief_scalar(s)} overflows float64") from None
 
     def magnitude_squared(self) -> Scalar:
-        return self.re * self.re + self.im * self.im
+        x, y, d = self._triple
+        return Fraction(x * x + y * y, d * d) if d else x * x + y * y
 
     def magnitude(self) -> Scalar:
         """|value|, by magnitude_term: a Fraction result is exact, a float result approximate."""
         return term_scalar(magnitude_term(self))
+
+    def texts(self) -> tuple[str, str]:
+        """(format_scalar(re), format_scalar(im)), an exact part written from the triple."""
+        x, y, d = self._triple
+        if not d:
+            return format_scalar(x), format_scalar(y)
+        gx, gy = math.gcd(x, d), math.gcd(y, d)
+        return format_ratio(x // gx, d // gx), format_ratio(y // gy, d // gy)
 
     def __str__(self) -> str:
         return f"{format_scalar(self.re)}{'+' if self.im >= 0 else '-'}{format_scalar(abs(self.im))}i"
@@ -100,6 +136,21 @@ class Coefficient(Record):
     def brief(self) -> str:
         """str(self) with each part written by brief_scalar: short at any size, for messages."""
         return f"{brief_scalar(self.re)}{'+' if self.im >= 0 else '-'}{brief_scalar(abs(self.im))}i"
+
+
+def _reduced(x: int, y: int, d: int) -> Coefficient:
+    """The exact coefficient (x + yi)/d of ints with d >= 1, its triple divided by their one gcd."""
+    g = math.gcd(x, y, d)
+    c = _new(Coefficient)
+    set_field(c, "_triple", (x // g, y // g, d // g))
+    return c
+
+
+def term_coefficient(re: Term, im: Term) -> Coefficient:
+    """The coefficient re + im i of two Terms as parse_term gives them, two exact pairs as one triple."""
+    if re.__class__ is im.__class__ is tuple:
+        return _reduced(re[0] * im[1], im[0] * re[1], re[1] * im[1])
+    return Coefficient(term_scalar(re), term_scalar(im))
 
 
 ZERO = Coefficient(0, 0)
@@ -119,20 +170,17 @@ def magnitude_term(c: Coefficient, table: str = "", key: Key | None = None) -> T
     """|c| as fold_terms takes it: an exact (numerator, denominator) pair when the magnitude is rational,
     else a float. NonFiniteError, naming the entry ``table[n,k]`` when given its key, on overflow.
 
-    An exact coefficient on an axis has the pair (|num|, den). Off the axes, with both parts
-    over their lcm d, |c| = sqrt(x^2 + y^2)/d is ``root_term(x^2 + y^2, d)``: rational exactly when
+    An exact (x + yi)/d on an axis has the pair (|x|, d) or (|y|, d). Off the axes
+    |c| = sqrt(x^2 + y^2)/d is ``root_term(x^2 + y^2, d)``: rational exactly when
     x^2 + y^2 is a square (e.g. 3+4i), otherwise a float, as for a float or mixed coefficient.
     """
-    re, im = c.re, c.im
-    if not (re.__class__ is im.__class__ is Fraction):
+    x, y, d = c._triple
+    if not d:
         return abs(c.as_complex(table, key))
-    (x, dx), (y, dy) = re.as_integer_ratio(), im.as_integer_ratio()
     if not y:
-        return abs(x), dx
+        return abs(x), d
     if not x:
-        return abs(y), dy
-    d = math.lcm(dx, dy)
-    x, y = x * (d // dx), y * (d // dy)
+        return abs(y), d
     try:
         return root_term(x * x + y * y, d)
     except NonFiniteError as e:
@@ -159,21 +207,15 @@ def weighted_sum(rows: Iterable[Row], weight: Callable[[int, int], Term], *last:
 
 
 def product_over(x: Coefficient, y: Coefficient, n: int = 1) -> Coefficient:
-    """x y / n for an integer n >= 1. With Fraction parts a + bi and c + di, both parts of
-    (ac - bd) + (ad + bc)i are integers over the four denominators' product times n, each
-    normalised once. Otherwise the parts are floats, and for n > 1 each is multiplied by Fraction(1, n)."""
-    a, b, c, d = x.re, x.im, y.re, y.im
-    if a.__class__ is b.__class__ is c.__class__ is d.__class__ is Fraction:
-        an, ad = a.as_integer_ratio()
-        bn, bd = b.as_integer_ratio()
-        cn, cd = c.as_integer_ratio()
-        dn, dd = d.as_integer_ratio()
-        den = ad * bd * cd * dd * n
-        re = an * cn * bd * dd - bn * dn * ad * cd
-        im = an * dn * bd * cd + bn * cn * ad * dd
-        return Coefficient(Fraction(re, den) if re else _ZERO_PART, Fraction(im, den) if im else _ZERO_PART)
+    """x y / n for an integer n >= 1. Exact x = (a + bi)/d and y = (c + ei)/f give the
+    triple (ac - be, ae + bc, d f n), reduced once. Otherwise the parts are floats, and for
+    n > 1 each is multiplied by Fraction(1, n)."""
+    (a, b, d), (c, e, f) = x._triple, y._triple
+    if d and f:
+        return _reduced(a * c - b * e, a * e + b * c, d * f * n)
+    a, b, c, e = x.re, x.im, y.re, y.im
     try:
-        re, im = a * c - b * d, a * d + b * c
+        re, im = a * c - b * e, a * e + b * c
     except OverflowError:  # an exact part beyond float64 meets a float part
         raise NonFiniteError(f"product of coefficients {x.brief()} and {y.brief()} overflows float64") from None
     return Coefficient(re, im) if n == 1 else Coefficient(re * Fraction(1, n), im * Fraction(1, n))
@@ -190,25 +232,28 @@ def coeff(value) -> Coefficient:
     return Coefficient(as_scalar(value), Fraction(0))
 
 
-def _clean_table(name: str, table: Mapping[Key, object], p: int) -> dict[Key, Coefficient]:
+def _clean_table(name: str, table: Mapping[Key, object], p: int, trusted: bool = False) -> dict[Key, Coefficient]:
     """The nonzero entries of ``table`` under int keys. InvalidMapError for the first bad index in the
     table's own order; then NonFiniteError for the layer-major first entry with a NaN or infinite
-    part, so that the entry it names does not depend on how the table was built."""
+    part, so that the entry it names does not depend on how the table was built. A ``trusted`` table
+    already holds Coefficients under int keys within layer p, so it skips the index checks and coercion."""
     out: dict[Key, Coefficient] = {}
     bad: dict[Key, Coefficient] = {}
-    for key, raw in table.items():
-        n, k = key
-        if not (n.__class__ is k.__class__ is int or isinstance(n, Integral) and isinstance(k, Integral)):
-            raise InvalidMapError(f"{name}[{n},{k}]: indices must be integers")
-        if n < 1 or k < 1:
-            raise InvalidMapError(f"{name}[{n},{k}]: indices must be >= 1")
-        if k > p:
-            raise InvalidMapError(f"{name}[{n},{k}]: layer exceeds p={p}")
-        c = coeff(raw)
-        if c.re.__class__ is float and not math.isfinite(c.re) or c.im.__class__ is float and not math.isfinite(c.im):
-            bad[(int(n), int(k))] = c
-        elif not c.is_zero:
-            out[(int(n), int(k))] = c  # any Integral index is stored as int, as DiskGrid stores its sizes
+    for key, c in table.items():
+        if not trusted:
+            n, k = key
+            if not (n.__class__ is k.__class__ is int or isinstance(n, Integral) and isinstance(k, Integral)):
+                raise InvalidMapError(f"{name}[{n},{k}]: indices must be integers")
+            if n < 1 or k < 1:
+                raise InvalidMapError(f"{name}[{n},{k}]: indices must be >= 1")
+            if k > p:
+                raise InvalidMapError(f"{name}[{n},{k}]: layer exceeds p={p}")
+            key, c = (int(n), int(k)), coeff(c)  # any Integral index is stored as int, as DiskGrid stores its sizes
+        x, y, d = c._triple
+        if not d and (x.__class__ is float and not math.isfinite(x) or y.__class__ is float and not math.isfinite(y)):
+            bad[key] = c
+        elif x or y:
+            out[key] = c
     if bad:  # sorted only on this error path
         key = layer_major(bad)[0]
         raise _entry_error(name, key, f"coefficient {bad[key].brief()} is not finite")
@@ -226,22 +271,23 @@ class PolyharmonicMap(Record):
     __hash__ = None
     _defaults = {"a": None, "b": None}
 
-    def _check(self):
+    def _check(self, trusted: bool = False):
         if not (self.p.__class__ is int or isinstance(self.p, Integral)):
             raise InvalidMapError(f"p must be an integer, got {self.p!r}")
         p = int(self.p)
         if p < 1:
             raise InvalidMapError(f"p must be >= 1, got {p}")
-        a = _clean_table("a", self.a or {}, p)
-        b = _clean_table("b", self.b or {}, p)
+        a = _clean_table("a", self.a or {}, p, trusted)
+        b = _clean_table("b", self.b or {}, p, trusted)
         lead = a.get((1, 1), ZERO)
-        if not (lead.re == 1 and lead.im == 0):
+        if lead != ONE:
             raise InvalidMapError(f"a[1,1] must equal 1, got {lead.brief()}")
         a[(1, 1)] = ONE
         b11 = b.get((1, 1))
         if b11 is not None:
+            x, y, d = b11._triple  # |b11|^2 < 1: x^2 + y^2 < d^2 for an exact b11
             try:
-                inside = b11.magnitude_squared() < 1
+                inside = x * x + y * y < (d * d or 1)
             except OverflowError:  # an exact part beyond float64 meets a float part, so |b11| > 1
                 inside = False
             if not inside:
@@ -304,3 +350,13 @@ def make_map(p: int, a: Mapping[Key, object] | None = None, b: Mapping[Key, obje
     a = dict(a or {})
     a.setdefault((1, 1), ONE)
     return PolyharmonicMap(p, a, dict(b or {}))
+
+
+def built_map(p: int, a: dict[Key, Coefficient], b: dict[Key, Coefficient]) -> PolyharmonicMap:
+    """PolyharmonicMap(p, a, b) for tables that already hold Coefficients under int keys within layer p,
+    as the operators build them: the zero drop and every check but the index checks and the coercion."""
+    F = _new(PolyharmonicMap)
+    for store, value in zip(PolyharmonicMap._setters, (p, a, b)):
+        store(F, value)
+    F._check(trusted=True)
+    return F

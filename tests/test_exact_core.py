@@ -7,6 +7,7 @@ families and exact or float lambda. Where a reference raises NonFiniteError,
 so must the exact core.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,11 +30,12 @@ from helpers import (
     same,
 )
 from phmaps import (Coefficient, ExtremalSpec, NonFiniteError, NotMemberError, example_F1, example_F2,
-                    extremal_point, half_plane_map, hc, hs, hs_lambda, layer_bound_check, make_map, membership)
+                    extremal_point, half_plane_map, hc, hs, hs_lambda, layer_bound_check, make_map, membership,
+                    parse_map, serialize_map)
 from phmaps.exact import fold_sum, weighted_pair
 from phmaps.operators import convolve, integral_convolve, neighborhood_distance
 from phmaps.sampling import random_certified_map, random_member
-from phmaps.series import magnitude_term
+from phmaps.series import ONE, ZERO, magnitude_term, product_over, term_coefficient
 
 lams = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=30), st.floats(min_value=0, max_value=1))
 scalars = st.one_of(st.fractions(max_denominator=10**6), st.floats(min_value=-1e6, max_value=1e6),
@@ -244,3 +246,56 @@ def test_layer_bound_of_exact_members_holds_at_zero_tolerance():
             assert layer_bound_check(G, lam)
     with pytest.raises(NotMemberError):
         layer_bound_check(make_map(1, a={(2, 1): Fraction(1, 2)}), Fraction(1))
+
+
+# --- the stored form: one reduced integer triple per exact coefficient -----------------------
+
+numerators = st.integers(-10**12, 10**12)
+denominators = st.one_of(st.integers(1, 10**6), st.sampled_from([2**e for e in range(40)]))  # dyadic: a float twin
+
+
+@given(numerators, numerators, denominators, denominators, st.integers(1, 60))
+def test_the_triple_is_canonical(x, y, dx, dy, m):
+    """Every way of building one exact value stores one triple (x, y, d), d >= 1 and gcd 1, and reads back
+    as the Fraction parts: unreduced pairs as parse_map reads them, unreduced text, ints, sums and products."""
+    re, im = Fraction(x, dx), Fraction(y, dy)
+    c = Coefficient(re, im)
+    forms = [c, Coefficient(im=im, re=re), term_coefficient((x * m, dx * m), (y * m, dy * m)), c + ZERO, ZERO + c,
+             c - ZERO, c * ONE, product_over(c, Coefficient(m, 0), m), c.scale(Fraction(m, m)),
+             c.conjugate().conjugate()]
+    if re.denominator == im.denominator == 1:
+        forms.append(Coefficient(int(re), int(im)))
+    if re or im:
+        forms.append(parse_map(f"p 1\na 1 1 1 0\na 2 1 {x * m}/{dx * m} {-y * m}/{-dy * m}\n").coeff_a(2, 1))
+    num_re, num_im, d = c._triple
+    assert d >= 1 and math.gcd(num_re, num_im, d) == 1 and Fraction(num_re, d) == re and Fraction(num_im, d) == im
+    for form in forms:
+        assert form._triple == c._triple and form == c and hash(form) == hash(c)
+        assert type(form.re) is type(form.im) is Fraction and form.re == re and form.im == im and form.exact
+        assert repr(form) == f"Coefficient(re={re!r}, im={im!r})"
+        assert str(form) == f"{re}{'+' if im >= 0 else '-'}{abs(im)}i"  # Fraction's str is format_scalar's form
+    twin = Coefficient(float(re), float(im))
+    agree = float(re) == re and float(im) == im
+    assert (c == twin) is (twin == c) is agree
+    if agree:
+        assert hash(twin) == hash(c)
+        assert make_map(1, a={(2, 1): c}) == make_map(1, a={(2, 1): twin})
+
+
+MIXED_TEXT = "p 1\na 1 1 1 0\na 2 1 1" + "0" * 400 + " 0.5\nb 2 1 1/3 0.25\n"
+
+
+def test_a_mixed_coefficient_keeps_its_parts():
+    """An exact part beside a float part stays a Fraction through the round trip and scaling, and a product
+    with a float part follows the Fraction rules, as the four-product reference gives them."""
+    F = parse_map(MIXED_TEXT)
+    G = parse_map(serialize_map(F))
+    assert G == F and serialize_map(G) == MIXED_TEXT.encode()
+    for c, exact_part, float_part in ((G.coeff_a(2, 1), 10**400, 0.5), (G.coeff_b(2, 1), Fraction(1, 3), 0.25)):
+        assert not c.exact and same(c.re, Fraction(exact_part)) and same(c.im, float_part)
+        assert same(c.scale(Fraction(2, 7)).re, Fraction(exact_part) * Fraction(2, 7))
+        assert same(c.scale(Fraction(2, 7)).im, float_part * Fraction(2, 7))
+    H = make_map(1, a={(3, 1): Fraction(1, 5)}, b={(2, 1): (Fraction(2, 5), Fraction(-1, 7))})
+    for x, y in ((F, H), (H, F)):
+        assert_same_map(convolve(x, y), reference_convolve(x, y))
+        assert_same_map(integral_convolve(x, y), reference_integral_convolve(x, y))

@@ -56,7 +56,7 @@ def test_fields_cannot_be_assigned_or_deleted(name):
 def test_equality_and_hash_go_by_fields(name):
     a, b = records()[name], records()[name]
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
-    assert hash(a) == hash(tuple(getattr(a, field) for field in type(a).__slots__))
+    assert hash(a) == hash(tuple(getattr(a, field) for field in type(a)._fields))
     assert len({a, b}) == 1
 
 
@@ -116,7 +116,7 @@ INVALID_FIELDS = [
 
 
 def field_values(record):
-    return {field: getattr(record, field) for field in type(record).__slots__}
+    return {field: getattr(record, field) for field in type(record)._fields}
 
 
 def test_only_coefficient_writes_its_own_constructor():
