@@ -2,13 +2,12 @@
 
 Convolution and integral convolution multiply coefficient tables entrywise
 (the latter dividing degree-n terms by n), convex combinations average them,
-and rescaling r^{-1} F(r z) multiplies entry (n, k) by r^(2k+n-3). Their
-tables are built clean, so ``series.built_map`` skips the index checks and
-coercion. The neighborhood distance is the weighted l1 metric used by the
-inclusion bound ``delta_bound``: ``series.weighted_sum`` over the entrywise
-differences with the hs (lambda = 0) row-1 weights. Absent entries are zero,
-matching the series semantics, so maps of different depth need no padding.
-Everything here is pure and exactness-preserving.
+and rescaling r^{-1} F(r z) multiplies entry (n, k) by r^(2k+n-3). The
+neighborhood distance is the weighted l1 metric used by the inclusion bound
+``delta_bound``: ``series.weighted_sum`` over the entrywise differences with
+the hs (lambda = 0) row-1 weights. Absent entries are zero, matching the
+series semantics, so maps of different depth need no padding. Everything here
+is pure and exactness-preserving.
 
 The paper's coefficient results for members of hs-lambda live here too: the
 convexity radius with its exact rescaling certificate, the per-layer bound
@@ -25,22 +24,22 @@ from .classes import MembershipReport, hc, hs, hs_lambda, membership, row1_weigh
 from .errors import NotMemberError, ParamError, WeightError
 from .exact import (EPS_STRICT, Record, Scalar, as_scalar, brief_scalar, fold_sum, is_exact, kv_lines,
                     term_scalar)
-from .series import (Coefficient, Key, PolyharmonicMap, ZERO, _entry_error, built_map, difference_term,
-                     layer_major, product_over, weighted_sum)
+from .series import (Coefficient, Key, PolyharmonicMap, ZERO, _entry_error, difference_term, layer_major,
+                     product_over, weighted_sum)
 
 
 def convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
     """Entrywise product of coefficient tables; support is the intersection."""
     a = {key: F.a[key] * G.a[key] for key in F.a.keys() & G.a.keys()}
     b = {key: F.b[key] * G.b[key] for key in F.b.keys() & G.b.keys()}
-    return built_map(max(F.p, G.p), a, b)
+    return PolyharmonicMap(max(F.p, G.p), a, b)
 
 
 def integral_convolve(F: PolyharmonicMap, G: PolyharmonicMap) -> PolyharmonicMap:
     """Entrywise product with each degree-n term divided by n."""
     a = {(n, k): product_over(F.a[(n, k)], G.a[(n, k)], n) for n, k in F.a.keys() & G.a.keys()}
     b = {(n, k): product_over(F.b[(n, k)], G.b[(n, k)], n) for n, k in F.b.keys() & G.b.keys()}
-    return built_map(max(F.p, G.p), a, b)
+    return PolyharmonicMap(max(F.p, G.p), a, b)
 
 
 def combine(terms: Sequence[tuple[Scalar, PolyharmonicMap]]) -> PolyharmonicMap:
@@ -66,7 +65,7 @@ def combine(terms: Sequence[tuple[Scalar, PolyharmonicMap]]) -> PolyharmonicMap:
         for key, c in F.b.items():
             b[key] = b.get(key, ZERO) + c.scale(t)
     a[(1, 1)] = Coefficient(1, 0)  # exact by sum(t_i) = 1; normalize float residue
-    return built_map(max(F.p for _, F in terms), a, b)
+    return PolyharmonicMap(max(F.p for _, F in terms), a, b)
 
 
 def rescale(F: PolyharmonicMap, r) -> PolyharmonicMap:
@@ -76,7 +75,7 @@ def rescale(F: PolyharmonicMap, r) -> PolyharmonicMap:
         raise ParamError(f"rescale radius must lie in (0,1], got {brief_scalar(r)}")
     a = {(n, k): c.scale(r ** (2 * k + n - 3)) for (n, k), c in F.a.items()}
     b = {(n, k): c.scale(r ** (2 * k + n - 3)) for (n, k), c in F.b.items()}
-    return built_map(F.p, a, b)
+    return PolyharmonicMap(F.p, a, b)
 
 
 def neighborhood_distance(F: PolyharmonicMap, G: PolyharmonicMap) -> Scalar:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .errors import InvalidMapError, MapSyntaxError
 from .exact import brief_text, parse_term
-from .series import Coefficient, Key, PolyharmonicMap, built_map, layer_major, term_coefficient
+from .series import Coefficient, Key, PolyharmonicMap, layer_major, term_coefficient
 
 
 def parse_map(data: bytes | str) -> PolyharmonicMap:
@@ -77,7 +77,7 @@ def parse_map(data: bytes | str) -> PolyharmonicMap:
         raise MapSyntaxError("missing header 'p <int>'", 1)
     if (1, 1) not in a:
         raise InvalidMapError("a 1 1 must appear with value 1 0")
-    return built_map(p, a, b)
+    return PolyharmonicMap(p, a, b)
 
 
 def serialize_map(F: PolyharmonicMap) -> bytes:

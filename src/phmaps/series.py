@@ -7,11 +7,9 @@ A map is stored as two sparse tables indexed by (n, k):
 with the normalization a[1,1] = 1 and |b[1,1]| < 1. Unlisted entries are zero.
 All values are immutable after construction and every operation here is pure.
 
-An exact ``Coefficient`` is stored as one reduced integer triple (x, y, d),
-the value (x + yi)/d, from parse to report: products, sums, scaling,
-magnitudes and the .phm text read the integers, and its ``re`` and ``im`` are
-read-only Fractions built on each read. A float or mixed coefficient keeps
-its two parts.
+An exact ``Coefficient`` is stored as one reduced integer triple (x, y, d), the
+value (x + yi)/d, which products, sums, magnitudes and the .phm text read; its
+``re`` and ``im`` are read-only Fractions built on each read.
 
 Every weighted coefficient sum of the exact core (the membership rows, the
 neighborhood distance, the per-layer tails) is ``weighted_sum`` over rows
@@ -39,14 +37,9 @@ _new = object.__new__
 
 
 class Coefficient(Record):
-    """One complex coefficient re + im i, exact or approximate.
-
-    An exact one is stored as one integer triple (x, y, d), the value (x + yi)/d with d >= 1 and
-    gcd(x, y, d) = 1, so equal values store equal triples. A float or mixed one (a float part)
-    stores (re, im, 0). ``re`` and ``im`` are read-only: a Fraction for an exact part, else the
-    float. Equality and hash go by (re, im), so an exact coefficient equals its float twin where
-    the values agree.
-    """
+    """One complex coefficient re + im i. An exact one stores the triple (x, y, d), the value (x + yi)/d
+    with d >= 1 and gcd(x, y, d) = 1; one with a float part stores (re, im, 0). Equality and hash go
+    by (re, im), a Fraction for an exact part and else the float."""
 
     __slots__ = ("_triple",)
     _fields = ("re", "im")
@@ -78,13 +71,6 @@ class Coefficient(Record):
     def conjugate(self) -> "Coefficient":
         x, y, d = self._triple
         return _reduced(x, -y, d) if d else Coefficient(x, -y)
-
-    def __eq__(self, other):
-        if other.__class__ is Coefficient and self._triple[2] and other._triple[2]:
-            return self._triple == other._triple
-        return Record.__eq__(self, other)
-
-    __hash__ = Record.__hash__
 
     def __add__(self, other: "Coefficient") -> "Coefficient":
         return self._plus(other, 1, "sum")
@@ -232,23 +218,24 @@ def coeff(value) -> Coefficient:
     return Coefficient(as_scalar(value), Fraction(0))
 
 
-def _clean_table(name: str, table: Mapping[Key, object], p: int, trusted: bool = False) -> dict[Key, Coefficient]:
+def _clean_table(name: str, table: Mapping[Key, object], p: int) -> dict[Key, Coefficient]:
     """The nonzero entries of ``table`` under int keys. InvalidMapError for the first bad index in the
     table's own order; then NonFiniteError for the layer-major first entry with a NaN or infinite
-    part, so that the entry it names does not depend on how the table was built. A ``trusted`` table
-    already holds Coefficients under int keys within layer p, so it skips the index checks and coercion."""
+    part, so that the entry it names does not depend on how the table was built."""
     out: dict[Key, Coefficient] = {}
     bad: dict[Key, Coefficient] = {}
     for key, c in table.items():
-        if not trusted:
-            n, k = key
+        n, k = key
+        if not (key.__class__ is tuple and n.__class__ is k.__class__ is int and 1 <= n and 1 <= k <= p):
             if not (n.__class__ is k.__class__ is int or isinstance(n, Integral) and isinstance(k, Integral)):
                 raise InvalidMapError(f"{name}[{n},{k}]: indices must be integers")
             if n < 1 or k < 1:
                 raise InvalidMapError(f"{name}[{n},{k}]: indices must be >= 1")
             if k > p:
                 raise InvalidMapError(f"{name}[{n},{k}]: layer exceeds p={p}")
-            key, c = (int(n), int(k)), coeff(c)  # any Integral index is stored as int, as DiskGrid stores its sizes
+            key = int(n), int(k)  # any Integral index is stored as int, as DiskGrid stores its sizes
+        if c.__class__ is not Coefficient:
+            c = coeff(c)
         x, y, d = c._triple
         if not d and (x.__class__ is float and not math.isfinite(x) or y.__class__ is float and not math.isfinite(y)):
             bad[key] = c
@@ -271,16 +258,16 @@ class PolyharmonicMap(Record):
     __hash__ = None
     _defaults = {"a": None, "b": None}
 
-    def _check(self, trusted: bool = False):
+    def _check(self):
         if not (self.p.__class__ is int or isinstance(self.p, Integral)):
             raise InvalidMapError(f"p must be an integer, got {self.p!r}")
         p = int(self.p)
         if p < 1:
             raise InvalidMapError(f"p must be >= 1, got {p}")
-        a = _clean_table("a", self.a or {}, p, trusted)
-        b = _clean_table("b", self.b or {}, p, trusted)
+        a = _clean_table("a", self.a or {}, p)
+        b = _clean_table("b", self.b or {}, p)
         lead = a.get((1, 1), ZERO)
-        if lead != ONE:
+        if lead._triple not in ((1, 0, 1), (1, 0, 0)):  # exactly 1, or 1 with a float part
             raise InvalidMapError(f"a[1,1] must equal 1, got {lead.brief()}")
         a[(1, 1)] = ONE
         b11 = b.get((1, 1))
@@ -350,13 +337,3 @@ def make_map(p: int, a: Mapping[Key, object] | None = None, b: Mapping[Key, obje
     a = dict(a or {})
     a.setdefault((1, 1), ONE)
     return PolyharmonicMap(p, a, dict(b or {}))
-
-
-def built_map(p: int, a: dict[Key, Coefficient], b: dict[Key, Coefficient]) -> PolyharmonicMap:
-    """PolyharmonicMap(p, a, b) for tables that already hold Coefficients under int keys within layer p,
-    as the operators build them: the zero drop and every check but the index checks and the coercion."""
-    F = _new(PolyharmonicMap)
-    for store, value in zip(PolyharmonicMap._setters, (p, a, b)):
-        store(F, value)
-    F._check(trusted=True)
-    return F
