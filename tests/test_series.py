@@ -93,6 +93,8 @@ class TestMapValidation:
     def test_indices_start_at_one(self):
         with pytest.raises(InvalidMapError):
             make_map(1, a={(0, 1): Fraction(1, 8)})
+        with pytest.raises(InvalidMapError, match=r"^b\[2,0\]: indices must be >= 1$"):
+            make_map(1, b={(2, 0): Fraction(1, 8)})
 
     @pytest.mark.parametrize("p, a, b, message", [
         (1.5, {}, {}, r"p must be an integer, got 1\.5"),
