@@ -1,15 +1,14 @@
 """Coefficient-class membership.
 
-Three families of weighted l1 conditions on the coefficient table:
+One family of weighted l1 conditions on the coefficient table, HS_p(L) with L in [0,1]:
 
-  hs-lambda:  sum_{k, n>=2} (2(k-1) + n(L*n + 1 - L)) (|a|+|b|)
-                  <= 2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|),
-              with 1 <= sum_k (2k-1)(|a[1,k]|+|b[1,k]|) < 2,   L in [0,1];
+  row 1:  sum_{k, n>=2} (2(k-1) + n(L*n + 1 - L)) (|a|+|b|)
+              <= 2 - sum_k (2k-1)(|a[1,k]|+|b[1,k]|);
+  row 2:  1 <= sum_k (2k-1)(|a[1,k]|+|b[1,k]|) < 2.
 
-  hs:         hs-lambda's row 1 at lambda = 0, weights (2(k-1)+n); only its second
-              row is classical: |b11| + sum_{k>=2} (|a[1,k]|+|b[1,k]|) < 1;
-
-  hc:         the same at lambda = 1, weights (2(k-1)+n^2).
+hs-lambda is HS_p(L). hs and hc are its cases L = 0 and L = 1 (row-1 weights
+2(k-1)+n and 2(k-1)+n^2, Avci and Zlotkiewicz at p = 1), so every family is
+decided by the same two rows, and row 2 does not depend on L.
 
 A report records both rows with signed margins, plus exactness and whether a
 strict comparison consulted the epsilon guard (never for all-exact input).
@@ -22,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ParamError
-from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, fold_terms, is_exact, kv_lines, set_field,
+from .exact import (Record, Scalar, Term, as_scalar, brief_scalar, is_exact, kv_lines, set_field,
                     strict_less, term_difference, term_scalar)
 from .series import PolyharmonicMap, weighted_sum
 
@@ -88,12 +87,10 @@ def weight(n: int, k: int, lam) -> Scalar:
 class MembershipReport(Record):
     """Exact left/right sides and signed margins of the two inequality rows.
 
-    ``row2_value`` is always the weighted first-coefficient sum
-    sum_k (2k-1)(|a[1,k]|+|b[1,k]|), and ``row1_rhs`` is 2 - ``row2_value`` for
-    every family. Only row 2 differs: hs and hc test |b11| plus the unweighted
-    tail, carried in ``row2_condition`` together with its [row2_lo, row2_hi)
-    bounds; for hs-lambda the two coincide. ``row2_ok`` tests only the strict
-    upper bound: a11 = 1 and magnitudes >= 0 make the lower one hold.
+    ``row2_value`` is the weighted first-coefficient sum sum_k (2k-1)(|a[1,k]|+|b[1,k]|),
+    and ``row1_rhs`` is 2 - ``row2_value``. Row 2 tests that same sum, so for every family
+    ``row2_condition`` equals ``row2_value`` and [row2_lo, row2_hi) is [1, 2). ``row2_ok``
+    tests only the strict upper bound: a11 = 1 and magnitudes >= 0 make the lower one hold.
     """
 
     __slots__ = ("params", "row1_lhs", "row1_rhs", "row2_value", "row2_condition", "row2_lo", "row2_hi",
@@ -112,8 +109,9 @@ class MembershipReport(Record):
 
 
 def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
-    """Evaluate both inequality rows of the selected family over the support. Sums, sides and margins stay
-    Terms through every comparison, and float input takes the Fraction expressions' float steps bit for bit."""
+    """Evaluate both inequality rows at params.lam over the support; the family only names the class.
+    Sums, sides and margins stay Terms through every comparison, and float input takes the Fraction
+    expressions' float steps bit for bit."""
     rows = F.magnitudes()
     b11 = rows[0][3]  # rows are layer-major, so the first is (1, 1, |a11|, |b11|)
     first = [row for row in rows if row[0] == 1 < row[1]]  # a[1,k] and b[1,k] for k >= 2
@@ -122,24 +120,20 @@ def membership(F: PolyharmonicMap, params: ClassParams) -> MembershipReport:
     first_weighted = weighted_sum(first, lambda n, k: (2 * k - 1, 1), (1, 1), b11)
     exact = row1_lhs.__class__ is first_weighted.__class__ is tuple and is_exact(params.lam)
 
-    row1_rhs = term_difference((2, 1), first_weighted)  # one right side: hs and hc are hs-lambda at 0 and 1
-    if params.family is Family.HS_LAMBDA:
-        row2_condition, lo, hi = first_weighted, 1, 2
-    else:  # |b11| + sum_{k>=2} (|a[1,k]|+|b[1,k]|)
-        row2_condition, lo, hi = fold_terms((b11, weighted_sum(first, lambda n, k: (1, 1)))), 0, 1
-    row2_ok, used_epsilon = strict_less(row2_condition, hi)
+    row1_rhs = term_difference((2, 1), first_weighted)
+    row2_ok, used_epsilon = strict_less(first_weighted, 2)
     margin = term_difference(row1_rhs, row1_lhs)
 
     normalized_ok = F.is_normalized
     member = (margin[0] if margin.__class__ is tuple else margin) >= 0 and row2_ok and (
         normalized_ok or not params.normalized)
     row2_value = term_scalar(first_weighted)
-    return MembershipReport(params, term_scalar(row1_lhs), term_scalar(row1_rhs), row2_value,
-                            row2_value if row2_condition is first_weighted else term_scalar(row2_condition),
-                            Fraction(lo), Fraction(hi), row2_ok, normalized_ok, member, exact,
+    return MembershipReport(params, term_scalar(row1_lhs), term_scalar(row1_rhs), row2_value, row2_value,
+                            Fraction(1), Fraction(2), row2_ok, normalized_ok, member, exact,
                             used_epsilon and not exact)
 
 
 def class_reduction_check(F: PolyharmonicMap) -> bool:
-    """Do the hs and hc families agree on F with hs-lambda at the lambda each fixes?"""
+    """Do the hs and hc families agree on F with hs-lambda at the lambda each fixes? They share both rows,
+    so this holds for every valid map; a family-specific rule would break it."""
     return all(membership(F, hs_lambda(params.lam)).member == membership(F, params).member for params in (hs(), hc()))

@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import catalog
-from .classes import hc, hs, hs_lambda, membership
+from .classes import FIXED_LAMBDA, ClassParams, Family, hs_lambda, membership
 from .errors import MAX_GRID_POINTS, GridTooLargeError, NotMemberError, ParamError, PhmapsError
 from .exact import brief_scalar, brief_text, kv_lines, parse_scalar
 from .operators import convolve, integral_convolve, neighborhood_report
@@ -134,17 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args) -> int:
     F = load_map(args.file)
+    family = Family(args.family)
     if args.lam is not None:
         hs_lambda(args.lam)  # ParamError for lambda outside [0, 1], whichever class is checked
-    if args.family == "hs":
-        params = hs(args.normalized)
-    elif args.family == "hc":
-        params = hc(args.normalized)
-    elif args.lam is None:
+    elif family not in FIXED_LAMBDA:
         raise ParamError("--lambda is required for --class hs-lambda")
-    else:
-        params = hs_lambda(args.lam, args.normalized)
-    report = membership(F, params)
+    report = membership(F, ClassParams(family, FIXED_LAMBDA.get(family, args.lam), args.normalized))
     print(report.to_kv())
     return EXIT_OK if report.member else EXIT_FAIL
 

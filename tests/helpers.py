@@ -396,7 +396,7 @@ def reference_membership(F, params) -> MembershipReport:
     """Both inequality rows as left folds of Fraction/float terms, one weight() per term."""
     lam = {Family.HS_LAMBDA: params.lam, Family.HS: Fraction(0), Family.HC: Fraction(1)}[params.family]
     exact = is_exact(lam)
-    row1_lhs = first_weighted = first_plain = Fraction(0)
+    row1_lhs = first_weighted = Fraction(0)
     b11_mag = reference_magnitude(F.coeff_b(1, 1))
     exact &= is_exact(b11_mag)
     for n, k in F.support():
@@ -407,18 +407,13 @@ def reference_membership(F, params) -> MembershipReport:
             row1_lhs = row1_lhs + weight(n, k, lam) * pair
         elif k >= 2:
             first_weighted = first_weighted + (2 * k - 1) * pair
-            first_plain = first_plain + pair
     first_weighted = first_weighted + 1 + b11_mag
     row1_rhs = 2 - first_weighted
-    if params.family is Family.HS_LAMBDA:
-        row2_condition, row2_lo, row2_hi = first_weighted, Fraction(1), Fraction(2)
-    else:
-        row2_condition, row2_lo, row2_hi = b11_mag + first_plain, Fraction(0), Fraction(1)
-    used_epsilon = not is_exact(row2_condition)  # a float must clear the strict bound by EPS_STRICT
-    upper_ok = row2_condition < (float(row2_hi) - EPS_STRICT if used_epsilon else row2_hi)
-    row2_ok = bool(row2_condition >= row2_lo) and upper_ok
+    used_epsilon = not is_exact(first_weighted)  # a float must clear the strict bound by EPS_STRICT
+    upper_ok = first_weighted < (2.0 - EPS_STRICT if used_epsilon else 2)
+    row2_ok = bool(first_weighted >= 1) and upper_ok
     member = bool(row1_rhs - row1_lhs >= 0) and row2_ok and (F.is_normalized or not params.normalized)
-    return MembershipReport(params, row1_lhs, row1_rhs, first_weighted, row2_condition, row2_lo, row2_hi,
+    return MembershipReport(params, row1_lhs, row1_rhs, first_weighted, first_weighted, Fraction(1), Fraction(2),
                             row2_ok, F.is_normalized, member, exact, used_epsilon and not exact)
 
 

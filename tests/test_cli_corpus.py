@@ -63,7 +63,7 @@ def _maps():
                                           Coefficient(Fraction(3, 5), Fraction(-4, 5))),
             "irrational_over": _irrational(Fraction(1, 10**25)),
             "irrational_under": _irrational(Fraction(-1, 10**25)),
-            # z + |z|^2 z/3: hs and hc put its row-1 sum 1/3 below 1, hs-lambda(0) and (1) put 2 at 2
+            # z + |z|^2 z/3: row 1 holds with margin 0, and its first-weighted sum 2 fails row 2 in every family
             "first_row_tight": make_map(2, a={(1, 2): Fraction(1, 3)}),
             # decimal coefficients whose first-weighted sum 1 + |b11| + 3|a[1,2]| is exactly 2
             "float_first_row_tight": make_map(2, a={(1, 2): 0.25}, b={(1, 1): 0.25}),

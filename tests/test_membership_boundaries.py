@@ -1,10 +1,11 @@
 """membership on its boundary rows, where the exact pair comparisons decide the verdict.
 
 Each map sits on a boundary of one inequality: a row-1 margin of exactly 0
-(the catalog's extremal points and tight random members), or a row-2
-condition equal to row2_lo or row2_hi. Every report must equal the Fraction
-loop's field for field, for all three families and for exact and float lambda.
-hs and hc must read row 1 bit for bit as hs-lambda at the lambda each fixes.
+(the catalog's extremal points and tight random members), or a first-weighted
+sum, which row 2 tests, equal to row2_lo = 1 or row2_hi = 2. Every report must
+equal the Fraction loop's field for field, for all three families and for exact
+and float lambda. hs and hc must equal hs-lambda at the lambda each fixes in
+every field but params, bit for bit.
 """
 
 import math
@@ -16,8 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import KINDS, assert_same_report, coefficients, maps, reference_membership, same
-from phmaps import (Coefficient, ExtremalSpec, PolyharmonicMap, class_reduction_check, extremal_point, hc, hs,
-                    hs_lambda, make_map, membership)
+from phmaps import (Coefficient, ExtremalSpec, MembershipReport, PolyharmonicMap, class_reduction_check,
+                    extremal_point, hc, hs, hs_lambda, make_map, membership)
 from phmaps.sampling import random_member
 
 EXACT_LAMS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
@@ -56,32 +57,33 @@ def test_tight_members_sit_on_the_row1_boundary(seed):
         assert_matches_the_fraction_loop(F, lam)
 
 
-# (name, map, family, bound): the family's row-2 condition equals its row2_lo or row2_hi.
+# (name, map, bound): the first-weighted sum 1 + |b11| + sum_{k>=2} (2k-1)(|a[1,k]|+|b[1,k]|),
+# which row 2 tests for every family, equals row2_lo = 1 or row2_hi = 2. At row2_hi with no n >= 2
+# entry (a12_third and float_b11_quarter_a12_quarter, the corpus maps first_row_tight and
+# float_first_row_tight) row 1 holds with margin 0, so row 2 alone rejects the map, in every family.
 ROW2_BOUNDARIES = [
-    # hs-lambda: the first-weighted sum 1 + |b11| + sum_{k>=2} (2k-1)(|a[1,k]|+|b[1,k]|) is 1 or 2
-    ("no_first_degree", make_map(2, a={(2, 1): Fraction(1, 4), (3, 2): Fraction(1, 20)}), "hs-lambda", "lo"),
-    ("float_b11_rounds_to_one", make_map(1, a={(2, 1): Fraction(1, 8)}, b={(1, 1): 1e-17}), "hs-lambda", "lo"),
-    ("a12_third", make_map(2, a={(1, 2): Fraction(1, 3)}), "hs-lambda", "hi"),
-    ("float_a12_third", make_map(2, a={(1, 2): 1 / 3}), "hs-lambda", "hi"),
+    ("no_first_degree", make_map(2, a={(2, 1): Fraction(1, 4), (3, 2): Fraction(1, 20)}), "lo"),
+    ("float_b11_rounds_to_one", make_map(1, a={(2, 1): Fraction(1, 8)}, b={(1, 1): 1e-17}), "lo"),
+    ("identity_with_tail", make_map(1, a={(2, 1): Fraction(1, 4)}, b={(3, 1): Fraction(1, 9)}), "lo"),
+    ("a12_third", make_map(2, a={(1, 2): Fraction(1, 3)}), "hi"),
+    ("float_a12_third", make_map(2, a={(1, 2): 1 / 3}), "hi"),
     ("b11_half_b12_sixth", make_map(2, a={(2, 1): Fraction(1, 9)}, b={(1, 1): Fraction(1, 2), (1, 2): Fraction(1, 6)}),
-     "hs-lambda", "hi"),
+     "hi"),
     ("pythagorean_b11", make_map(3, a={(1, 3): (Fraction(3, 75), Fraction(4, 75))},
-                                 b={(1, 1): (Fraction(-3, 10), Fraction(4, 10)), (1, 2): Fraction(1, 18)}),
-     "hs-lambda", "hi"),
-    # hs: |b11| + sum_{k>=2} (|a[1,k]|+|b[1,k]|) is 0 or 1
-    ("identity_with_tail", make_map(1, a={(2, 1): Fraction(1, 4)}, b={(3, 1): Fraction(1, 9)}), "hs", "lo"),
-    ("b11_half_a12_half", make_map(2, a={(1, 2): Fraction(1, 2)}, b={(1, 1): Fraction(1, 2)}), "hs", "hi"),
-    ("float_b11_half_a12_half", make_map(2, a={(1, 2): 0.5}, b={(1, 1): 0.5}), "hs", "hi"),
-    ("three_first_degree", make_map(3, a={(1, 2): Fraction(1, 4), (1, 3): Fraction(1, 2)}, b={(1, 1): Fraction(1, 4)}),
-     "hs", "hi"),
+                                 b={(1, 1): (Fraction(-3, 10), Fraction(4, 10)), (1, 2): Fraction(1, 18)}), "hi"),
+    ("b11_half_a12_sixth", make_map(2, a={(1, 2): Fraction(1, 6)}, b={(1, 1): Fraction(1, 2)}), "hi"),
+    ("float_b11_quarter_a12_quarter", make_map(2, a={(1, 2): 0.25}, b={(1, 1): 0.25}), "hi"),
+    ("a12_sixth_a13_tenth", make_map(3, a={(1, 2): Fraction(1, 6), (1, 3): Fraction(1, 10)}), "hi"),
 ]
 
 
-@pytest.mark.parametrize("name, F, family, bound", ROW2_BOUNDARIES, ids=[case[0] for case in ROW2_BOUNDARIES])
-def test_row2_boundaries_match_the_fraction_loop(name, F, family, bound):
-    report = membership(F, hs_lambda(Fraction(1, 2)) if family == "hs-lambda" else hs())
-    assert report.row2_condition == (report.row2_lo if bound == "lo" else report.row2_hi)
-    assert report.row2_ok is (bound == "lo")  # [row2_lo, row2_hi) holds its lower end only
+@pytest.mark.parametrize("name, F, bound", ROW2_BOUNDARIES, ids=[case[0] for case in ROW2_BOUNDARIES])
+def test_row2_boundaries_match_the_fraction_loop(name, F, bound):
+    for params in (hs_lambda(Fraction(1, 2)), hs(), hc()):
+        report = membership(F, params)
+        assert report.row2_condition == (report.row2_lo if bound == "lo" else report.row2_hi)
+        assert report.row2_ok is (bound == "lo")  # [row2_lo, row2_hi) holds its lower end only
+    assert class_reduction_check(F)
     for lam in EXACT_LAMS:
         assert_matches_the_fraction_loop(F, lam)
 
@@ -100,12 +102,14 @@ def first_row_maps(draw):
     return PolyharmonicMap(p, a, {**draw(first), **draw(rest), (1, 1): Coefficient(b11.re / 2, b11.im / 2)})
 
 
-@given(first_row_maps(), st.booleans())
-def test_hs_and_hc_read_row1_as_hs_lambda_at_their_lambda(F, normalized):
+@given(st.one_of(maps(), first_row_maps()), st.booleans())
+def test_hs_and_hc_are_hs_lambda_at_their_lambda(F, normalized):
     for params in (hs(normalized), hc(normalized)):
         want, got = membership(F, hs_lambda(params.lam, normalized)), membership(F, params)
-        for name in ("row1_lhs", "row1_rhs", "row1_margin"):
-            assert same(getattr(got, name), getattr(want, name)), name
+        for name in (*MembershipReport._fields, "row1_margin"):
+            if name != "params":
+                assert same(getattr(got, name), getattr(want, name)), name
+    assert class_reduction_check(F)
 
 
 @given(st.one_of(maps(), first_row_maps()),
@@ -123,3 +127,4 @@ def test_float_row1_tight_is_decided_alike_by_hs_and_hs_lambda_0():
     report = membership(F, hs())
     assert report.row1_margin == 0.0 and report.member and not report.exact
     assert class_reduction_check(F)
+
